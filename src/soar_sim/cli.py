@@ -47,14 +47,17 @@ def _run_one(args: tuple[ScenarioSpec, str, int]) -> TrialResult:
     return run_trial(spec, mode, seed)
 
 
-def _run_batch(spec: ScenarioSpec, mode: str, trials: int, base_seed: int, jobs: int) -> list[TrialResult]:
-    tasks = [(spec, mode, base_seed + i) for i in range(trials)]
-    if jobs <= 1 or trials == 1:
+def _run_batch(
+    spec: ScenarioSpec, modes: Sequence[str], trials: int, base_seed: int, jobs: int
+) -> list[list[TrialResult]]:
+    """Every mode on seeds base_seed.. through one pool; one seed-ordered result list per mode."""
+    tasks = [(spec, mode, base_seed + i) for mode in modes for i in range(trials)]
+    if jobs <= 1 or len(tasks) == 1:
         results = [_run_one(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, trials)) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_run_one, tasks))
-    return sorted(results, key=lambda r: r.seed)
+    return [sorted(results[k * trials:(k + 1) * trials], key=lambda r: r.seed) for k in range(len(modes))]
 
 
 def _write(path: Path, text: str) -> None:
@@ -112,7 +115,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     spec = _load_or_fail(args.scenario)
     mode = _canonical_mode(args.mode)
-    results = _run_batch(spec, mode, args.trials, args.seed, args.jobs)
+    [results] = _run_batch(spec, [mode], args.trials, args.seed, args.jobs)
     summary = report_mod.summarize_mode(mode, results)
     out = Path(args.out)
     _emit_trials(spec, results, out)
@@ -130,8 +133,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = _load_or_fail(args.scenario)
-    soar_results = _run_batch(spec, MODE_SOAR, args.trials, args.seed, args.jobs)
-    non_soar_results = _run_batch(spec, MODE_NON_SOAR, args.trials, args.seed, args.jobs)
+    soar_results, non_soar_results = _run_batch(spec, [MODE_SOAR, MODE_NON_SOAR], args.trials,
+                                                args.seed, args.jobs)
     rep = report_mod.build_comparison(spec.name, soar_results, non_soar_results)
     out = Path(args.out)
     _emit_trials(spec, soar_results, out)
@@ -232,9 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "trials", 1) < 1:
-        print("ERROR: --trials must be >= 1", file=sys.stderr)
-        return EXIT_RUNTIME
+    for option in ("trials", "jobs"):
+        if getattr(args, option, 1) < 1:
+            print(f"ERROR: --{option} must be >= 1", file=sys.stderr)
+            return EXIT_RUNTIME
     try:
         return args.func(args)
     except CliError as exc:
@@ -243,6 +247,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ScenarioError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"ERROR: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 def entrypoint() -> None:

@@ -3,10 +3,10 @@
 An ideal rectified rig (zero distortion, identity rotation between
 cameras) observes disc obstacles. Disparities are synthesized analytically
 from ground-truth distance plus seeded Gaussian pixel noise, then run back
-through the rig's 4x4 disparity-to-depth matrix when fused, so the
-geometric data path matches a real stereo pipeline. An oracle segmenter
-provides instance labels, optionally corrupted by one seeded
-misclassification draw per obstacle per frame.
+through the rig's 4x4 disparity-to-depth matrix Q (in closed form) when
+fused, so the geometric data path matches a real stereo pipeline. An
+oracle segmenter provides instance labels, optionally corrupted by one
+seeded misclassification draw per obstacle per frame.
 """
 
 from __future__ import annotations
@@ -94,23 +94,10 @@ class LabeledObstacleEstimate:
 
 
 def depth_from_disparity(disparity: float, rig: StereoRig) -> float:
-    """Recover distance from one disparity via the full Q reprojection."""
+    """Recover distance from one disparity: Z/W of Q @ (u, v, d, 1) is f / (d/B) for any pixel."""
     if disparity <= 0.0:
         raise ValueError(f"disparity must be > 0, got {disparity}")
-    point = rig.Q @ np.array([rig.cx, rig.cy, disparity, 1.0])
-    return float(point[2] / point[3])
-
-
-def _segment_hits_disc(a: Vec2, b: Vec2, center: Vec2, radius: float) -> bool:
-    """Whether segment a-b passes within radius of center."""
-    abx, aby = b.x - a.x, b.y - a.y
-    seg_len2 = abx * abx + aby * aby
-    if seg_len2 == 0.0:
-        return a.dist(center) <= radius
-    t = ((center.x - a.x) * abx + (center.y - a.y) * aby) / seg_len2
-    t = min(1.0, max(0.0, t))
-    closest = Vec2(a.x + abx * t, a.y + aby * t)
-    return closest.dist(center) <= radius
+    return rig.focal_px / (disparity * (1.0 / rig.baseline_m))
 
 
 def sense(
@@ -131,33 +118,43 @@ def sense(
     Non-positive disparity draws are discarded.
     """
     cam_pos, heading = pose
+    cx, cy = cam_pos.x, cam_pos.y
     if positions is None:
         positions = [obs.center for obs in obstacles]
-    ordered = sorted(range(len(obstacles)), key=lambda i: obstacles[i].id)
 
-    geo = []  # (obstacle, position, range) for every obstacle, occluders included
+    geo = []  # (range, id, x, y, radius) of every obstacle, occluders included
     candidates = []  # (obstacle, position, range, bearing) inside fov and range
-    for i in ordered:
-        obs, obs_pos = obstacles[i], positions[i]
-        rng_m = cam_pos.dist(obs_pos)
+    for obs, obs_pos in sorted(zip(obstacles, positions, strict=True), key=lambda op: op[0].id):
+        rng_m = math.hypot(cx - obs_pos.x, cy - obs_pos.y)
         if rng_m <= 0.0:
             continue
-        geo.append((obs, obs_pos, rng_m))
+        geo.append((rng_m, obs.id, obs_pos.x, obs_pos.y, obs.radius))
         if rng_m > noise.max_range_m:
             continue
-        bearing = wrap_angle(math.atan2(obs_pos.y - cam_pos.y, obs_pos.x - cam_pos.x) - heading)
+        bearing = wrap_angle(math.atan2(obs_pos.y - cy, obs_pos.x - cx) - heading)
         if abs(bearing) > noise.fov_rad / 2.0:
             continue
         candidates.append((obs, obs_pos, rng_m, bearing))
+    geo.sort()
 
     detections = []
     for obs, obs_pos, rng_m, bearing in candidates:
-        occluded = any(
-            other_rng < rng_m
-            and _segment_hits_disc(cam_pos, obs_pos, other_pos, other.radius)
-            for other, other_pos, other_rng in geo
-            if other.id != obs.id
-        )
+        # center ray cam_pos -> obs_pos against every strictly nearer disc
+        abx, aby = obs_pos.x - cx, obs_pos.y - cy
+        seg_len2 = abx * abx + aby * aby
+        occluded = False
+        for other_rng, _, ox, oy, radius in geo:
+            if other_rng >= rng_m:
+                break
+            if seg_len2 == 0.0:
+                occluded = math.hypot(cx - ox, cy - oy) <= radius
+            else:
+                t = ((ox - cx) * abx + (oy - cy) * aby) / seg_len2
+                t = t if t > 0.0 else 0.0  # max(0.0, t) and min(1.0, t), NaN included, without the calls
+                t = t if t < 1.0 else 1.0
+                occluded = math.hypot(cx + abx * t - ox, cy + aby * t - oy) <= radius
+            if occluded:
+                break
         if occluded:
             continue
 
@@ -168,7 +165,7 @@ def sense(
         true_disparity = rig.focal_px * rig.baseline_m / rng_m
         if noise.disparity_std > 0.0:
             draws = true_disparity + rng.normal(0.0, noise.disparity_std, SAMPLES_PER_DETECTION)
-            samples = tuple(float(d) for d in draws if d > 0.0)
+            samples = tuple([d for d in draws.tolist() if d > 0.0])
         else:
             samples = (true_disparity,) * SAMPLES_PER_DETECTION
 

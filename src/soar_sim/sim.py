@@ -10,20 +10,18 @@ tick, and all per-tick state is recorded for export and plotting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from soar_sim._kernel import step_core
-from soar_sim.perception import ObstacleMemory, fuse, sense
+from soar_sim.perception import LabeledObstacleEstimate, ObstacleMemory, fuse, sense
 from soar_sim.scenario_io import ScenarioSpec
 from soar_sim.steering import (
     ActiveObstacle,
     SteeringDecision,
     SteeringParams,
-    attractive_potential,
-    repulsive_potential,
     steering_direction,
 )
 from soar_sim.world import (
@@ -76,8 +74,6 @@ class TickLog:
     decision: SteeringDecision
     speed: float
     min_clearance: float
-    f_attractive: float
-    f_repulsive: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,6 +124,7 @@ def detect_termination(
     history: Sequence[tuple[float, Vec2]],
     spec: ScenarioSpec,
     tuning: TerminationTuning = TerminationTuning(),
+    min_gap: Optional[float] = None,
 ) -> Optional[str]:
     """Evaluate the termination conditions at the newest state in history.
 
@@ -135,17 +132,21 @@ def detect_termination(
     robot dt. Collision is judged against true classes: only obstacles whose
     scenario-policy d0 is positive can collide, so driving through ignorable
     objects is sanctioned while misclassification-induced contact is not.
+    min_gap, when given, is the newest position's smallest gap to an avoidable obstacle.
     """
     if not history:
         raise ValueError("history must be non-empty")
     t, pos = history[-1]
     if pos.dist(spec.goal) <= spec.goal_radius:
         return OUTCOME_GOAL
-    for i in _avoidable(spec):
-        obs = spec.obstacles[i]
-        gap = pos.dist(obs.position_at(t)) - obs.radius
-        if gap <= spec.robot.collision_radius:
-            return OUTCOME_COLLISION
+    if min_gap is None:
+        obstacles = spec.obstacles
+        min_gap = min(
+            (pos.dist(obstacles[i].position_at(t)) - obstacles[i].radius for i in _avoidable(spec)),
+            default=math.inf,
+        )
+    if min_gap <= spec.robot.collision_radius:
+        return OUTCOME_COLLISION
     if t >= spec.time_limit:
         return OUTCOME_TIMEOUT
     if t >= tuning.stuck_window:
@@ -200,16 +201,20 @@ def run_trial(
     path_length = 0.0
     min_clearance: dict[str, float] = {}
     avoidable = _avoidable(spec)
+    # world snapshot: static obstacles are placed once, moving ones every tick
+    positions = [obs.position_at(0.0) for obs in obstacles]
+    moving = [i for i, obs in enumerate(obstacles) if obs.is_moving()]
 
-    def update_clearance(pos: Vec2, t: float) -> None:
-        for obs in obstacles:
-            gap = max(0.0, pos.dist(obs.position_at(t)) - obs.radius)
+    def update_clearance(pos: Vec2) -> float:
+        """Fold pos into min_clearance; return its smallest gap to an avoidable obstacle."""
+        gaps = [max(0.0, pos.dist(center) - obs.radius) for obs, center in zip(obstacles, positions)]
+        for obs, gap in zip(obstacles, gaps):
             prev = min_clearance.get(obs.class_label)
             if prev is None or gap < prev:
                 min_clearance[obs.class_label] = gap
+        return min((gaps[i] for i in avoidable), default=math.inf)
 
-    update_clearance(state.position, 0.0)
-    outcome = detect_termination(history, spec, tuning)
+    outcome = detect_termination(history, spec, tuning, update_clearance(state.position))
     max_ticks = math.ceil(spec.time_limit / dt) + 1
     memory = ObstacleMemory(memory_ttl) if memory_ttl > 0.0 else None
 
@@ -218,7 +223,8 @@ def run_trial(
             break
         t_next = tick * dt
         # obstacle-first ordering: sensing and collision use positions at t_next
-        positions = [obs.position_at(t_next) for obs in obstacles]
+        for i in moving:
+            positions[i] = obstacles[i].position_at(t_next)
 
         frame = sense(
             obstacles, (state.position, state.heading), spec.rig, spec.noise,
@@ -228,17 +234,15 @@ def run_trial(
         if memory is not None:
             estimates = memory.update(estimates, t_next, state.position)
         if mode == MODE_NON_SOAR:
-            estimates = [replace(est, class_label=OPAQUE_CLASS) for est in estimates]
+            estimates = [
+                LabeledObstacleEstimate(OPAQUE_CLASS, e.position, e.surface_distance, e.source_instance)
+                for e in estimates
+            ]
         selected = nearest_effective_obstacle(state.position, estimates, lookup_policy)
         active = None
         if selected is not None:
             est, d0 = selected
-            active = ActiveObstacle(
-                position=est.position,
-                surface_distance=est.surface_distance,
-                d0=d0,
-                obstacle_id=est.source_instance,
-            )
+            active = ActiveObstacle(est.position, est.surface_distance, d0, est.source_instance)
         decision = steering_direction(state.position, spec.goal, active, steering_params)
 
         gust = Vec2(0.0, 0.0)
@@ -254,27 +258,11 @@ def run_trial(
         path_length += prev_pos.dist(state.position)
         history.append((t_next, state.position))
         trajectory.append((t_next, state.position, state.heading))
-        update_clearance(state.position, t_next)
-
-        tick_min_clear = min(
-            (max(0.0, state.position.dist(positions[i]) - obstacles[i].radius) for i in avoidable),
-            default=math.inf,
-        )
-        f_att = attractive_potential(state.position, spec.goal, steering_params.c)
-        f_rep = 0.0
-        if active is not None and active.surface_distance > 0.0:
-            f_rep = repulsive_potential(active.surface_distance, active.d0, steering_params.eta)
+        tick_min_clear = update_clearance(state.position)
         tick_log.append(
-            TickLog(
-                time=t_next,
-                decision=decision,
-                speed=state.speed,
-                min_clearance=tick_min_clear,
-                f_attractive=f_att,
-                f_repulsive=f_rep,
-            )
+            TickLog(time=t_next, decision=decision, speed=state.speed, min_clearance=tick_min_clear)
         )
-        outcome = detect_termination(history, spec, tuning)
+        outcome = detect_termination(history, spec, tuning, tick_min_clear)
 
     if outcome is None:
         outcome = OUTCOME_TIMEOUT

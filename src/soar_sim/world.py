@@ -69,15 +69,23 @@ class ObstacleInstance:
             return (self.center,)
         return (self.center, *self.motion.waypoints, self.center)
 
+    def _loop(self) -> Optional[tuple[tuple[Vec2, ...], list[float], float]]:
+        """Path points, segment lengths and loop length; None if the obstacle stays at center."""
+        pts = self.path_points()
+        seg_lengths = [pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1)]
+        total = sum(seg_lengths)  # 0 for a one-point path
+        return None if self.motion.speed <= 0.0 or total <= 0.0 else (pts, seg_lengths, total)
+
+    def is_moving(self) -> bool:
+        """Whether position_at depends on t; if not, it always returns center."""
+        return self._loop() is not None
+
     def position_at(self, t: float) -> Vec2:
         """Obstacle center at time t; a pure function so trials stay replayable."""
-        pts = self.path_points()
-        if len(pts) == 1 or self.motion.speed <= 0.0:
+        loop = self._loop()
+        if loop is None:
             return self.center
-        seg_lengths = [pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1)]
-        total = sum(seg_lengths)
-        if total <= 0.0:
-            return self.center
+        pts, seg_lengths, total = loop
         s = math.fmod(self.motion.speed * t, total)
         for i, seg in enumerate(seg_lengths):
             if s <= seg:

@@ -46,6 +46,15 @@ class TestRun:
         assert (tmp_path / "open_field_soar_seed3.traj.csv").exists()
         assert (tmp_path / "open_field_soar_seed3.result.yaml").exists()
 
+    def test_out_is_existing_file_is_runtime_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["run", "--scenario", OPEN_FIELD, "--seed", "3", "--out", str(taken)])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestBatch:
     def test_identical_invocations_are_byte_identical(self, tmp_path):
@@ -77,6 +86,14 @@ class TestBatch:
     def test_trials_must_be_positive(self, tmp_path, capsys):
         rc = main(["batch", "--scenario", OPEN_FIELD, "--trials", "0", "--out", str(tmp_path)])
         assert rc == EXIT_RUNTIME
+
+    def test_jobs_must_be_positive(self, tmp_path, capsys):
+        for jobs in ("0", "-2"):
+            rc = main(["batch", "--scenario", OPEN_FIELD, "--trials", "1", "--jobs", jobs,
+                       "--out", str(tmp_path)])
+            assert rc == EXIT_RUNTIME
+            assert capsys.readouterr().err == "ERROR: --jobs must be >= 1\n"
+        assert not any(tmp_path.iterdir())
 
     def test_non_soar_mode_spelling(self, tmp_path):
         rc = main(["batch", "--scenario", OPEN_FIELD, "--mode", "non-soar",

@@ -140,3 +140,14 @@ class TestObstacleMotion:
             MotionSpec("waypoint_loop", (Vec2(5.0, 5.0),), 0.0),
         )
         assert obs.position_at(10.0) == Vec2(1.0, 1.0)
+
+    def test_is_moving_only_when_position_depends_on_time(self):
+        def loop(waypoints, speed):
+            return ObstacleInstance(1, "fish", Vec2(1.0, 1.0), 0.1, MotionSpec("waypoint_loop", waypoints, speed))
+
+        assert loop((Vec2(5.0, 5.0),), 1.0).is_moving()
+        assert not ObstacleInstance(1, "rock", Vec2(2.0, 3.0), 0.5).is_moving()
+        assert not loop((Vec2(5.0, 5.0),), 0.0).is_moving()  # waypoints but no speed
+        assert not loop((Vec2(1.0, 1.0),), 1.0).is_moving()  # zero-length loop
+        for obs in (loop((Vec2(5.0, 5.0),), 0.0), loop((Vec2(1.0, 1.0),), 1.0)):
+            assert obs.position_at(3.7) == obs.center
