@@ -8,7 +8,6 @@ limit, seeded disturbances and a trial harness reproduce the matched
 "semantic vs. opaque" navigation experiments at desk scale.
 """
 
-from soar_sim._kernel import BACKEND as KERNEL_BACKEND
 from soar_sim.scenario_io import ScenarioSpec, load_scenario, load_scenario_file, serialize_scenario
 from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, TrialResult, run_trial
 from soar_sim.steering import SteeringDecision, SteeringParams, steering_direction
@@ -17,7 +16,6 @@ from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, effective_d0
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "MODE_NON_SOAR",
     "MODE_SOAR",
     "ClearancePolicy",

@@ -2,16 +2,14 @@
 
 Sub-commands: validate | run | batch | compare | plot. Exit codes:
 0 success, 1 scenario validation failure, 2 runtime failure. Batch trials
-can run in parallel (--jobs, or the SOAR_SIM_JOBS environment variable);
-outputs are assembled in seed order after all trials finish, so results
-do not depend on scheduling.
+can run in parallel (--jobs); outputs are assembled in seed order after all
+trials finish, so results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -30,16 +28,6 @@ EXIT_RUNTIME = 2
 
 def _canonical_mode(mode: str) -> str:
     return MODE_NON_SOAR if mode in ("non-soar", "non_soar") else MODE_SOAR
-
-
-def _default_jobs() -> int:
-    env = os.environ.get("SOAR_SIM_JOBS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 def _run_one(args: tuple[ScenarioSpec, str, int]) -> TrialResult:
@@ -207,8 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="base seed")
         p.add_argument("--out", default="out", help="artifact output directory")
         p.add_argument("--format", choices=["table", "delimited", "structured"], default="table")
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="parallel trial workers (env SOAR_SIM_JOBS)")
+        p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
 
     p_run = sub.add_parser("run", help="run a single trial")
     common(p_run)

@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from soar_sim._kernel import wrap_angle
-from soar_sim.world import ObstacleInstance, Vec2
+from soar_sim.world import ObstacleInstance, Vec2, wrap_angle
 
 # samples drawn per detection; odd so the median is a single sample
 SAMPLES_PER_DETECTION = 9

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import atan2, cos, sin, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
 
-from soar_sim._kernel import step_core
 from soar_sim.perception import LabeledObstacleEstimate, ObstacleMemory, fuse, sense
 from soar_sim.scenario_io import ScenarioSpec
 from soar_sim.steering import (
@@ -30,6 +30,7 @@ from soar_sim.world import (
     Vec2,
     effective_d0,
     nearest_effective_obstacle,
+    wrap_angle,
 )
 
 MODE_SOAR = "soar"
@@ -100,15 +101,32 @@ def step(
     disturbance: Vec2,
     dt: float,
 ) -> RobotState:
-    """Advance the robot one tick toward v_hat (turn-rate limited)."""
+    """Advance the robot one tick toward v_hat.
+
+    Heading turns toward v_hat rate-limited by max_turn_rate; speed is
+    cruise_speed, ramped linearly to zero inside slowdown_radius of the goal;
+    the disturbance is added as a velocity.
+    """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    x, y, heading, speed = step_core(
-        state.position.x, state.position.y, state.heading,
-        v_hat.x, v_hat.y, goal.x, goal.y,
-        params.cruise_speed, params.max_turn_rate, params.slowdown_radius,
-        disturbance.x, disturbance.y, dt,
-    )
+    x, y = state.position.x, state.position.y
+    err = wrap_angle(atan2(v_hat.y, v_hat.x) - state.heading)
+    max_delta = params.max_turn_rate * dt
+    if err > max_delta:
+        err = max_delta
+    elif err < -max_delta:
+        err = -max_delta
+    heading = wrap_angle(state.heading + err)
+    # sqrt(dx*dx + dy*dy), not hypot: the golden digests pin these floats
+    dxg = goal.x - x
+    dyg = goal.y - y
+    goal_dist = sqrt(dxg * dxg + dyg * dyg)
+    if goal_dist >= params.slowdown_radius:
+        speed = params.cruise_speed
+    else:
+        speed = params.cruise_speed * (goal_dist / params.slowdown_radius)
+    x = x + speed * dt * cos(heading) + disturbance.x * dt
+    y = y + speed * dt * sin(heading) + disturbance.y * dt
     return RobotState(position=Vec2(x, y), heading=heading, speed=speed, time=state.time + dt)
 
 

@@ -6,32 +6,31 @@ the obstacle is added, scaled by c1 (removes the goal component parallel
 to the obstacle direction, leaving motion tangent at the clearance
 boundary) and c2 (a linear intrusion gain in [1, b] that pushes harder the
 deeper the robot sits inside the clearance ring). The classic quadratic
-attractive/repulsive potentials are kept as per-tick diagnostics; they do
-not drive motion.
+attractive/repulsive potentials are kept for reference; they do not drive
+motion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import sqrt
 from typing import Optional
 
-from soar_sim._kernel import steer_core
 from soar_sim.world import Vec2
+
+# below this norm the gained sum counts as the head-on singularity
+TIE_EPS = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
 class SteeringParams:
-    """b: max repulsive gain (> 1); c, eta: diagnostic potential scales."""
+    """b: max repulsive gain (> 1)."""
 
     b: float = 3.0
-    c: float = 1.0
-    eta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.b <= 1.0:
             raise ValueError(f"b must be > 1, got {self.b}")
-        if self.c <= 0.0 or self.eta <= 0.0:
-            raise ValueError("c and eta must be > 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +83,7 @@ def c2(dist: float, d0: float, b: float) -> float:
         raise ValueError(f"d0 must be > 0, got {d0}")
     if dist < 0.0 or dist > d0:
         raise ValueError(f"dist must be in [0, d0], got {dist} with d0={d0}")
-    # same expression as the kernels; exact at both endpoints
+    # exact at both endpoints
     return b + (1.0 - b) * (dist / d0)
 
 
@@ -99,33 +98,29 @@ def steering_direction(
     With no active obstacle this is the goal direction. With one, the gained
     obstacle term is added and the sum normalized; if the sum degenerates to
     zero (exact head-on at the clearance boundary) the deterministic
-    tie-break picks the left perpendicular of the obstacle direction.
+    tie-break picks the left perpendicular of the obstacle direction. An
+    active obstacle outside 0 < d0 and 0 <= dist <= d0 is rejected by c2.
     """
-    if robot_pos.dist(goal) == 0.0:
+    # sqrt(dx*dx + dy*dy), not hypot: the golden digests pin these floats
+    dxg = goal.x - robot_pos.x
+    dyg = goal.y - robot_pos.y
+    an = sqrt(dxg * dxg + dyg * dyg)
+    if an == 0.0:
         raise ValueError("robot position coincides with the goal; direction undefined")
-    if active is not None:
-        if active.d0 <= 0.0 or active.surface_distance > active.d0:
-            raise ValueError(
-                f"active obstacle violates 0 < d0 and dist <= d0 "
-                f"(dist={active.surface_distance}, d0={active.d0})"
-            )
-        if robot_pos.dist(active.position) == 0.0:
-            raise ValueError("robot position coincides with the active obstacle")
-
-    ox = oy = dist = d0 = 0.0
-    if active is not None:
-        ox, oy = active.position.x, active.position.y
-        dist, d0 = active.surface_distance, active.d0
-    vx, vy, ax, ay, rx, ry, c1_val, c2_val, tie = steer_core(
-        robot_pos.x, robot_pos.y, goal.x, goal.y, ox, oy, dist, d0,
-        params.b, active is not None,
-    )
-    return SteeringDecision(
-        a_hat=Vec2(ax, ay),
-        r_hat=Vec2(rx, ry) if active is not None else None,
-        c1=c1_val,
-        c2=c2_val,
-        v_hat=Vec2(vx, vy),
-        active_obstacle_id=active.obstacle_id if active is not None else None,
-        tie_break_applied=bool(tie),
-    )
+    a_hat = Vec2(dxg / an, dyg / an)
+    if active is None:
+        return SteeringDecision(a_hat, None, 0.0, 0.0, a_hat, None, False)
+    dxo = active.position.x - robot_pos.x
+    dyo = active.position.y - robot_pos.y
+    rn = sqrt(dxo * dxo + dyo * dyo)
+    if rn == 0.0:
+        raise ValueError("robot position coincides with the active obstacle")
+    r_hat = Vec2(dxo / rn, dyo / rn)
+    k1 = c1(a_hat, r_hat)
+    k2 = c2(active.surface_distance, active.d0, params.b)
+    sx = a_hat.x + k1 * k2 * r_hat.x
+    sy = a_hat.y + k1 * k2 * r_hat.y
+    sn = sqrt(sx * sx + sy * sy)
+    if sn < TIE_EPS:
+        return SteeringDecision(a_hat, r_hat, k1, k2, Vec2(-r_hat.y, r_hat.x), active.obstacle_id, True)
+    return SteeringDecision(a_hat, r_hat, k1, k2, Vec2(sx / sn, sy / sn), active.obstacle_id, False)

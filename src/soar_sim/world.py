@@ -126,6 +126,15 @@ class DisturbanceSpec:
     gust_std: float = 0.0
 
 
+def wrap_angle(a: float) -> float:
+    """Wrap an angle to (-pi, pi]."""
+    while a > math.pi:
+        a -= 2.0 * math.pi
+    while a <= -math.pi:
+        a += 2.0 * math.pi
+    return a
+
+
 def surface_distance(point: Vec2, center: Vec2, radius: float) -> float:
     """Distance from a point to a disc boundary, clamped at zero."""
     return max(0.0, point.dist(center) - radius)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from soar_sim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, build_parser, main
+from soar_sim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 OPEN_FIELD = str(SCENARIOS / "open_field.yaml")
@@ -162,16 +162,3 @@ class TestPlot:
         assert ">soar</text>" in svg
         assert ">non_soar</text>" in svg
 
-
-class TestJobsEnv:
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv("SOAR_SIM_JOBS", "4")
-        parser = build_parser()
-        args = parser.parse_args(["batch", "--scenario", OPEN_FIELD])
-        assert args.jobs == 4
-
-    def test_env_var_ignored_when_invalid(self, monkeypatch):
-        monkeypatch.setenv("SOAR_SIM_JOBS", "many")
-        parser = build_parser()
-        args = parser.parse_args(["batch", "--scenario", OPEN_FIELD])
-        assert args.jobs == 1

@@ -12,7 +12,6 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from soar_sim._kernel import wrap_angle  # noqa: E402
 from soar_sim.perception import (  # noqa: E402
     SAMPLES_PER_DETECTION,
     Detection,
@@ -21,7 +20,7 @@ from soar_sim.perception import (  # noqa: E402
     StereoRig,
     sense,
 )
-from soar_sim.world import ObstacleInstance, Vec2  # noqa: E402
+from soar_sim.world import ObstacleInstance, Vec2, wrap_angle  # noqa: E402
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
 QUIET = SensorNoiseSpec(max_range_m=15.0)

@@ -116,12 +116,6 @@ class TestSteeringParams:
         with pytest.raises(ValueError):
             SteeringParams(b=1.0)
 
-    def test_scales_positive(self):
-        with pytest.raises(ValueError):
-            SteeringParams(c=0.0)
-        with pytest.raises(ValueError):
-            SteeringParams(eta=-1.0)
-
 
 class TestSteeringDirection:
     PARAMS = SteeringParams()

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from soar_sim.perception import LabeledObstacleEstimate
 from soar_sim.world import (
     ClearancePolicy,
@@ -11,6 +13,7 @@ from soar_sim.world import (
     effective_d0,
     nearest_effective_obstacle,
     surface_distance,
+    wrap_angle,
 )
 
 
@@ -55,6 +58,14 @@ class TestSurfaceDistance:
 
     def test_clamped_inside(self):
         assert surface_distance(Vec2(0.0, 0.0), Vec2(0.1, 0.0), 1.0) == 0.0
+
+
+class TestWrapAngle:
+    def test_lands_in_half_open_range(self):
+        rng = np.random.default_rng(99)
+        for a in rng.uniform(-12.0, 12.0, 5000).tolist():
+            w = wrap_angle(a)
+            assert -math.pi < w <= math.pi
 
 
 class TestNearestEffectiveObstacle:
