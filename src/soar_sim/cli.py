@@ -143,10 +143,17 @@ def _read_trajectory(path: str) -> list[Vec2]:
     points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "x" not in reader.fieldnames:
+        if reader.fieldnames is None or not {"x", "y"} <= set(reader.fieldnames):
             raise ValueError(f"{path}: not a trajectory table (missing x/y columns)")
         for row in reader:
-            points.append(Vec2(float(row["x"]), float(row["y"])))
+            try:
+                # a short row leaves its missing cells None
+                point = Vec2(float(row["x"]), float(row["y"]))
+            except (TypeError, ValueError):
+                point = None
+            if point is None or not point.is_finite():
+                raise ValueError(f"{path}: line {reader.line_num}: x and y must be finite numbers")
+            points.append(point)
     if not points:
         raise ValueError(f"{path}: empty trajectory")
     return points
@@ -169,6 +176,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
             trajectories.append((_label_for(path), _read_trajectory(path)))
         except (OSError, ValueError) as exc:
             raise CliError(f"ERROR: {exc}", EXIT_RUNTIME) from exc
+        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
+            raise CliError(f"ERROR: {path}: {exc}", EXIT_RUNTIME) from exc
     svg = render_svg(spec, trajectories)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from soar_sim.world import ObstacleInstance, Vec2, wrap_angle
+from soar_sim.world import ObstacleInstance, Vec2, surface_distance, wrap_angle
 
 # samples drawn per detection; odd so the median is a single sample
 SAMPLES_PER_DETECTION = 9
@@ -169,7 +169,9 @@ def sense(
             samples = (true_disparity,) * SAMPLES_PER_DETECTION
 
         apparent_radius_px = rig.focal_px * obs.radius / rng_m
-        pixel_count = max(1, int(round(math.pi * apparent_radius_px**2)))
+        # a mask covers at most the whole frame; the cap also keeps a tiny range's area finite
+        area_px = math.pi * apparent_radius_px * apparent_radius_px
+        pixel_count = max(1, round(min(area_px, rig.width * rig.height)))
         detections.append(
             Detection(
                 instance_id=obs.id,
@@ -219,12 +221,11 @@ class ObstacleMemory:
             if instance in current:
                 continue
             if now - t_seen <= self.ttl:
-                gap = max(0.0, robot_pos.dist(estimate.position) - radius)
                 merged.append(
                     LabeledObstacleEstimate(
                         class_label=estimate.class_label,
                         position=estimate.position,
-                        surface_distance=gap,
+                        surface_distance=surface_distance(robot_pos, estimate.position, radius),
                         source_instance=estimate.source_instance,
                     )
                 )

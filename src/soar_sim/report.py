@@ -138,27 +138,26 @@ def render_comparison_csv(report: ComparisonReport) -> str:
 
 
 def render_trajectory_csv(result: TrialResult) -> str:
-    """One record per tick; the t=0 row has no steering decision yet."""
+    """One row per tick; the t=0 row has no steering decision, so its last four cells are empty."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["time_s", "x", "y", "heading", "speed", "active_obstacle_id", "c1", "c2", "min_clearance"]
     )
-    logs = {log.time: log for log in result.tick_log}
-    for t, pos, heading in result.trajectory:
-        log = logs.get(t)
-        if log is None:
-            writer.writerow([f"{t:.6f}", repr(pos.x), repr(pos.y), repr(heading), "0.0", "", "", "", ""])
+    for tick in result.trajectory:
+        row = [f"{tick.time:.6f}", repr(tick.position.x), repr(tick.position.y), repr(tick.heading),
+               repr(tick.speed)]
+        decision = tick.decision
+        if decision is None:
+            row += ["", "", "", ""]
         else:
-            active = log.decision.active_obstacle_id
-            writer.writerow(
-                [
-                    f"{t:.6f}", repr(pos.x), repr(pos.y), repr(heading), repr(log.speed),
-                    "" if active is None else active,
-                    repr(log.decision.c1), repr(log.decision.c2),
-                    "" if log.min_clearance == float("inf") else repr(log.min_clearance),
-                ]
-            )
+            active = decision.active_obstacle_id
+            row += [
+                "" if active is None else active,
+                repr(decision.c1), repr(decision.c2),
+                "" if tick.min_clearance == float("inf") else repr(tick.min_clearance),
+            ]
+        writer.writerow(row)
     return buf.getvalue()
 
 

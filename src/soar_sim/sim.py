@@ -4,7 +4,9 @@ One trial runs the perceive -> fuse -> steer -> move loop until a
 termination condition fires. Trials are pure functions of
 (scenario, mode, seed): perception noise and disturbance gusts come from
 separate seeded streams, moving obstacles advance before the robot each
-tick, and all per-tick state is recorded for export and plotting.
+tick. Each recorded state is one Tick: the robot's pose and speed, the
+steering decision that moved it there and its smallest gap to an avoidable
+obstacle. Termination, export and plotting all read that one list.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from soar_sim.world import (
     Vec2,
     effective_d0,
     nearest_effective_obstacle,
+    surface_distance,
     wrap_angle,
 )
 
@@ -55,7 +58,23 @@ class RobotState:
     position: Vec2
     heading: float
     speed: float
+
+
+@dataclass(frozen=True, slots=True)
+class Tick:
+    """One recorded state: the robot after a tick and what steering acted on.
+
+    min_clearance is the smallest gap to an obstacle whose true class has a
+    positive scenario-policy d0 (inf when there is none). The t=0 tick holds
+    the start state, with decision None.
+    """
+
     time: float
+    position: Vec2
+    heading: float
+    speed: float
+    decision: Optional[SteeringDecision]
+    min_clearance: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,25 +87,17 @@ class TerminationTuning:
 
 
 @dataclass(frozen=True, slots=True)
-class TickLog:
-    """Per-tick diagnostics; one row per simulation step."""
-
-    time: float
-    decision: SteeringDecision
-    speed: float
-    min_clearance: float
-
-
-@dataclass(frozen=True, slots=True)
 class TrialResult:
     outcome: str
-    travel_time: float
     path_length: float
     min_clearance_by_class: dict[str, float]
-    trajectory: tuple[tuple[float, Vec2, float], ...]
-    tick_log: tuple[TickLog, ...]
+    trajectory: tuple[Tick, ...]
     mode: str
     seed: int
+
+    @property
+    def travel_time(self) -> float:
+        return self.trajectory[-1].time
 
     @property
     def succeeded(self) -> bool:
@@ -127,53 +138,37 @@ def step(
         speed = params.cruise_speed * (goal_dist / params.slowdown_radius)
     x = x + speed * dt * cos(heading) + disturbance.x * dt
     y = y + speed * dt * sin(heading) + disturbance.y * dt
-    return RobotState(position=Vec2(x, y), heading=heading, speed=speed, time=state.time + dt)
-
-
-def _avoidable(spec: ScenarioSpec) -> list[int]:
-    """Indices of obstacles whose true class carries a positive clearance."""
-    return [
-        i for i, obs in enumerate(spec.obstacles)
-        if effective_d0(spec.policy, obs.class_label) > 0.0
-    ]
+    return RobotState(position=Vec2(x, y), heading=heading, speed=speed)
 
 
 def detect_termination(
-    history: Sequence[tuple[float, Vec2]],
+    trajectory: Sequence[Tick],
     spec: ScenarioSpec,
     tuning: TerminationTuning = TerminationTuning(),
-    min_gap: Optional[float] = None,
 ) -> Optional[str]:
-    """Evaluate the termination conditions at the newest state in history.
+    """Evaluate the termination conditions at the newest tick of trajectory.
 
-    history holds (time, position) pairs, oldest first, evenly spaced by the
-    robot dt. Collision is judged against true classes: only obstacles whose
-    scenario-policy d0 is positive can collide, so driving through ignorable
-    objects is sanctioned while misclassification-induced contact is not.
-    min_gap, when given, is the newest position's smallest gap to an avoidable obstacle.
+    trajectory holds the ticks so far, oldest first, evenly spaced by the
+    robot dt. Collision is judged by the newest tick's min_clearance, which
+    counts only obstacles whose true class has a positive scenario-policy
+    d0: driving through ignorable objects is sanctioned while
+    misclassification-induced contact is not.
     """
-    if not history:
-        raise ValueError("history must be non-empty")
-    t, pos = history[-1]
+    if not trajectory:
+        raise ValueError("trajectory must be non-empty")
+    now = trajectory[-1]
+    t, pos = now.time, now.position
     if pos.dist(spec.goal) <= spec.goal_radius:
         return OUTCOME_GOAL
-    if min_gap is None:
-        obstacles = spec.obstacles
-        min_gap = min(
-            (pos.dist(obstacles[i].position_at(t)) - obstacles[i].radius for i in _avoidable(spec)),
-            default=math.inf,
-        )
-    if min_gap <= spec.robot.collision_radius:
+    if now.min_clearance <= spec.robot.collision_radius:
         return OUTCOME_COLLISION
     if t >= spec.time_limit:
         return OUTCOME_TIMEOUT
     if t >= tuning.stuck_window:
         back = round(tuning.stuck_window / spec.robot.dt)
-        if back < len(history):
-            _, past = history[-1 - back]
-            if pos.dist(past) < tuning.stuck_epsilon:
-                return OUTCOME_STUCK
-    initial_dist = history[0][1].dist(spec.goal)
+        if back < len(trajectory) and pos.dist(trajectory[-1 - back].position) < tuning.stuck_epsilon:
+            return OUTCOME_STUCK
+    initial_dist = trajectory[0].position.dist(spec.goal)
     if pos.dist(spec.goal) > tuning.wrong_dir_factor * initial_dist:
         return OUTCOME_WRONG_DIRECTION
     return None
@@ -211,28 +206,28 @@ def run_trial(
     dt = spec.robot.dt
     obstacles = spec.obstacles
     start_pos, start_heading = spec.start_pose
-    state = RobotState(position=start_pos, heading=start_heading, speed=0.0, time=0.0)
+    state = RobotState(position=start_pos, heading=start_heading, speed=0.0)
 
-    history: list[tuple[float, Vec2]] = [(0.0, state.position)]
-    trajectory: list[tuple[float, Vec2, float]] = [(0.0, state.position, state.heading)]
-    tick_log: list[TickLog] = []
     path_length = 0.0
     min_clearance: dict[str, float] = {}
-    avoidable = _avoidable(spec)
+    avoidable = [
+        i for i, obs in enumerate(obstacles) if effective_d0(spec.policy, obs.class_label) > 0.0
+    ]
     # world snapshot: static obstacles are placed once, moving ones every tick
     positions = [obs.position_at(0.0) for obs in obstacles]
     moving = [i for i, obs in enumerate(obstacles) if obs.is_moving()]
 
     def update_clearance(pos: Vec2) -> float:
         """Fold pos into min_clearance; return its smallest gap to an avoidable obstacle."""
-        gaps = [max(0.0, pos.dist(center) - obs.radius) for obs, center in zip(obstacles, positions)]
+        gaps = [surface_distance(pos, center, obs.radius) for obs, center in zip(obstacles, positions)]
         for obs, gap in zip(obstacles, gaps):
             prev = min_clearance.get(obs.class_label)
             if prev is None or gap < prev:
                 min_clearance[obs.class_label] = gap
         return min((gaps[i] for i in avoidable), default=math.inf)
 
-    outcome = detect_termination(history, spec, tuning, update_clearance(state.position))
+    trajectory = [Tick(0.0, start_pos, start_heading, 0.0, None, update_clearance(start_pos))]
+    outcome = detect_termination(trajectory, spec, tuning)
     max_ticks = math.ceil(spec.time_limit / dt) + 1
     memory = ObstacleMemory(memory_ttl) if memory_ttl > 0.0 else None
 
@@ -269,28 +264,21 @@ def run_trial(
             gust = Vec2(float(gx), float(gy))
         disturbance = spec.disturbance.drift + gust
 
-        prev_pos = state.position
         state = step(state, decision.v_hat, spec.robot, spec.goal, disturbance, dt)
-        state = RobotState(state.position, state.heading, state.speed, t_next)
-
-        path_length += prev_pos.dist(state.position)
-        history.append((t_next, state.position))
-        trajectory.append((t_next, state.position, state.heading))
-        tick_min_clear = update_clearance(state.position)
-        tick_log.append(
-            TickLog(time=t_next, decision=decision, speed=state.speed, min_clearance=tick_min_clear)
+        path_length += trajectory[-1].position.dist(state.position)
+        trajectory.append(
+            Tick(t_next, state.position, state.heading, state.speed, decision,
+                 update_clearance(state.position))
         )
-        outcome = detect_termination(history, spec, tuning, tick_min_clear)
+        outcome = detect_termination(trajectory, spec, tuning)
 
     if outcome is None:
         outcome = OUTCOME_TIMEOUT
     return TrialResult(
         outcome=outcome,
-        travel_time=state.time,
         path_length=path_length,
         min_clearance_by_class=min_clearance,
         trajectory=tuple(trajectory),
-        tick_log=tuple(tick_log),
         mode=mode,
         seed=seed,
     )

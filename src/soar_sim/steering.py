@@ -99,7 +99,9 @@ def steering_direction(
     obstacle term is added and the sum normalized; if the sum degenerates to
     zero (exact head-on at the clearance boundary) the deterministic
     tie-break picks the left perpendicular of the obstacle direction. An
-    active obstacle outside 0 < d0 and 0 <= dist <= d0 is rejected by c2.
+    obstacle estimated at the robot's own position gives no direction to
+    steer away from, so it is treated as no active obstacle. An active
+    obstacle outside 0 < d0 and 0 <= dist <= d0 is rejected by c2.
     """
     # sqrt(dx*dx + dy*dy), not hypot: the golden digests pin these floats
     dxg = goal.x - robot_pos.x
@@ -114,7 +116,7 @@ def steering_direction(
     dyo = active.position.y - robot_pos.y
     rn = sqrt(dxo * dxo + dyo * dyo)
     if rn == 0.0:
-        raise ValueError("robot position coincides with the active obstacle")
+        return SteeringDecision(a_hat, None, 0.0, 0.0, a_hat, None, False)
     r_hat = Vec2(dxo / rn, dyo / rn)
     k1 = c1(a_hat, r_hat)
     k2 = c2(active.surface_distance, active.d0, params.b)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from soar_sim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -140,13 +142,26 @@ class TestPlot:
         assert "polyline" in svg
         assert "sports_ball#1" in svg
 
-    def test_empty_trajectory_is_error_without_output(self, tmp_path, capsys):
-        empty = tmp_path / "empty.traj.csv"
-        empty.write_text("time_s,x,y,heading,speed,active_obstacle_id,c1,c2,min_clearance\n")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "time_s,x,y,heading,speed,active_obstacle_id,c1,c2,min_clearance\n",
+            "time_s,x\n0.0,1.0\n",
+            "x,y\n1.0\n",
+            "x,y\nnan,inf\n",
+            "x,y\n" + "1" * 200_000 + ",2\n",
+        ],
+        ids=["header_only", "no_y_column", "short_row", "non_finite", "oversized_cell"],
+    )
+    def test_empty_trajectory_is_error_without_output(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.traj.csv"
+        bad.write_text(text)
         out = tmp_path / "plot.svg"
-        rc = main(["plot", "--scenario", TRANSPARENCY, "--out", str(out), str(empty)])
+        rc = main(["plot", "--scenario", TRANSPARENCY, "--out", str(out), str(bad)])
         assert rc == EXIT_RUNTIME
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR:") and err.count("\n") == 1
 
     def test_soar_and_non_soar_overlay_legend(self, tmp_path):
         traj = self.make_traj(tmp_path)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 
 import pytest
@@ -16,15 +17,15 @@ from soar_sim.report import (
     render_trial_summary,
     summarize_mode,
 )
-from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, TrialResult, run_trial
+from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, Tick, TrialResult, run_trial
 from soar_sim.world import Vec2
 
 
 def fake_result(seed: int, travel_time: float, outcome: str, mode: str = MODE_SOAR) -> TrialResult:
     return TrialResult(
-        outcome=outcome, travel_time=travel_time, path_length=travel_time,
-        min_clearance_by_class={}, trajectory=((0.0, Vec2(0.0, 0.0), 0.0),),
-        tick_log=(), mode=mode, seed=seed,
+        outcome=outcome, path_length=travel_time, min_clearance_by_class={},
+        trajectory=(Tick(travel_time, Vec2(0.0, 0.0), 0.0, 0.0, None, math.inf),),
+        mode=mode, seed=seed,
     )
 
 
@@ -99,7 +100,7 @@ class TestTrialArtifacts:
         assert rows[0]["time_s"] == "0.000000"
         assert rows[1]["c1"] != ""
         xs = [float(r["x"]) for r in rows]
-        assert xs[-1] == pytest.approx(result.trajectory[-1][1].x, rel=1e-12)
+        assert xs[-1] == pytest.approx(result.trajectory[-1].position.x, rel=1e-12)
 
     def test_trial_summary_is_yaml_and_deterministic(self, open_field):
         result = run_trial(open_field, MODE_SOAR, seed=3)

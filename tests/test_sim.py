@@ -15,6 +15,7 @@ from soar_sim.sim import (
     OUTCOME_WRONG_DIRECTION,
     RobotState,
     TerminationTuning,
+    Tick,
     detect_termination,
     run_trial,
     step,
@@ -29,57 +30,58 @@ NO_DRIFT = Vec2(0.0, 0.0)
 
 class TestStep:
     def test_straight_advance(self):
-        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0, 0.0)
+        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0)
         after = step(state, Vec2(1.0, 0.0), PARAMS, FAR_GOAL, NO_DRIFT, 0.05)
         assert after.position.x == pytest.approx(1.0 * 0.05, rel=1e-12)
         assert after.position.y == 0.0
         assert after.heading == 0.0
         assert after.speed == 1.0
-        assert after.time == pytest.approx(0.05)
 
     def test_turn_rate_saturation(self):
-        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0, 0.0)
+        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0)
         after = step(state, Vec2(-1.0, 0.0), PARAMS, FAR_GOAL, NO_DRIFT, 0.05)
         assert abs(after.heading) == pytest.approx(PARAMS.max_turn_rate * 0.05, rel=1e-12)
 
     def test_slowdown_ramp_midpoint(self):
         goal = Vec2(0.5, 0.0)  # slowdown_radius/2 away
-        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0, 0.0)
+        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0)
         after = step(state, Vec2(1.0, 0.0), PARAMS, goal, NO_DRIFT, 0.05)
         assert after.speed == pytest.approx(PARAMS.cruise_speed / 2.0, rel=1e-12)
 
     def test_disturbance_displaces(self):
-        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0, 0.0)
+        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0)
         drift = Vec2(0.0, 2.0)
         after = step(state, Vec2(1.0, 0.0), PARAMS, FAR_GOAL, drift, 0.05)
         assert after.position.y == pytest.approx(2.0 * 0.05, rel=1e-12)
 
     def test_rejects_bad_dt(self):
-        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0, 0.0)
+        state = RobotState(Vec2(0.0, 0.0), 0.0, 0.0)
         with pytest.raises(ValueError):
             step(state, Vec2(1.0, 0.0), PARAMS, FAR_GOAL, NO_DRIFT, 0.0)
 
 
-class TestDetectTermination:
-    def history_at(self, positions, dt=0.05):
-        return [(i * dt, p) for i, p in enumerate(positions)]
+def ticks_at(positions, dt=0.05, min_clearance=math.inf):
+    """Ticks at the given positions, k * dt apart, every gap min_clearance."""
+    return [Tick(k * dt, p, 0.0, 0.0, None, min_clearance) for k, p in enumerate(positions)]
 
+
+class TestDetectTermination:
     def test_goal_reached(self, open_field):
-        history = [(0.0, open_field.goal + Vec2(0.1, 0.0))]
-        assert detect_termination(history, open_field) == OUTCOME_GOAL
+        ticks = ticks_at([open_field.goal + Vec2(0.1, 0.0)])
+        assert detect_termination(ticks, open_field) == OUTCOME_GOAL
 
     def test_timeout(self, open_field):
-        history = [(0.0, Vec2(0.0, 0.0)), (open_field.time_limit, Vec2(1.0, 0.0))]
-        assert detect_termination(history, open_field) == OUTCOME_TIMEOUT
+        ticks = ticks_at([Vec2(0.0, 0.0), Vec2(1.0, 0.0)], dt=open_field.time_limit)
+        assert detect_termination(ticks, open_field) == OUTCOME_TIMEOUT
 
     def test_stuck_on_zero_displacement(self, open_field):
-        ticks = round(5.0 / open_field.robot.dt) + 1
-        history = self.history_at([Vec2(1.0, 0.0)] * ticks, open_field.robot.dt)
-        assert detect_termination(history, open_field) == OUTCOME_STUCK
+        n = round(5.0 / open_field.robot.dt) + 1
+        ticks = ticks_at([Vec2(1.0, 0.0)] * n, open_field.robot.dt)
+        assert detect_termination(ticks, open_field) == OUTCOME_STUCK
 
     def test_not_stuck_before_window_elapses(self, open_field):
-        history = self.history_at([Vec2(1.0, 0.0)] * 10, open_field.robot.dt)
-        assert detect_termination(history, open_field) is None
+        ticks = ticks_at([Vec2(1.0, 0.0)] * 10, open_field.robot.dt)
+        assert detect_termination(ticks, open_field) is None
 
     def test_wrong_direction_from_walkaway_trajectory(self, open_field):
         # constructed trajectory that walks away from the goal until 1.5x
@@ -90,17 +92,17 @@ class TestDetectTermination:
         while pos.dist(open_field.goal) <= 1.5 * initial:
             pos = pos + Vec2(-0.5, 0.0)
             positions.append(pos)
-        history = self.history_at(positions, open_field.robot.dt)
-        assert detect_termination(history, open_field) == OUTCOME_WRONG_DIRECTION
+        ticks = ticks_at(positions, open_field.robot.dt)
+        assert detect_termination(ticks, open_field) == OUTCOME_WRONG_DIRECTION
         # one step earlier it was still fine
-        assert detect_termination(history[:-1], open_field) is None
+        assert detect_termination(ticks[:-1], open_field) is None
 
-    def test_collision_only_for_avoidable_true_classes(self, transparency):
-        ball = transparency.obstacles[0]  # sports_ball, d0 = 0
-        rock = transparency.obstacles[-1]
-        assert detect_termination([(0.0, ball.center)], transparency) is None
-        touching_rock = Vec2(rock.center.x + rock.radius + 0.1, rock.center.y)
-        assert detect_termination([(0.0, touching_rock)], transparency) == OUTCOME_COLLISION
+    def test_collision_judged_by_min_clearance(self, open_field):
+        radius = open_field.robot.collision_radius
+        touching = ticks_at([Vec2(1.0, 0.0)], min_clearance=radius)
+        clear = ticks_at([Vec2(1.0, 0.0)], min_clearance=radius + 0.01)
+        assert detect_termination(touching, open_field) == OUTCOME_COLLISION
+        assert detect_termination(clear, open_field) is None
 
     def test_empty_history_rejected(self, open_field):
         with pytest.raises(ValueError):
@@ -188,11 +190,25 @@ class TestRunTrial:
         result = run_trial(arch, MODE_NON_SOAR, seed=43)
         assert result.travel_time <= arch.time_limit + arch.robot.dt
 
-    def test_tick_log_matches_trajectory(self, open_field):
+    def test_tick_record_invariants(self, open_field):
         result = run_trial(open_field, MODE_SOAR, seed=3)
-        assert len(result.tick_log) == len(result.trajectory) - 1
-        for (t, _, _), log in zip(result.trajectory[1:], result.tick_log):
-            assert log.time == t
+        dt = open_field.robot.dt
+        assert [tick.time for tick in result.trajectory] == [k * dt for k in range(len(result.trajectory))]
+        assert [tick.decision is None for tick in result.trajectory] == [True] + [False] * (
+            len(result.trajectory) - 1
+        )
+        assert result.travel_time == result.trajectory[-1].time
+
+    def test_collision_only_for_avoidable_true_classes(self, transparency):
+        ball = transparency.obstacles[0]  # sports_ball, d0 = 0
+        rock = transparency.obstacles[-1]
+        heading = transparency.start_pose[1]
+        inside_ball = run_trial(replace(transparency, start_pose=(ball.center, heading)), MODE_SOAR, seed=5)
+        assert inside_ball.outcome == OUTCOME_GOAL
+        touching_rock = Vec2(rock.center.x + rock.radius + 0.1, rock.center.y)
+        at_rock = run_trial(replace(transparency, start_pose=(touching_rock, heading)), MODE_SOAR, seed=5)
+        assert at_rock.outcome == OUTCOME_COLLISION
+        assert at_rock.travel_time == 0.0
 
     def test_stuck_window_tuning_respected(self, open_field):
         # tighter wrong-direction factor fires on a scenario that would pass
@@ -206,8 +222,8 @@ class TestRunTrial:
         narrow = replace(single_block, noise=replace(single_block.noise, fov_rad=math.radians(90.0)))
         memoryless = run_trial(narrow, MODE_SOAR, seed=1)
         remembered = run_trial(narrow, MODE_SOAR, seed=1, memory_ttl=2.0)
-        blind_ticks = sum(1 for log in memoryless.tick_log if log.decision.active_obstacle_id is None)
-        covered_ticks = sum(1 for log in remembered.tick_log if log.decision.active_obstacle_id is None)
+        blind_ticks = sum(1 for t in memoryless.trajectory[1:] if t.decision.active_obstacle_id is None)
+        covered_ticks = sum(1 for t in remembered.trajectory[1:] if t.decision.active_obstacle_id is None)
         assert covered_ticks < blind_ticks
         assert remembered.outcome == OUTCOME_GOAL
 

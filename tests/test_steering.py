@@ -213,6 +213,14 @@ class TestSteeringDirection:
         with pytest.raises(ValueError):
             steering_direction(Vec2(0.0, 0.0), Vec2(5.0, 0.0), zero_d0, self.PARAMS)
 
+    def test_obstacle_at_robot_position_is_ignored(self):
+        # fuse places an obstacle a subnormal range away exactly on the camera
+        robot, goal = Vec2(5.0, 5.0), Vec2(9.0, 5.0)
+        on_robot = ActiveObstacle(robot, surface_distance=0.0, d0=1.0, obstacle_id=1)
+        assert steering_direction(robot, goal, on_robot, self.PARAMS) == steering_direction(
+            robot, goal, None, self.PARAMS
+        )
+
     def test_perpendicularity_identity_includes_head_on(self):
         # (a + c1 r) . r == 0 even when the sum itself is the zero vector
         a = Vec2(1.0, 0.0)
