@@ -12,7 +12,6 @@ seeded misclassification draw per obstacle per frame.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -62,7 +61,7 @@ class SensorNoiseSpec:
 
 @dataclass(frozen=True, slots=True)
 class Detection:
-    """One segmented instance: label pair, mask size and disparity samples.
+    """One segmented instance: label pair and disparity samples.
 
     bearing_rad is the azimuth of the mask centroid ray in the camera frame;
     known_radius_m is the oracle segmenter's instance radius, used by fusion
@@ -72,7 +71,6 @@ class Detection:
     instance_id: int
     reported_class: str
     true_class: str
-    pixel_count: int
     disparity_samples: tuple[float, ...]
     bearing_rad: float
     known_radius_m: float
@@ -110,79 +108,105 @@ def sense(
     """Observe the world from pose, emitting one detection per visible obstacle.
 
     Visible means within the field of view and max range and not occluded by
-    a nearer obstacle along the center ray. Obstacles are processed in id
-    order; per obstacle the misclassification draw happens before the
-    disparity draws, and no draw is consumed when the corresponding noise
-    parameter is zero, so noise-free sensing leaves the rng untouched.
-    Non-positive disparity draws are discarded.
+    a nearer obstacle along the center ray. Detections come in id order.
+    Noise is drawn after occlusion, in one block per source for the k visible
+    obstacles: first rng.random(k) when misclassify_prob > 0 (element j
+    decides detection j's label), then rng.normal(0, disparity_std, (k, 9))
+    when disparity_std > 0 (row j is detection j's samples). With one source
+    on this is the same stream as per-detection draws; with both on, all of
+    a frame's label draws come before its disparity draws. No draw is
+    consumed when a noise parameter is zero, so noise-free sensing leaves
+    the rng untouched. Non-positive disparity draws are discarded.
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
     if positions is None:
         positions = [obs.center for obs in obstacles]
+    max_range = noise.max_range_m
+    half_fov = noise.fov_rad / 2.0
+    full_view = half_fov >= math.pi  # |wrap_angle(...)| <= pi passes the view test
+    inf = math.inf
+    coord_size = 2.0 * (abs(cx) + abs(cy))
 
-    geo = []  # (range, id, x, y, radius) of every obstacle, occluders included
-    candidates = []  # (obstacle, position, range, bearing) inside fov and range
-    for obs, obs_pos in sorted(zip(obstacles, positions, strict=True), key=lambda op: op[0].id):
-        rng_m = math.hypot(cx - obs_pos.x, cy - obs_pos.y)
-        if rng_m <= 0.0:
+    # (range, gx, gy, prefilter bound, x, y, radius) of every obstacle within max range,
+    # occluders out of view included; a farther one is never nearer than a candidate
+    geo = []
+    candidates = []  # (obstacle, gx, gy, range, bearing) inside range and, unless full_view, fov
+    for obs, obs_pos in zip(obstacles, positions, strict=True):
+        ox, oy = obs_pos.x, obs_pos.y
+        gx, gy = ox - cx, oy - cy
+        rng_m = math.hypot(gx, gy)
+        if rng_m <= 0.0 or rng_m > max_range:
             continue
-        geo.append((rng_m, obs.id, obs_pos.x, obs_pos.y, obs.radius))
-        if rng_m > noise.max_range_m:
-            continue
-        bearing = wrap_angle(math.atan2(obs_pos.y - cy, obs_pos.x - cx) - heading)
-        if abs(bearing) > noise.fov_rad / 2.0:
-            continue
-        candidates.append((obs, obs_pos, rng_m, bearing))
+        radius = obs.radius
+        reach = radius + 1e-12 * (coord_size + 2.0 * rng_m)
+        bound = reach * reach * (1.0 + 1e-12)
+        geo.append((rng_m, gx, gy, bound if bound > 1e-300 else 1e-300, ox, oy, radius))
+        bearing = None
+        if not full_view:
+            bearing = wrap_angle(math.atan2(gy, gx) - heading)
+            if abs(bearing) > half_fov:
+                continue
+        candidates.append((obs, gx, gy, rng_m, bearing))
     geo.sort()
 
-    detections = []
-    for obs, obs_pos, rng_m, bearing in candidates:
-        # center ray cam_pos -> obs_pos against every strictly nearer disc
-        abx, aby = obs_pos.x - cx, obs_pos.y - cy
+    visible = []  # (obstacle, range, bearing)
+    for obs, abx, aby, rng_m, bearing in candidates:
+        # center ray cam_pos -> obstacle against every strictly nearer disc
         seg_len2 = abx * abx + aby * aby
+        # Prefilter: skip a disc whose center is farther than reach from the
+        # infinite center line, i.e. cr^2 > bound * seg_len2 with cr the cross
+        # product. Error bound: with eps = 2^-53 and R the nearer disc's range
+        # (|ab| * t <= R), the exact test below rounds each coordinate by at
+        # most ~10 eps (|cx| + |cy| + R), and |cr| / |ab| is within ~4 eps R of
+        # the true line distance. reach adds 1e-12 (2 (|cx| + |cy|) + 2 R), over
+        # 4000x both, and the (1 + 1e-12) factor covers the relative rounding
+        # of the squares, so a skipped disc can never pass the exact test.
+        # Rounding is monotonic, so the final products cannot flip the
+        # comparison; seg_len2 > 1e-200 and bound >= 1e-300 keep their inputs
+        # clear of underflow (a skip needs a line distance above 1e-150), and
+        # cr^2 < inf rules out overflowed products.
+        scale = seg_len2 if seg_len2 > 1e-200 else inf
         occluded = False
-        for other_rng, _, ox, oy, radius in geo:
+        for other_rng, gx, gy, bound, ox, oy, radius in geo:
             if other_rng >= rng_m:
                 break
+            cr = abx * gy - aby * gx
+            if bound * scale < cr * cr < inf:
+                continue
             if seg_len2 == 0.0:
-                occluded = math.hypot(cx - ox, cy - oy) <= radius
+                occluded = other_rng <= radius  # other_rng is hypot(cx - ox, cy - oy)
             else:
-                t = ((ox - cx) * abx + (oy - cy) * aby) / seg_len2
+                t = (gx * abx + gy * aby) / seg_len2
                 t = t if t > 0.0 else 0.0  # max(0.0, t) and min(1.0, t), NaN included, without the calls
                 t = t if t < 1.0 else 1.0
                 occluded = math.hypot(cx + abx * t - ox, cy + aby * t - oy) <= radius
             if occluded:
                 break
-        if occluded:
-            continue
+        if not occluded:
+            if bearing is None:
+                bearing = wrap_angle(math.atan2(aby, abx) - heading)
+            visible.append((obs, rng_m, bearing))
+    visible.sort(key=lambda v: v[0].id)
 
+    k = len(visible)
+    flips = rng.random(k).tolist() if noise.misclassify_prob > 0.0 else None
+    draws = (
+        rng.normal(0.0, noise.disparity_std, (k, SAMPLES_PER_DETECTION)).tolist()
+        if noise.disparity_std > 0.0 else None
+    )
+    focal_baseline = rig.focal_px * rig.baseline_m
+    detections = []
+    for j, (obs, rng_m, bearing) in enumerate(visible):
         reported = obs.class_label
-        if noise.misclassify_prob > 0.0 and rng.random() < noise.misclassify_prob:
+        if flips is not None and flips[j] < noise.misclassify_prob:
             reported = noise.confusion.get(obs.class_label, obs.class_label)
-
-        true_disparity = rig.focal_px * rig.baseline_m / rng_m
-        if noise.disparity_std > 0.0:
-            draws = true_disparity + rng.normal(0.0, noise.disparity_std, SAMPLES_PER_DETECTION)
-            samples = tuple([d for d in draws.tolist() if d > 0.0])
+        true_disparity = focal_baseline / rng_m
+        if draws is not None:
+            samples = tuple([s for d in draws[j] if (s := true_disparity + d) > 0.0])
         else:
             samples = (true_disparity,) * SAMPLES_PER_DETECTION
-
-        apparent_radius_px = rig.focal_px * obs.radius / rng_m
-        # a mask covers at most the whole frame; the cap also keeps a tiny range's area finite
-        area_px = math.pi * apparent_radius_px * apparent_radius_px
-        pixel_count = max(1, round(min(area_px, rig.width * rig.height)))
-        detections.append(
-            Detection(
-                instance_id=obs.id,
-                reported_class=reported,
-                true_class=obs.class_label,
-                pixel_count=pixel_count,
-                disparity_samples=samples,
-                bearing_rad=bearing,
-                known_radius_m=obs.radius,
-            )
-        )
+        detections.append(Detection(obs.id, reported, obs.class_label, samples, bearing, obs.radius))
     return PerceptionFrame(detections=tuple(detections), camera_pose=(cam_pos, heading))
 
 
@@ -251,15 +275,14 @@ def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[LabeledObstacleEs
         if not det.disparity_samples:
             dropped += 1
             continue
-        rng_m = depth_from_disparity(statistics.median(det.disparity_samples), rig)
+        ordered = sorted(det.disparity_samples)
+        half = len(ordered) // 2
+        # the middle sample, or the mean of the middle two: the standard library median's arithmetic
+        median = ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+        rng_m = depth_from_disparity(median, rig)
         ray = heading + det.bearing_rad
         position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
-        estimates.append(
-            LabeledObstacleEstimate(
-                class_label=det.reported_class,
-                position=position,
-                surface_distance=max(0.0, rng_m - det.known_radius_m),
-                source_instance=det.instance_id,
-            )
-        )
+        gap = rng_m - det.known_radius_m
+        gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
+        estimates.append(LabeledObstacleEstimate(det.reported_class, position, gap, det.instance_id))
     return estimates, dropped

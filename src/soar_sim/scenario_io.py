@@ -34,6 +34,8 @@ DEFAULT_GOAL_RADIUS = 0.3
 DEFAULT_TIME_LIMIT = 120.0
 DEFAULT_UNIFORM_D0 = 1.0
 DEFAULT_SEED = 0
+# cap on time_limit_s / robot.dt, the trial's tick budget; shipped scenarios need at most 6,001
+MAX_TICKS = 1_000_000
 
 
 class ScenarioError(ValueError):
@@ -361,6 +363,15 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         raise ScenarioError("scenario.robot.collision_radius: violates collision_radius >= 0")
     if r.dt <= 0.0 or r.dt > 0.1:
         raise ScenarioError("scenario.robot.dt: violates 0 < dt <= 0.1")
+    # before any ceil: an infinite quotient would raise there, a huge one never end
+    if not spec.time_limit / r.dt <= MAX_TICKS:
+        raise ScenarioError(
+            f"scenario.time_limit_s: violates time_limit_s / robot.dt <= {MAX_TICKS} ticks"
+        )
+    heading = spec.start_pose[1]
+    # wrap_angle steps by 2 pi, so a huge heading would stall the first tick
+    if not abs(heading) <= 2.0 * math.pi:
+        raise ScenarioError("scenario.start.heading: violates |heading| <= 2 pi")
     if r.slowdown_radius < spec.goal_radius:
         raise ScenarioError(
             "scenario.robot.slowdown_radius: violates slowdown_radius >= goal_radius"

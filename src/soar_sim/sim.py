@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import atan2, cos, sin, sqrt
+from math import atan2, cos, hypot, sin, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,7 +32,6 @@ from soar_sim.world import (
     Vec2,
     effective_d0,
     nearest_effective_obstacle,
-    surface_distance,
     wrap_angle,
 )
 
@@ -209,22 +208,26 @@ def run_trial(
     state = RobotState(position=start_pos, heading=start_heading, speed=0.0)
 
     path_length = 0.0
-    min_clearance: dict[str, float] = {}
-    avoidable = [
-        i for i, obs in enumerate(obstacles) if effective_d0(spec.policy, obs.class_label) > 0.0
-    ]
+    labels = [obs.class_label for obs in obstacles]
+    radii = [obs.radius for obs in obstacles]
+    avoidable = [effective_d0(spec.policy, label) > 0.0 for label in labels]
+    min_clearance = {label: math.inf for label in labels}
     # world snapshot: static obstacles are placed once, moving ones every tick
     positions = [obs.position_at(0.0) for obs in obstacles]
     moving = [i for i, obs in enumerate(obstacles) if obs.is_moving()]
 
     def update_clearance(pos: Vec2) -> float:
         """Fold pos into min_clearance; return its smallest gap to an avoidable obstacle."""
-        gaps = [surface_distance(pos, center, obs.radius) for obs, center in zip(obstacles, positions)]
-        for obs, gap in zip(obstacles, gaps):
-            prev = min_clearance.get(obs.class_label)
-            if prev is None or gap < prev:
-                min_clearance[obs.class_label] = gap
-        return min((gaps[i] for i in avoidable), default=math.inf)
+        px, py = pos.x, pos.y
+        nearest = math.inf
+        for label, radius, center, avoid in zip(labels, radii, positions, avoidable):
+            gap = hypot(px - center.x, py - center.y) - radius
+            gap = gap if gap > 0.0 else 0.0  # surface_distance's max(0.0, gap), NaN and -0.0 included
+            if gap < min_clearance[label]:
+                min_clearance[label] = gap
+            if avoid and gap < nearest:
+                nearest = gap
+        return nearest
 
     trajectory = [Tick(0.0, start_pos, start_heading, 0.0, None, update_clearance(start_pos))]
     outcome = detect_termination(trajectory, spec, tuning)

@@ -38,6 +38,27 @@ class TestValidate:
         assert main(["validate", "--scenario", "/nonexistent/nope.yaml"]) == EXIT_RUNTIME
 
 
+class TestRunRejectsUnboundedScenario:
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            ("time_limit_s: 120.0", "time_limit_s: 1.0e+308", "scenario.time_limit_s"),
+            ("  dt: 0.02", "  dt: 1.0e-300", "scenario.time_limit_s"),
+            ("  heading: 0.0", "  heading: 1.0e+9", "scenario.start.heading"),
+        ],
+        ids=["time_limit_1e308", "dt_1e-300", "heading_1e9"],
+    )
+    def test_exit_1_with_one_invalid_line(self, tmp_path, capsys, old, new, field):
+        doc = (SCENARIOS / "single_block.yaml").read_text()
+        assert old in doc
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(doc.replace(old, new, 1))
+        rc = main(["run", "--scenario", str(bad), "--seed", "1", "--out", str(tmp_path / "out")])
+        assert rc == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"INVALID: {field}:") and err.count("\n") == 1
+
+
 class TestRun:
     def test_writes_artifacts_and_summary(self, tmp_path, capsys):
         rc = main(["run", "--scenario", OPEN_FIELD, "--mode", "soar",

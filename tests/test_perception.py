@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -213,7 +214,7 @@ class TestFuse:
     def make_detection(self, samples, bearing=0.0, radius=0.5, label="rock"):
         return Detection(
             instance_id=1, reported_class=label, true_class=label,
-            pixel_count=10, disparity_samples=tuple(samples),
+            disparity_samples=tuple(samples),
             bearing_rad=bearing, known_radius_m=radius,
         )
 
@@ -241,6 +242,15 @@ class TestFuse:
             camera_pose=(Vec2(0.0, 0.0), 0.0),
         )
         assert fuse(clean, rig)[0] == fuse(outlier, rig)[0]
+
+    @pytest.mark.parametrize(
+        "samples", [[7.0], [9.0, 3.0], [4.0, 12.0, 5.0, 0.1, 8.0], [0.3, 11.0, 2.5, 6.0, 6.5, 1.0]],
+    )
+    def test_median_is_statistics_median(self, samples):
+        rig = rig_for(100.0, 0.1)
+        frame = PerceptionFrame((self.make_detection(samples, radius=0.0),), (Vec2(0.0, 0.0), 0.0))
+        estimates, _ = fuse(frame, rig)
+        assert estimates[0].surface_distance == depth_from_disparity(statistics.median(samples), rig)
 
     def test_bearing_and_pose_compose(self):
         rig = rig_for(100.0, 0.1)
@@ -270,7 +280,7 @@ class TestFuse:
         rig = rig_for(100.0, 0.1)
         det = Detection(
             instance_id=3, reported_class="robot", true_class="fish",
-            pixel_count=4, disparity_samples=(10.0,), bearing_rad=0.0, known_radius_m=0.2,
+            disparity_samples=(10.0,), bearing_rad=0.0, known_radius_m=0.2,
         )
         estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0)), rig)
         assert estimates[0].class_label == "robot"
@@ -280,7 +290,7 @@ class TestFuse:
         rig = rig_for(100.0, 0.1)
         empty = Detection(
             instance_id=1, reported_class="rock", true_class="rock",
-            pixel_count=1, disparity_samples=(), bearing_rad=0.0, known_radius_m=0.1,
+            disparity_samples=(), bearing_rad=0.0, known_radius_m=0.1,
         )
         keep = self.make_detection([10.0])
         estimates, dropped = fuse(PerceptionFrame((empty, keep), (Vec2(0.0, 0.0), 0.0)), rig)

@@ -137,6 +137,25 @@ class TestLoadErrors:
         with pytest.raises(ScenarioError, match="time_limit"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("extra", ["time_limit_s: 1.0e+308\n", "robot: {dt: 1.0e-300}\n"])
+    def test_tick_budget_capped(self, extra):
+        # an infinite budget used to raise in math.ceil, a huge one to run for ever
+        with pytest.raises(ScenarioError, match=r"scenario\.time_limit_s: .*robot\.dt"):
+            load_scenario(MINIMAL + extra)
+
+    def test_tick_budget_at_cap_accepted(self):
+        assert load_scenario(MINIMAL + "time_limit_s: 50000.0\nrobot: {dt: 0.05}\n").time_limit == 50000.0
+
+    @pytest.mark.parametrize("heading", ["1.0e+9", "-6.3"])
+    def test_start_heading_bounded(self, heading):
+        # wrap_angle stalled on a heading of 1e9
+        with pytest.raises(ScenarioError, match=r"scenario\.start\.heading"):
+            load_scenario(MINIMAL.replace("heading: 0.0", f"heading: {heading}"))
+
+    def test_start_heading_in_range_accepted(self):
+        doc = MINIMAL.replace("heading: 0.0", "heading: -6.28")
+        assert load_scenario(doc).start_pose[1] == -6.28
+
 
 class TestFixtures:
     def test_parking_lot_census(self, parking_lot):

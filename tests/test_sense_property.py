@@ -1,4 +1,9 @@
-"""sense() against a per-pair occlusion reference on random obstacle fields."""
+"""sense() against a per-pair occlusion reference on random obstacle fields.
+
+The reference tests every pair exactly and draws noise per detection in
+sense's documented order, so it checks both sense's occlusion prefilter and
+its block draws.
+"""
 
 from __future__ import annotations
 
@@ -38,7 +43,7 @@ def segment_hits_disc(a: Vec2, b: Vec2, center: Vec2, radius: float) -> bool:
 
 
 def reference_sense(obstacles, pose, rig, noise, rng, positions):
-    """sense() as a per-pair loop: every obstacle tests every other one."""
+    """sense() as a per-pair loop: every obstacle tests every other one exactly."""
     cam_pos, heading = pose
     ordered = sorted(range(len(obstacles)), key=lambda i: obstacles[i].id)
     geo, candidates = [], []
@@ -54,31 +59,35 @@ def reference_sense(obstacles, pose, rig, noise, rng, positions):
         if abs(bearing) > noise.fov_rad / 2.0:
             continue
         candidates.append((obs, obs_pos, rng_m, bearing))
-    detections = []
-    for obs, obs_pos, rng_m, bearing in candidates:
-        if any(
+    visible = [
+        (obs, obs_pos, rng_m, bearing)
+        for obs, obs_pos, rng_m, bearing in candidates
+        if not any(
             other_rng < rng_m and segment_hits_disc(cam_pos, obs_pos, other_pos, other.radius)
             for other, other_pos, other_rng in geo
             if other.id != obs.id
-        ):
-            continue
+        )
+    ]
+    # one label draw per visible obstacle, all before the disparity draws
+    labels = []
+    for obs, _, _, _ in visible:
         reported = obs.class_label
         if noise.misclassify_prob > 0.0 and rng.random() < noise.misclassify_prob:
             reported = noise.confusion.get(obs.class_label, obs.class_label)
+        labels.append(reported)
+    detections = []
+    for (obs, obs_pos, rng_m, bearing), reported in zip(visible, labels):
         true_disparity = rig.focal_px * rig.baseline_m / rng_m
         if noise.disparity_std > 0.0:
             draws = true_disparity + rng.normal(0.0, noise.disparity_std, SAMPLES_PER_DETECTION)
             samples = tuple(float(d) for d in draws if d > 0.0)
         else:
             samples = (true_disparity,) * SAMPLES_PER_DETECTION
-        apparent_radius_px = rig.focal_px * obs.radius / rng_m
-        area_px = math.pi * apparent_radius_px * apparent_radius_px
         detections.append(
             Detection(
                 instance_id=obs.id,
                 reported_class=reported,
                 true_class=obs.class_label,
-                pixel_count=max(1, round(min(area_px, rig.width * rig.height))),
                 disparity_samples=samples,
                 bearing_rad=bearing,
                 known_radius_m=obs.radius,
@@ -96,6 +105,19 @@ COORD = st.one_of(
     st.sampled_from([0.0, 1e-170, -1e-170, 5e-324]),
 )
 RADIUS = st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.01, 3.0))
+# just below 2 pi, a view still cuts out the bearing pi straight behind
+FOV = st.sampled_from([2.0 * math.pi, math.nextafter(2.0 * math.pi, 0.0), math.pi, math.radians(50.0)])
+
+
+@st.composite
+def noise_specs(draw):
+    return SensorNoiseSpec(
+        disparity_std=draw(st.sampled_from([0.0, 0.3, 40.0])),
+        misclassify_prob=draw(st.sampled_from([0.0, 0.5])),
+        confusion={"rock": "fish"},
+        fov_rad=draw(FOV),
+        max_range_m=draw(st.sampled_from([15.0, 4.0])),
+    )
 
 
 @st.composite
@@ -112,19 +134,92 @@ def obstacle_fields(draw):
     cam = draw(st.sampled_from([Vec2(0.0, 0.0), Vec2(0.5, -1.0), Vec2(draw(COORD), draw(COORD))]))
     heading = draw(st.sampled_from([0.0, math.pi / 2, math.pi])) if draw(st.booleans()) \
         else draw(st.floats(-math.pi, math.pi))
-    noise = SensorNoiseSpec(
-        disparity_std=draw(st.sampled_from([0.0, 0.3, 40.0])),
-        misclassify_prob=draw(st.sampled_from([0.0, 0.5])),
-        confusion={"rock": "fish"},
-        fov_rad=draw(st.sampled_from([2.0 * math.pi, math.pi, math.radians(50.0)])),
-        max_range_m=draw(st.sampled_from([15.0, 4.0])),
-    )
-    return obstacles, positions, (cam, heading), noise
+    return obstacles, positions, (cam, heading), draw(noise_specs())
+
+
+OFFSET = st.one_of(st.sampled_from([0.0, 1e3, -1e6, 1e9, -1e9]), st.floats(-1e9, 1e9))
+TANGENT_RADIUS = st.one_of(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.5]), st.floats(1e-12, 2.0))
+
+
+@st.composite
+def near_tangent_fields(draw):
+    """Discs within 1e-12 relative of tangency to a center ray, seen from up to 1e9 off the origin.
+
+    Here rounding alone decides whether a disc occludes, which is where a
+    prefilter without its rounding margin skips discs the exact test hits.
+    """
+    cam = Vec2(draw(OFFSET), draw(OFFSET))
+    obstacles = []
+    for _ in range(draw(st.integers(1, 3))):
+        theta, reach = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.5, 14.0))
+        dx, dy = math.cos(theta), math.sin(theta)
+        target = Vec2(cam.x + reach * dx, cam.y + reach * dy)
+        obstacles.append(ObstacleInstance(len(obstacles) + 1, "rock", target,
+                                          draw(st.sampled_from([0.1, 1e-12]))))
+        for _ in range(draw(st.integers(1, 3))):
+            along, side = draw(st.floats(0.05, 0.95)), draw(st.sampled_from([-1.0, 1.0]))
+            radius = draw(TANGENT_RADIUS)
+            off = side * radius * (1.0 + draw(st.floats(-1e-12, 1e-12)))
+            center = Vec2(cam.x + along * reach * dx - off * dy, cam.y + along * reach * dy + off * dx)
+            obstacles.append(ObstacleInstance(len(obstacles) + 1, "fish", center, radius))
+    heading = draw(st.floats(-math.pi, math.pi))
+    return obstacles, [obs.center for obs in obstacles], (cam, heading), draw(noise_specs())
+
+
+def world_of(obstacles, cam, heading=0.0, noise=QUIET):
+    return obstacles, [obs.center for obs in obstacles], (cam, heading), noise
 
 
 class TestSenseMatchesPerPairReference:
     @settings(max_examples=400, deadline=None)
-    @given(world=obstacle_fields(), seed=st.integers(0, 2**32 - 1))
+    @given(world=st.one_of(obstacle_fields(), near_tangent_fields()), seed=st.integers(0, 2**32 - 1))
+    # an obstacle exactly at max_range is still seen
+    @example(
+        world=world_of([ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)], Vec2(0.0, 0.0),
+                       noise=SensorNoiseSpec(max_range_m=4.0)),
+        seed=0,
+    )
+    # a disc tangent to the ray within rounding, 1e9 off the origin: it
+    # occludes only through rounding that a margin-free prefilter misses
+    @example(
+        world=world_of(
+            [ObstacleInstance(1, "rock", Vec2(1000000005.403023, -8.414709848078965), 0.1),
+             ObstacleInstance(2, "fish", Vec2(1000000004.4730028, -6.040881233125154), 0.5)],
+            Vec2(1e9, 0.0),
+        ),
+        seed=0,
+    )
+    # a disc of radius 1e-300 touching the camera occludes a target 1e150
+    # away; its squared prefilter bound underflows to 0 without the floor
+    @example(
+        world=world_of(
+            [ObstacleInstance(1, "rock", Vec2(1e150, 0.0), 1.0),
+             ObstacleInstance(2, "fish", Vec2(0.0, 1e-300), 1e-300)],
+            Vec2(0.0, 0.0),
+            noise=SensorNoiseSpec(max_range_m=1e200),
+        ),
+        seed=0,
+    )
+    # straight behind is bearing pi, just outside a view of nextafter(2 pi, 0)
+    @example(
+        world=world_of(
+            [ObstacleInstance(1, "rock", Vec2(2.0, 0.0), 0.5)],
+            Vec2(0.0, 0.0),
+            heading=math.pi,
+            noise=SensorNoiseSpec(fov_rad=math.nextafter(2.0 * math.pi, 0.0)),
+        ),
+        seed=0,
+    )
+    # both noise sources on: all label draws come before the disparity draws
+    @example(
+        world=world_of(
+            [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5),
+             ObstacleInstance(2, "rock", Vec2(0.0, 3.0), 0.5)],
+            Vec2(0.0, 0.0),
+            noise=SensorNoiseSpec(disparity_std=0.3, misclassify_prob=0.5, confusion={"rock": "fish"}),
+        ),
+        seed=1,
+    )
     # zero-length center ray: obstacle 1's squared range underflows, and
     # obstacle 2, nearer still, covers the camera
     @example(
@@ -134,6 +229,15 @@ class TestSenseMatchesPerPairReference:
             [Vec2(0.0, 1e-170), Vec2(0.0, 5e-324)],
             (Vec2(0.0, 0.0), 0.0),
             QUIET,
+        ),
+        seed=0,
+    )
+    # the same, but the nearer disc's edge passes exactly through the camera
+    @example(
+        world=world_of(
+            [ObstacleInstance(1, "rock", Vec2(0.0, 1e-170), 1e-300),
+             ObstacleInstance(2, "fish", Vec2(0.0, 5e-324), 5e-324)],
+            Vec2(0.0, 0.0),
         ),
         seed=0,
     )
