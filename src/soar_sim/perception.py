@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from soar_sim.world import ObstacleInstance, Vec2, surface_distance, wrap_angle
+from soar_sim.world import ObstacleInstance, Vec2, wrap_angle
 
 # samples drawn per detection; odd so the median is a single sample
 SAMPLES_PER_DETECTION = 9
@@ -125,7 +125,6 @@ def sense(
     max_range = noise.max_range_m
     half_fov = noise.fov_rad / 2.0
     full_view = half_fov >= math.pi  # |wrap_angle(...)| <= pi passes the view test
-    inf = math.inf
     coord_size = 2.0 * (abs(cx) + abs(cy))
 
     # (range, gx, gy, prefilter bound, x, y, radius) of every obstacle within max range,
@@ -162,17 +161,19 @@ def sense(
         # the true line distance. reach adds 1e-12 (2 (|cx| + |cy|) + 2 R), over
         # 4000x both, and the (1 + 1e-12) factor covers the relative rounding
         # of the squares, so a skipped disc can never pass the exact test.
-        # Rounding is monotonic, so the final products cannot flip the
-        # comparison; seg_len2 > 1e-200 and bound >= 1e-300 keep their inputs
-        # clear of underflow (a skip needs a line distance above 1e-150), and
-        # cr^2 < inf rules out overflowed products.
-        scale = seg_len2 if seg_len2 > 1e-200 else inf
+        # Rounding is monotonic, overflow to inf and underflow to 0 included,
+        # so the final products cannot flip the comparison and need no guard:
+        # if seg_len2 <= 1e-200 then |cr| <= 2 |ab| R < 2e-200, cr * cr
+        # underflows to 0 and nothing is skipped; a finite cr whose square
+        # overflows (|cr| > 1.3e154) still has the error bound above, and a
+        # finite bound * seg_len2 then puts the line distance past reach.
+        # bound >= 1e-300 keeps a skip's line distance above 1e-150.
         occluded = False
         for other_rng, gx, gy, bound, ox, oy, radius in geo:
             if other_rng >= rng_m:
                 break
             cr = abx * gy - aby * gx
-            if bound * scale < cr * cr < inf:
+            if bound * seg_len2 < cr * cr:
                 continue
             if seg_len2 == 0.0:
                 occluded = other_rng <= radius  # other_rng is hypot(cx - ox, cy - oy)
@@ -208,56 +209,6 @@ def sense(
             samples = (true_disparity,) * SAMPLES_PER_DETECTION
         detections.append(Detection(obs.id, reported, obs.class_label, samples, bearing, obs.radius))
     return PerceptionFrame(detections=tuple(detections), camera_pose=(cam_pos, heading))
-
-
-class ObstacleMemory:
-    """Optional last-seen estimate cache (off by default in trials).
-
-    Sensing is memoryless; with a positive ttl this keeps each instance's
-    last estimate alive for ttl seconds after it drops out of view, pinned
-    at its last seen position with the surface distance recomputed from the
-    robot's current position. update() returns the current estimates merged
-    with the still-fresh remembered ones.
-    """
-
-    def __init__(self, ttl: float):
-        if ttl < 0.0:
-            raise ValueError(f"ttl must be >= 0, got {ttl}")
-        self.ttl = ttl
-        # instance id -> (t_seen, estimate, inferred obstacle radius)
-        self._seen: dict[int, tuple[float, LabeledObstacleEstimate, float]] = {}
-
-    def update(
-        self,
-        estimates: Sequence[LabeledObstacleEstimate],
-        now: float,
-        robot_pos: Vec2,
-    ) -> list[LabeledObstacleEstimate]:
-        for estimate in estimates:
-            radius = max(0.0, robot_pos.dist(estimate.position) - estimate.surface_distance)
-            self._seen[estimate.source_instance] = (now, estimate, radius)
-        if self.ttl == 0.0:
-            return list(estimates)
-        merged = list(estimates)
-        current = {e.source_instance for e in estimates}
-        expired = []
-        for instance, (t_seen, estimate, radius) in self._seen.items():
-            if instance in current:
-                continue
-            if now - t_seen <= self.ttl:
-                merged.append(
-                    LabeledObstacleEstimate(
-                        class_label=estimate.class_label,
-                        position=estimate.position,
-                        surface_distance=surface_distance(robot_pos, estimate.position, radius),
-                        source_instance=estimate.source_instance,
-                    )
-                )
-            else:
-                expired.append(instance)
-        for instance in expired:
-            del self._seen[instance]
-        return merged
 
 
 def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[LabeledObstacleEstimate], int]:

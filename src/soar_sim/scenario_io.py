@@ -345,6 +345,9 @@ def _polyline_distance(point: Vec2, pts: tuple[Vec2, ...]) -> float:
 
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Check every cross-field invariant; raises ScenarioError naming the culprit."""
+    # the name is the stem of every artifact file: no NUL, no way out of --out
+    if any(c in spec.name for c in "/\\\0"):
+        raise ScenarioError("scenario.name: violates no '/', '\\' or NUL in name")
     if spec.time_limit <= 0.0:
         raise ScenarioError("scenario.time_limit_s: violates time_limit > 0")
     if spec.goal_radius <= 0.0:

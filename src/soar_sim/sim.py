@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from soar_sim.perception import LabeledObstacleEstimate, ObstacleMemory, fuse, sense
+from soar_sim.perception import fuse, sense
 from soar_sim.scenario_io import ScenarioSpec
 from soar_sim.steering import (
     ActiveObstacle,
@@ -44,8 +44,15 @@ OUTCOME_WRONG_DIRECTION = "wrong_direction"
 OUTCOME_STUCK = "stuck"
 OUTCOME_COLLISION = "collision"
 
-# label all detections collapse to when semantic information is withheld
-OPAQUE_CLASS = "obstacle"
+# failure-condition thresholds of the trial protocol: stuck means moving less
+# than STUCK_EPSILON_M over the last STUCK_WINDOW_S; wrong direction means
+# ending up farther than WRONG_DIR_FACTOR times the start distance from the goal
+STUCK_WINDOW_S = 5.0
+STUCK_EPSILON_M = 0.05
+WRONG_DIR_FACTOR = 1.5
+
+# the steering gains every trial uses
+STEERING_PARAMS = SteeringParams()
 
 # rng sub-stream tags, so toggling one noise source never shifts the other
 _STREAM_PERCEPTION = 1
@@ -74,15 +81,6 @@ class Tick:
     speed: float
     decision: Optional[SteeringDecision]
     min_clearance: float
-
-
-@dataclass(frozen=True, slots=True)
-class TerminationTuning:
-    """Thresholds for the failure conditions the trial protocol names."""
-
-    stuck_window: float = 5.0
-    stuck_epsilon: float = 0.05
-    wrong_dir_factor: float = 1.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,11 +138,7 @@ def step(
     return RobotState(position=Vec2(x, y), heading=heading, speed=speed)
 
 
-def detect_termination(
-    trajectory: Sequence[Tick],
-    spec: ScenarioSpec,
-    tuning: TerminationTuning = TerminationTuning(),
-) -> Optional[str]:
+def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Optional[str]:
     """Evaluate the termination conditions at the newest tick of trajectory.
 
     trajectory holds the ticks so far, oldest first, evenly spaced by the
@@ -163,31 +157,22 @@ def detect_termination(
         return OUTCOME_COLLISION
     if t >= spec.time_limit:
         return OUTCOME_TIMEOUT
-    if t >= tuning.stuck_window:
-        back = round(tuning.stuck_window / spec.robot.dt)
-        if back < len(trajectory) and pos.dist(trajectory[-1 - back].position) < tuning.stuck_epsilon:
+    if t >= STUCK_WINDOW_S:
+        back = round(STUCK_WINDOW_S / spec.robot.dt)
+        if back < len(trajectory) and pos.dist(trajectory[-1 - back].position) < STUCK_EPSILON_M:
             return OUTCOME_STUCK
     initial_dist = trajectory[0].position.dist(spec.goal)
-    if pos.dist(spec.goal) > tuning.wrong_dir_factor * initial_dist:
+    if pos.dist(spec.goal) > WRONG_DIR_FACTOR * initial_dist:
         return OUTCOME_WRONG_DIRECTION
     return None
 
 
-def run_trial(
-    spec: ScenarioSpec,
-    mode: str,
-    seed: Optional[int] = None,
-    steering_params: SteeringParams = SteeringParams(),
-    tuning: TerminationTuning = TerminationTuning(),
-    memory_ttl: float = 0.0,
-) -> TrialResult:
+def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> TrialResult:
     """Run one trial; bit-identical for identical (spec, mode, seed).
 
-    In non_soar mode every fused estimate is relabeled to one opaque class
-    and looked up against a uniform clearance policy, withholding the
-    semantic information; soar mode uses the scenario's per-class policy.
-    Perception is memoryless unless memory_ttl > 0, in which case out-of-view
-    estimates persist for that many seconds at their last seen position.
+    soar mode looks every fused estimate up in the scenario's per-class
+    policy. non_soar mode withholds the semantic information: every label
+    gets the uniform clearance spec.uniform_d0.
     """
     if mode not in (MODE_SOAR, MODE_NON_SOAR):
         raise ValueError(f"mode must be '{MODE_SOAR}' or '{MODE_NON_SOAR}', got {mode!r}")
@@ -222,7 +207,7 @@ def run_trial(
         nearest = math.inf
         for label, radius, center, avoid in zip(labels, radii, positions, avoidable):
             gap = hypot(px - center.x, py - center.y) - radius
-            gap = gap if gap > 0.0 else 0.0  # surface_distance's max(0.0, gap), NaN and -0.0 included
+            gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
             if gap < min_clearance[label]:
                 min_clearance[label] = gap
             if avoid and gap < nearest:
@@ -230,9 +215,8 @@ def run_trial(
         return nearest
 
     trajectory = [Tick(0.0, start_pos, start_heading, 0.0, None, update_clearance(start_pos))]
-    outcome = detect_termination(trajectory, spec, tuning)
+    outcome = detect_termination(trajectory, spec)
     max_ticks = math.ceil(spec.time_limit / dt) + 1
-    memory = ObstacleMemory(memory_ttl) if memory_ttl > 0.0 else None
 
     for tick in range(1, max_ticks + 1):
         if outcome is not None:
@@ -247,19 +231,12 @@ def run_trial(
             rng_perception, positions=positions,
         )
         estimates, _ = fuse(frame, spec.rig)
-        if memory is not None:
-            estimates = memory.update(estimates, t_next, state.position)
-        if mode == MODE_NON_SOAR:
-            estimates = [
-                LabeledObstacleEstimate(OPAQUE_CLASS, e.position, e.surface_distance, e.source_instance)
-                for e in estimates
-            ]
         selected = nearest_effective_obstacle(state.position, estimates, lookup_policy)
         active = None
         if selected is not None:
             est, d0 = selected
             active = ActiveObstacle(est.position, est.surface_distance, d0, est.source_instance)
-        decision = steering_direction(state.position, spec.goal, active, steering_params)
+        decision = steering_direction(state.position, spec.goal, active, STEERING_PARAMS)
 
         gust = Vec2(0.0, 0.0)
         if spec.disturbance.gust_std > 0.0:
@@ -273,7 +250,7 @@ def run_trial(
             Tick(t_next, state.position, state.heading, state.speed, decision,
                  update_clearance(state.position))
         )
-        outcome = detect_termination(trajectory, spec, tuning)
+        outcome = detect_termination(trajectory, spec)
 
     if outcome is None:
         outcome = OUTCOME_TIMEOUT

@@ -5,8 +5,8 @@ within its clearance distance. Once one is, a repulsive unit vector toward
 the obstacle is added, scaled by c1 (removes the goal component parallel
 to the obstacle direction, leaving motion tangent at the clearance
 boundary) and c2 (a linear intrusion gain in [1, b] that pushes harder the
-deeper the robot sits inside the clearance ring). The classic quadratic
-attractive/repulsive potentials are kept for reference; they do not drive
+deeper the robot sits inside the clearance ring). The classic repulsive
+potential is kept only for acceptance criterion 03; it does not drive
 motion.
 """
 
@@ -52,14 +52,6 @@ class SteeringDecision:
     v_hat: Vec2
     active_obstacle_id: Optional[int]
     tie_break_applied: bool
-
-
-def attractive_potential(x: Vec2, x_g: Vec2, c: float) -> float:
-    """Quadratic pull toward the goal: c * |x - x_g|^2."""
-    if c <= 0.0:
-        raise ValueError(f"c must be > 0, got {c}")
-    dx, dy = x.x - x_g.x, x.y - x_g.y
-    return c * (dx * dx + dy * dy)
 
 
 def repulsive_potential(p: float, d0: float, eta: float) -> float:

@@ -27,15 +27,6 @@ class Vec2:
     def __add__(self, other: Vec2) -> Vec2:
         return Vec2(self.x + other.x, self.y + other.y)
 
-    def __sub__(self, other: Vec2) -> Vec2:
-        return Vec2(self.x - other.x, self.y - other.y)
-
-    def scaled(self, k: float) -> Vec2:
-        return Vec2(self.x * k, self.y * k)
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
     def dist(self, other: Vec2) -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -133,11 +124,6 @@ def wrap_angle(a: float) -> float:
     while a <= -math.pi:
         a += 2.0 * math.pi
     return a
-
-
-def surface_distance(point: Vec2, center: Vec2, radius: float) -> float:
-    """Distance from a point to a disc boundary, clamped at zero."""
-    return max(0.0, point.dist(center) - radius)
 
 
 def nearest_effective_obstacle(

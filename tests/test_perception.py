@@ -103,7 +103,7 @@ class TestSense:
         for det, obs in zip(frame.detections, obstacles):
             assert det.reported_class == obs.class_label
             assert det.true_class == obs.class_label
-            expected_range = obs.center.norm()
+            expected_range = math.hypot(obs.center.x, obs.center.y)
             for sample in det.disparity_samples:
                 assert depth_from_disparity(sample, RIG) == pytest.approx(expected_range, rel=1e-12)
 
@@ -138,7 +138,7 @@ class TestSense:
             target = Vec2(float(rng.uniform(2.0, 10.0)), float(rng.uniform(-3.0, 3.0)))
             blocker_center = Vec2(float(rng.uniform(0.5, 9.0)), float(rng.uniform(-2.0, 2.0)))
             radius = float(rng.uniform(0.1, 1.0))
-            if blocker_center.norm() >= target.norm():
+            if math.hypot(blocker_center.x, blocker_center.y) >= math.hypot(target.x, target.y):
                 continue
             obstacles = [
                 ObstacleInstance(1, "rock", blocker_center, radius),
@@ -207,7 +207,8 @@ class TestSense:
         frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, np.random.default_rng(0),
                       positions=[moved])
         det = frame.detections[0]
-        assert depth_from_disparity(det.disparity_samples[0], RIG) == pytest.approx(moved.norm(), rel=1e-12)
+        expected_range = math.hypot(moved.x, moved.y)
+        assert depth_from_disparity(det.disparity_samples[0], RIG) == pytest.approx(expected_range, rel=1e-12)
 
 
 class TestFuse:
@@ -296,50 +297,6 @@ class TestFuse:
         estimates, dropped = fuse(PerceptionFrame((empty, keep), (Vec2(0.0, 0.0), 0.0)), rig)
         assert dropped == 1
         assert len(estimates) == 1
-
-
-class TestObstacleMemory:
-    def make_estimate(self, instance: int, pos: Vec2, surface: float):
-        from soar_sim.perception import LabeledObstacleEstimate
-
-        return LabeledObstacleEstimate("rock", pos, surface, instance)
-
-    def test_zero_ttl_is_memoryless(self):
-        from soar_sim.perception import ObstacleMemory
-
-        memory = ObstacleMemory(0.0)
-        first = [self.make_estimate(1, Vec2(3.0, 0.0), 2.5)]
-        assert memory.update(first, 0.0, Vec2(0.0, 0.0)) == first
-        assert memory.update([], 0.1, Vec2(0.0, 0.0)) == []
-
-    def test_remembers_until_ttl(self):
-        from soar_sim.perception import ObstacleMemory
-
-        memory = ObstacleMemory(1.0)
-        seen = [self.make_estimate(1, Vec2(3.0, 0.0), 2.5)]  # inferred radius 0.5
-        memory.update(seen, 0.0, Vec2(0.0, 0.0))
-        remembered = memory.update([], 0.5, Vec2(1.0, 0.0))
-        assert len(remembered) == 1
-        est = remembered[0]
-        assert est.position == Vec2(3.0, 0.0)
-        # surface distance recomputed from the new robot position
-        assert est.surface_distance == pytest.approx(2.0 - 0.5, rel=1e-12)
-        assert memory.update([], 2.0, Vec2(1.0, 0.0)) == []
-
-    def test_fresh_detection_replaces_memory(self):
-        from soar_sim.perception import ObstacleMemory
-
-        memory = ObstacleMemory(5.0)
-        memory.update([self.make_estimate(1, Vec2(3.0, 0.0), 2.5)], 0.0, Vec2(0.0, 0.0))
-        fresh = [self.make_estimate(1, Vec2(3.5, 0.0), 3.0)]
-        merged = memory.update(fresh, 1.0, Vec2(0.0, 0.0))
-        assert merged == fresh
-
-    def test_rejects_negative_ttl(self):
-        from soar_sim.perception import ObstacleMemory
-
-        with pytest.raises(ValueError):
-            ObstacleMemory(-1.0)
 
 
 class TestSenseFuseRoundTrip:

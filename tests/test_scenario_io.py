@@ -156,6 +156,12 @@ class TestLoadErrors:
         doc = MINIMAL.replace("heading: 0.0", "heading: -6.28")
         assert load_scenario(doc).start_pose[1] == -6.28
 
+    @pytest.mark.parametrize("name", ["'../up'", "'a\\b'", '"a\\0b"'], ids=["slash", "backslash", "nul"])
+    def test_name_is_a_file_stem(self, name):
+        # artifacts are written as <name>_<mode>_seed<n>.*: a NUL raised in open(), a '/' left --out
+        with pytest.raises(ScenarioError, match=r"scenario\.name"):
+            load_scenario(MINIMAL + f"name: {name}\n")
+
 
 class TestFixtures:
     def test_parking_lot_census(self, parking_lot):

@@ -200,6 +200,27 @@ class TestSenseMatchesPerPairReference:
         ),
         seed=0,
     )
+    # a target 1e-101 away behind a disc 1e-110 off its center ray: the cross
+    # product's square underflows to 0, so the prefilter must not skip
+    @example(
+        world=world_of(
+            [ObstacleInstance(1, "rock", Vec2(1e-101, 0.0), 1e-300),
+             ObstacleInstance(2, "fish", Vec2(5e-102, 1e-110), 1e-105)],
+            Vec2(0.0, 0.0),
+        ),
+        seed=0,
+    )
+    # a target 1e85 away and a disc 1e75 off its center ray: the cross
+    # product's square overflows to inf while bound * seg_len2 stays finite
+    @example(
+        world=world_of(
+            [ObstacleInstance(1, "rock", Vec2(1e85, 0.0), 1.0),
+             ObstacleInstance(2, "fish", Vec2(1e79, 1e75), 1.0)],
+            Vec2(0.0, 0.0),
+            noise=SensorNoiseSpec(max_range_m=1e90),
+        ),
+        seed=0,
+    )
     # straight behind is bearing pi, just outside a view of nextafter(2 pi, 0)
     @example(
         world=world_of(

@@ -14,7 +14,6 @@ from soar_sim.sim import (
     OUTCOME_TIMEOUT,
     OUTCOME_WRONG_DIRECTION,
     RobotState,
-    TerminationTuning,
     Tick,
     detect_termination,
     run_trial,
@@ -209,25 +208,3 @@ class TestRunTrial:
         at_rock = run_trial(replace(transparency, start_pose=(touching_rock, heading)), MODE_SOAR, seed=5)
         assert at_rock.outcome == OUTCOME_COLLISION
         assert at_rock.travel_time == 0.0
-
-    def test_stuck_window_tuning_respected(self, open_field):
-        # tighter wrong-direction factor fires on a scenario that would pass
-        tuned = TerminationTuning(wrong_dir_factor=1.0001)
-        result = run_trial(open_field, MODE_SOAR, seed=3, tuning=tuned)
-        assert result.outcome == OUTCOME_GOAL  # straight run never exceeds initial distance
-
-    def test_memory_ttl_keeps_out_of_view_obstacle_active(self, single_block):
-        # narrow fov: during circumnavigation the rock leaves the view; with
-        # last-seen memory the steering still reacts while it is fresh
-        narrow = replace(single_block, noise=replace(single_block.noise, fov_rad=math.radians(90.0)))
-        memoryless = run_trial(narrow, MODE_SOAR, seed=1)
-        remembered = run_trial(narrow, MODE_SOAR, seed=1, memory_ttl=2.0)
-        blind_ticks = sum(1 for t in memoryless.trajectory[1:] if t.decision.active_obstacle_id is None)
-        covered_ticks = sum(1 for t in remembered.trajectory[1:] if t.decision.active_obstacle_id is None)
-        assert covered_ticks < blind_ticks
-        assert remembered.outcome == OUTCOME_GOAL
-
-    def test_memory_ttl_zero_matches_default(self, single_block):
-        assert run_trial(single_block, MODE_SOAR, seed=1, memory_ttl=0.0) == run_trial(
-            single_block, MODE_SOAR, seed=1
-        )

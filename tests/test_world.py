@@ -12,7 +12,6 @@ from soar_sim.world import (
     Vec2,
     effective_d0,
     nearest_effective_obstacle,
-    surface_distance,
     wrap_angle,
 )
 
@@ -25,11 +24,8 @@ def est(label: str, dist: float, source: int = 1, pos: Vec2 = Vec2(0.0, 0.0)) ->
 class TestVec2:
     def test_arithmetic(self):
         assert Vec2(1.0, 2.0) + Vec2(3.0, -1.0) == Vec2(4.0, 1.0)
-        assert Vec2(1.0, 2.0) - Vec2(3.0, -1.0) == Vec2(-2.0, 3.0)
-        assert Vec2(1.0, 2.0).scaled(2.0) == Vec2(2.0, 4.0)
 
     def test_norm_and_dist(self):
-        assert Vec2(3.0, 4.0).norm() == 5.0
         assert Vec2(0.0, 0.0).dist(Vec2(3.0, 4.0)) == 5.0
 
     def test_finiteness(self):
@@ -50,14 +46,6 @@ class TestEffectiveD0:
     def test_unseen_class_falls_back(self):
         policy = ClearancePolicy({}, default_d0=1.0)
         assert effective_d0(policy, "unseen_class") == 1.0
-
-
-class TestSurfaceDistance:
-    def test_outside(self):
-        assert surface_distance(Vec2(0.0, 0.0), Vec2(3.0, 4.0), 1.0) == 4.0
-
-    def test_clamped_inside(self):
-        assert surface_distance(Vec2(0.0, 0.0), Vec2(0.1, 0.0), 1.0) == 0.0
 
 
 class TestWrapAngle:
