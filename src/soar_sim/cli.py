@@ -2,8 +2,11 @@
 
 Sub-commands: validate | run | batch | compare | plot. Exit codes:
 0 success, 1 scenario validation failure, 2 runtime failure. Batch trials
-can run in parallel (--jobs); outputs are assembled in seed order after all
-trials finish, so results do not depend on scheduling.
+can run in parallel (--jobs). The worker that runs a trial also writes its
+*.traj.csv and *.result.yaml; only (seed, travel_time, outcome) returns to
+the parent, which writes the summaries in seed order once every trial has
+finished, so every file is byte-identical to a serial run. On exit 2, --out
+may already hold the artifacts of the trials that finished.
 """
 
 from __future__ import annotations
@@ -30,22 +33,26 @@ def _canonical_mode(mode: str) -> str:
     return MODE_NON_SOAR if mode in ("non-soar", "non_soar") else MODE_SOAR
 
 
-def _run_one(args: tuple[ScenarioSpec, str, int]) -> TrialResult:
-    spec, mode, seed = args
-    return run_trial(spec, mode, seed)
+def _run_one(task: tuple[ScenarioSpec, str, int, Path]) -> report_mod.TrialRow:
+    """Run one trial and write its artifacts here, in the worker; only its row goes back."""
+    spec, mode, seed, out = task
+    result = run_trial(spec, mode, seed)
+    _emit_trial(spec, result, out)
+    return report_mod.TrialRow(result.seed, result.travel_time, result.outcome)
 
 
 def _run_batch(
-    spec: ScenarioSpec, modes: Sequence[str], trials: int, base_seed: int, jobs: int
-) -> list[list[TrialResult]]:
-    """Every mode on seeds base_seed.. through one pool; one seed-ordered result list per mode."""
-    tasks = [(spec, mode, base_seed + i) for mode in modes for i in range(trials)]
+    spec: ScenarioSpec, modes: Sequence[str], trials: int, base_seed: int, jobs: int, out: Path
+) -> list[list[report_mod.TrialRow]]:
+    """Every mode on seeds base_seed.. through one pool; one seed-ordered row list per mode."""
+    tasks = [(spec, mode, base_seed + i, out) for mode in modes for i in range(trials)]
     if jobs <= 1 or len(tasks) == 1:
-        results = [_run_one(task) for task in tasks]
+        rows = [_run_one(task) for task in tasks]
     else:
+        # map yields in task order, which is seed order within each mode
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_run_one, tasks))
-    return [sorted(results[k * trials:(k + 1) * trials], key=lambda r: r.seed) for k in range(len(modes))]
+            rows = list(pool.map(_run_one, tasks))
+    return [rows[k * trials:(k + 1) * trials] for k in range(len(modes))]
 
 
 def _write(path: Path, text: str) -> None:
@@ -53,11 +60,13 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _emit_trials(spec: ScenarioSpec, results: Sequence[TrialResult], out: Path) -> None:
-    for result in results:
-        stem = f"{spec.name}_{result.mode}_seed{result.seed}"
-        _write(out / f"{stem}.traj.csv", report_mod.render_trajectory_csv(result))
-        _write(out / f"{stem}.result.yaml", report_mod.render_trial_summary(result, spec.name))
+def _emit_trial(spec: ScenarioSpec, result: TrialResult, out: Path) -> str:
+    """Write one trial's trajectory and summary; returns the summary text."""
+    stem = f"{spec.name}_{result.mode}_seed{result.seed}"
+    summary = report_mod.render_trial_summary(result, spec.name)
+    _write(out / f"{stem}.traj.csv", report_mod.render_trajectory_csv(result))
+    _write(out / f"{stem}.result.yaml", summary)
+    return summary
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -94,19 +103,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     spec = _load_or_fail(args.scenario)
     mode = _canonical_mode(args.mode)
     result = run_trial(spec, mode, args.seed)
-    out = Path(args.out)
-    _emit_trials(spec, [result], out)
-    sys.stdout.write(report_mod.render_trial_summary(result, spec.name))
+    sys.stdout.write(_emit_trial(spec, result, Path(args.out)))
     return EXIT_OK
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
     spec = _load_or_fail(args.scenario)
     mode = _canonical_mode(args.mode)
-    [results] = _run_batch(spec, [mode], args.trials, args.seed, args.jobs)
-    summary = report_mod.summarize_mode(mode, results)
     out = Path(args.out)
-    _emit_trials(spec, results, out)
+    [rows] = _run_batch(spec, [mode], args.trials, args.seed, args.jobs, out)
+    summary = report_mod.summarize_mode(mode, rows)
     table = report_mod.render_mode_table(summary, spec.name)
     _write(out / f"{spec.name}_{mode}_summary.txt", table)
     _write(out / f"{spec.name}_{mode}_summary.csv", report_mod.render_mode_csv(summary))
@@ -121,12 +127,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = _load_or_fail(args.scenario)
-    soar_results, non_soar_results = _run_batch(spec, [MODE_SOAR, MODE_NON_SOAR], args.trials,
-                                                args.seed, args.jobs)
-    rep = report_mod.build_comparison(spec.name, soar_results, non_soar_results)
     out = Path(args.out)
-    _emit_trials(spec, soar_results, out)
-    _emit_trials(spec, non_soar_results, out)
+    soar_rows, non_soar_rows = _run_batch(spec, [MODE_SOAR, MODE_NON_SOAR], args.trials,
+                                          args.seed, args.jobs, out)
+    rep = report_mod.build_comparison(spec.name, soar_rows, non_soar_rows)
     table = report_mod.render_comparison_table(rep)
     _write(out / f"{spec.name}_compare.txt", table)
     _write(out / f"{spec.name}_compare.csv", report_mod.render_comparison_csv(rep))

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import yaml
 
-from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, TrialResult
+from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, OUTCOME_GOAL, TrialResult
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,13 +40,13 @@ class ComparisonReport:
     relative_time_delta: Optional[float]  # percent, None unless both modes succeeded
 
 
-def summarize_mode(mode: str, results: Sequence[TrialResult]) -> ModeSummary:
-    """Aggregate trial results; the mean covers goal_reached trials only."""
+def summarize_mode(mode: str, results: Sequence[TrialRow | TrialResult]) -> ModeSummary:
+    """Aggregate trial rows or results; the mean covers goal_reached trials only."""
     rows = tuple(
         TrialRow(seed=r.seed, travel_time=r.travel_time, outcome=r.outcome)
         for r in sorted(results, key=lambda r: r.seed)
     )
-    times = [r.travel_time for r in results if r.succeeded]
+    times = [r.travel_time for r in results if r.outcome == OUTCOME_GOAL]
     return ModeSummary(
         mode=mode,
         rows=rows,
@@ -58,8 +58,8 @@ def summarize_mode(mode: str, results: Sequence[TrialResult]) -> ModeSummary:
 
 def build_comparison(
     scenario_name: str,
-    soar_results: Sequence[TrialResult],
-    non_soar_results: Sequence[TrialResult],
+    soar_results: Sequence[TrialRow | TrialResult],
+    non_soar_results: Sequence[TrialRow | TrialResult],
 ) -> ComparisonReport:
     soar = summarize_mode(MODE_SOAR, soar_results)
     non_soar = summarize_mode(MODE_NON_SOAR, non_soar_results)
@@ -72,7 +72,7 @@ def build_comparison(
 
 
 def _mark(outcome: str) -> str:
-    return "ok" if outcome == "goal_reached" else "X"
+    return "ok" if outcome == OUTCOME_GOAL else "X"
 
 
 def render_mode_table(summary: ModeSummary, scenario_name: str) -> str:

@@ -96,10 +96,6 @@ class TrialResult:
     def travel_time(self) -> float:
         return self.trajectory[-1].time
 
-    @property
-    def succeeded(self) -> bool:
-        return self.outcome == OUTCOME_GOAL
-
 
 def step(
     state: RobotState,

@@ -9,6 +9,7 @@ from soar_sim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 OPEN_FIELD = str(SCENARIOS / "open_field.yaml")
 TRANSPARENCY = str(SCENARIOS / "transparency.yaml")
+PARKING_LOT = str(SCENARIOS / "parking_lot.yaml")
 
 
 class TestValidate:
@@ -135,15 +136,33 @@ class TestCompare:
         assert (tmp_path / "open_field_compare.txt").exists()
         assert (tmp_path / "open_field_compare.csv").exists()
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-        rc1 = main(["compare", "--scenario", OPEN_FIELD, "--trials", "2", "--seed", "3",
-                    "--out", str(serial), "--jobs", "1"])
-        rc2 = main(["compare", "--scenario", OPEN_FIELD, "--trials", "2", "--seed", "3",
-                    "--out", str(parallel), "--jobs", "2"])
-        assert rc1 == rc2 == EXIT_OK
-        for name in sorted(p.name for p in serial.iterdir()):
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+    def test_parallel_jobs_match_serial(self, tmp_path, capsys):
+        # with --jobs 2 each worker writes its own trial's artifacts
+        for command in (["batch", "--mode", "non-soar"], ["compare"]):
+            outputs = {}
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{command[0]}_jobs{jobs}"
+                rc = main([*command, "--scenario", PARKING_LOT, "--trials", "2", "--seed", "3",
+                           "--out", str(out), "--jobs", jobs])
+                assert rc == EXIT_OK
+                outputs[jobs] = out, capsys.readouterr().out
+            (serial, serial_stdout), (parallel, parallel_stdout) = outputs["1"], outputs["2"]
+            names = sorted(p.name for p in serial.iterdir())
+            assert names == sorted(p.name for p in parallel.iterdir())
+            for name in names:
+                assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+            assert serial_stdout == parallel_stdout
+
+    def test_parallel_out_is_existing_file_is_runtime_error(self, tmp_path, capsys):
+        # the OSError is raised in a pool worker and re-raised in the parent
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        rc = main(["compare", "--scenario", OPEN_FIELD, "--trials", "1", "--seed", "3",
+                   "--out", str(taken), "--jobs", "2"])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestPlot:
