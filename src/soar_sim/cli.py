@@ -235,9 +235,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for option in ("trials", "jobs"):
-        if getattr(args, option, 1) < 1:
-            print(f"ERROR: --{option} must be >= 1", file=sys.stderr)
+    for option, least in (("trials", 1), ("jobs", 1), ("seed", 0)):
+        if getattr(args, option, least) < least:
+            print(f"ERROR: --{option} must be >= {least}", file=sys.stderr)
             return EXIT_RUNTIME
     try:
         return args.func(args)

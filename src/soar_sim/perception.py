@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,8 +59,7 @@ class SensorNoiseSpec:
     max_range_m: float = 15.0
 
 
-@dataclass(frozen=True, slots=True)
-class Detection:
+class Detection(NamedTuple):
     """One segmented instance: label pair and disparity samples.
 
     bearing_rad is the azimuth of the mask centroid ray in the camera frame;
@@ -76,14 +75,12 @@ class Detection:
     known_radius_m: float
 
 
-@dataclass(frozen=True, slots=True)
-class PerceptionFrame:
+class PerceptionFrame(NamedTuple):
     detections: tuple[Detection, ...]
     camera_pose: tuple[Vec2, float]
 
 
-@dataclass(frozen=True, slots=True)
-class LabeledObstacleEstimate:
+class LabeledObstacleEstimate(NamedTuple):
     class_label: str
     position: Vec2
     surface_distance: float

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import atan2, cos, hypot, sin, sqrt
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,15 +59,13 @@ _STREAM_PERCEPTION = 1
 _STREAM_DISTURBANCE = 2
 
 
-@dataclass(frozen=True, slots=True)
-class RobotState:
+class RobotState(NamedTuple):
     position: Vec2
     heading: float
     speed: float
 
 
-@dataclass(frozen=True, slots=True)
-class Tick:
+class Tick(NamedTuple):
     """One recorded state: the robot after a tick and what steering acted on.
 
     min_clearance is the smallest gap to an obstacle whose true class has a
@@ -147,7 +145,8 @@ def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Option
         raise ValueError("trajectory must be non-empty")
     now = trajectory[-1]
     t, pos = now.time, now.position
-    if pos.dist(spec.goal) <= spec.goal_radius:
+    goal_dist = pos.dist(spec.goal)
+    if goal_dist <= spec.goal_radius:
         return OUTCOME_GOAL
     if now.min_clearance <= spec.robot.collision_radius:
         return OUTCOME_COLLISION
@@ -158,7 +157,7 @@ def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Option
         if back < len(trajectory) and pos.dist(trajectory[-1 - back].position) < STUCK_EPSILON_M:
             return OUTCOME_STUCK
     initial_dist = trajectory[0].position.dist(spec.goal)
-    if pos.dist(spec.goal) > WRONG_DIR_FACTOR * initial_dist:
+    if goal_dist > WRONG_DIR_FACTOR * initial_dist:
         return OUTCOME_WRONG_DIRECTION
     return None
 
@@ -213,6 +212,9 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
     trajectory = [Tick(0.0, start_pos, start_heading, 0.0, None, update_clearance(start_pos))]
     outcome = detect_termination(trajectory, spec)
     max_ticks = math.ceil(spec.time_limit / dt) + 1
+    drift, gust_std = spec.disturbance.drift, spec.disturbance.gust_std
+    # without gusts the disturbance is fixed for the trial; adding Vec2(0.0, 0.0) maps a -0.0 drift to 0.0
+    disturbance = drift + Vec2(0.0, 0.0)
 
     for tick in range(1, max_ticks + 1):
         if outcome is not None:
@@ -234,11 +236,9 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
             active = ActiveObstacle(est.position, est.surface_distance, d0, est.source_instance)
         decision = steering_direction(state.position, spec.goal, active, STEERING_PARAMS)
 
-        gust = Vec2(0.0, 0.0)
-        if spec.disturbance.gust_std > 0.0:
-            gx, gy = rng_gust.normal(0.0, spec.disturbance.gust_std, 2)
-            gust = Vec2(float(gx), float(gy))
-        disturbance = spec.disturbance.drift + gust
+        if gust_std > 0.0:
+            gx, gy = rng_gust.normal(0.0, gust_std, 2)
+            disturbance = drift + Vec2(float(gx), float(gy))
 
         state = step(state, decision.v_hat, spec.robot, spec.goal, disturbance, dt)
         path_length += trajectory[-1].position.dist(state.position)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from soar_sim.world import Vec2
 
@@ -33,8 +33,7 @@ class SteeringParams:
             raise ValueError(f"b must be > 1, got {self.b}")
 
 
-@dataclass(frozen=True, slots=True)
-class ActiveObstacle:
+class ActiveObstacle(NamedTuple):
     """The obstacle the steering law reacts to this tick."""
 
     position: Vec2
@@ -43,8 +42,7 @@ class ActiveObstacle:
     obstacle_id: int
 
 
-@dataclass(frozen=True, slots=True)
-class SteeringDecision:
+class SteeringDecision(NamedTuple):
     a_hat: Vec2
     r_hat: Optional[Vec2]
     c1: float

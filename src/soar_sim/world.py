@@ -3,14 +3,15 @@ and disturbance parameters, plus the nearest-effective-obstacle selection
 rule used by the steering loop.
 
 All values here are immutable after construction and safe to share between
-concurrently running trials.
+concurrently running trials: Vec2, built many times per tick, is a NamedTuple;
+the obstacle, policy and parameter types are frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 if TYPE_CHECKING:
     from soar_sim.perception import LabeledObstacleEstimate
@@ -19,12 +20,11 @@ MOTION_STATIC = "static"
 MOTION_WAYPOINT_LOOP = "waypoint_loop"
 
 
-@dataclass(frozen=True, slots=True)
-class Vec2:
+class Vec2(NamedTuple):
     x: float
     y: float
 
-    def __add__(self, other: Vec2) -> Vec2:
+    def __add__(self, other: Vec2) -> Vec2:  # vector sum, not tuple concatenation
         return Vec2(self.x + other.x, self.y + other.y)
 
     def dist(self, other: Vec2) -> float:

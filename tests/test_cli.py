@@ -153,6 +153,18 @@ class TestCompare:
                 assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
             assert serial_stdout == parallel_stdout
 
+    def test_worker_failure_stops_the_batch_early(self, tmp_path, capsys):
+        # a failed map result cancels the pool's pending trials: the 39 others do not all run
+        (tmp_path / "parking_lot_soar_seed42.traj.csv").mkdir()
+        rc = main(["compare", "--scenario", PARKING_LOT, "--trials", "20", "--seed", "42",
+                   "--out", str(tmp_path), "--jobs", "2"])
+        assert rc == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and err.count("\n") == 1
+        written = [p for p in tmp_path.glob("*.traj.csv") if p.is_file()]
+        assert len(written) <= 15
+        assert not list(tmp_path.glob("*_compare.*"))
+
     def test_parallel_out_is_existing_file_is_runtime_error(self, tmp_path, capsys):
         # the OSError is raised in a pool worker and re-raised in the parent
         taken = tmp_path / "taken"
@@ -163,6 +175,17 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("ERROR: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", ["run", "batch", "compare"])
+def test_negative_seed_is_one_error_line(tmp_path, capsys, command, jobs):
+    # numpy's SeedSequence rejects negative seeds with a traceback
+    rc = main([command, "--scenario", OPEN_FIELD, "--seed", "-1", "--jobs", jobs,
+               "--out", str(tmp_path)])
+    assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err == "ERROR: --seed must be >= 0\n"
+    assert not any(tmp_path.iterdir())
 
 
 class TestPlot:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import pickle
+
 import pytest
 
 from soar_sim.scenario_io import (
@@ -182,6 +184,12 @@ class TestFixtures:
     def test_head_on_confuses_rock_with_fish(self, head_on):
         assert head_on.noise.misclassify_prob == 0.5
         assert head_on.noise.confusion == {"rock": "fish"}
+
+    def test_spec_pickles_to_an_equal_value(self, arch):
+        # pool workers get the spec, Vec2s included, through pickle
+        copy = pickle.loads(pickle.dumps(arch))
+        assert copy == arch
+        assert type(copy.goal) is Vec2
 
 
 class TestRoundTrip:

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from soar_sim.perception import Detection, LabeledObstacleEstimate, PerceptionFrame
 from soar_sim.sim import (
     MODE_NON_SOAR,
     MODE_SOAR,
@@ -19,12 +20,32 @@ from soar_sim.sim import (
     run_trial,
     step,
 )
+from soar_sim.steering import ActiveObstacle, SteeringDecision
 from soar_sim.world import RobotParams, Vec2
 
 PARAMS = RobotParams(cruise_speed=1.0, max_turn_rate=2.0, slowdown_radius=1.0,
                      collision_radius=0.2, dt=0.05)
 FAR_GOAL = Vec2(100.0, 0.0)
 NO_DRIFT = Vec2(0.0, 0.0)
+ORIGIN = Vec2(0.0, 0.0)
+PER_TICK_RECORDS = {
+    "Vec2": (ORIGIN, "x"),
+    "RobotState": (RobotState(ORIGIN, 0.0, 1.0), "position"),
+    "Tick": (Tick(0.0, ORIGIN, 0.0, 0.0, None, math.inf), "min_clearance"),
+    "ActiveObstacle": (ActiveObstacle(ORIGIN, 0.5, 1.0, 3), "d0"),
+    "SteeringDecision": (SteeringDecision(ORIGIN, None, 0.0, 0.0, ORIGIN, None, False), "v_hat"),
+    "Detection": (Detection(3, "rock", "rock", (1.0,), 0.0, 0.5), "disparity_samples"),
+    "PerceptionFrame": (PerceptionFrame((), (ORIGIN, 0.0)), "detections"),
+    "LabeledObstacleEstimate": (LabeledObstacleEstimate("rock", ORIGIN, 0.5, 3), "surface_distance"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_TICK_RECORDS))
+def test_per_tick_records_are_immutable(name):
+    record, field_name = PER_TICK_RECORDS[name]
+    with pytest.raises(AttributeError):
+        setattr(record, field_name, None)
+    assert getattr(record, field_name) is not None
 
 
 class TestStep:

@@ -25,6 +25,12 @@ class TestVec2:
     def test_arithmetic(self):
         assert Vec2(1.0, 2.0) + Vec2(3.0, -1.0) == Vec2(4.0, 1.0)
 
+    def test_sum_is_a_vector_not_a_concatenation(self):
+        total = Vec2(0.5, -0.0) + Vec2(0.0, 0.0)
+        assert type(total) is Vec2  # tuple concatenation would give a plain 4-tuple
+        assert total == Vec2(0.5, 0.0)
+        assert math.copysign(1.0, total.y) == 1.0  # -0.0 + 0.0 is 0.0, as the disturbance sum relies on
+
     def test_norm_and_dist(self):
         assert Vec2(0.0, 0.0).dist(Vec2(3.0, 4.0)) == 5.0
 
