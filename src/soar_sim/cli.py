@@ -69,19 +69,6 @@ def _emit_trial(spec: ScenarioSpec, result: TrialResult, out: Path) -> str:
     return summary
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        load_scenario_file(args.scenario)
-    except ScenarioError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"ERROR: cannot read {args.scenario}: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    print("OK")
-    return EXIT_OK
-
-
 class CliError(Exception):
     """CLI failure carrying the process exit code."""
 
@@ -97,6 +84,12 @@ def _load_or_fail(path: str) -> ScenarioSpec:
         raise CliError(f"INVALID: {exc}", EXIT_VALIDATION) from exc
     except OSError as exc:
         raise CliError(f"ERROR: cannot read {path}: {exc}", EXIT_RUNTIME) from exc
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    _load_or_fail(args.scenario)
+    print("OK")
+    return EXIT_OK
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -244,9 +237,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except ScenarioError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except OSError as exc:
         print(f"ERROR: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,17 +1,25 @@
 """Scenario file handling: a versioned, human-editable YAML document that
 fixes the world, robot, sensor, policies and seed for a trial.
 
-Documents are validated strictly: unknown keys are errors, every invariant
-violation names the offending field path. load_scenario(serialize_scenario(s))
-is the identity, which keeps shipped scenario files usable as regression
-anchors.
+Each schema decision has one owner:
+
+- the reader checks shape only: mappings, lists, required keys, unknown
+  keys (errors) and each value's type (an integer counts as a number, a
+  boolean as neither). It applies no value bound;
+- an absent key takes the default of the dataclass field it fills;
+- validate_scenario holds every value rule: each number finite, then every
+  range. load_scenario runs it, and a spec built in code gets the same
+  message, naming the same document path, as a loaded file.
+
+load_scenario(serialize_scenario(s)) is the identity, which keeps shipped
+scenario files usable as regression anchors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Any
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import Any, Iterable, Iterator
 
 import yaml
 
@@ -59,261 +67,157 @@ class ScenarioSpec:
     noise: SensorNoiseSpec = field(default_factory=SensorNoiseSpec)
 
 
-# ---------------------------------------------------------------- parsing
+# ---------------------------------------------------------------- reading
 
-def _require_map(value: Any, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{path}: expected a mapping, got {type(value).__name__}")
-    return value
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list", dict: "a mapping"}
+_SENSOR_NOISE_KEYS = {"fov_deg", "max_range_m", "disparity_std", "misclassify_prob", "confusion"}
 
 
-def _check_keys(data: dict, allowed: set[str], path: str) -> None:
-    unknown = set(data) - allowed
+def _typed(value: Any, path: str, kind: type) -> Any:
+    """value after a type check; an int counts as a float, a bool as neither."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ScenarioError(f"{path}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{path}: expected a number, got an integer past the float range") from None
+
+
+def _get(data: dict, key: str, path: str, default: Any = None, kind: type = float) -> Any:
+    """data[key] after a type check; default when absent, required if default is None."""
+    if key not in data:
+        if default is None:
+            raise ScenarioError(f"{path}.{key}: required")
+        return default
+    return _typed(data[key], f"{path}.{key}", kind)
+
+
+def _mapping(value: Any, path: str, keys: Iterable[str]) -> dict:
+    """value as a mapping whose keys are all among keys."""
+    value = _typed(value, path, dict)
+    unknown = set(value) - set(keys)
     if unknown:
-        raise ScenarioError(f"{path}: unknown key(s) {sorted(unknown)}")
-
-
-def _num(data: dict, key: str, path: str, default: float | None = None) -> float:
-    if key not in data:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}: expected a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ScenarioError(f"{path}.{key}: must be finite")
+        raise ScenarioError(f"{path}: unknown key(s) {sorted(unknown, key=str)}")
     return value
 
 
-def _int(data: dict, key: str, path: str, default: int | None = None) -> int:
-    if key not in data:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    value = data[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
+def _names(cls: type) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
-def _str(data: dict, key: str, path: str, default: str | None = None) -> str:
-    if key not in data:
-        if default is None:
-            raise ScenarioError(f"{path}.{key}: required")
-        return default
-    value = data[key]
-    if not isinstance(value, str):
-        raise ScenarioError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
+def _from_fields(cls: type, data: dict, path: str) -> Any:
+    """cls from the keys of data named like its fields; absent ones keep cls's defaults."""
+    default = cls()
+    return cls(**{
+        f.name: _get(data, f.name, path, kind=type(getattr(default, f.name)))
+        for f in fields(cls) if f.name in data
+    })
+
+
+def _point(data: dict, path: str) -> Vec2:
+    return Vec2(_get(data, "x", path), _get(data, "y", path))
+
+
+def _parse_motion(data: dict, path: str) -> MotionSpec:
+    if "motion" not in data:
+        return MotionSpec()
+    path = f"{path}.motion"
+    mdata = _mapping(data["motion"], path, {"type", "speed", "waypoints"})
+    kind = _get(mdata, "type", path, MotionSpec().kind, str)
+    if kind == MOTION_STATIC:
+        _mapping(mdata, path, {"type"})  # a static obstacle takes no speed or waypoints
+        return MotionSpec()
+    if kind != MOTION_WAYPOINT_LOOP:
+        raise ScenarioError(
+            f"{path}.type: expected '{MOTION_STATIC}' or '{MOTION_WAYPOINT_LOOP}', got {kind!r}"
+        )
+    speed = _get(mdata, "speed", path)
+    waypoints = []
+    for j, entry in enumerate(_get(mdata, "waypoints", path, kind=list)):
+        wpath = f"{path}.waypoints[{j}]"
+        waypoints.append(_point(_mapping(entry, wpath, {"x", "y"}), wpath))
+    return MotionSpec(kind=kind, waypoints=tuple(waypoints), speed=speed)
 
 
 def _parse_obstacle(entry: Any, path: str) -> ObstacleInstance:
-    data = _require_map(entry, path)
-    _check_keys(data, {"id", "class", "x", "y", "radius", "motion"}, path)
-    obs_id = _int(data, "id", path)
-    label = _str(data, "class", path)
-    center = Vec2(_num(data, "x", path), _num(data, "y", path))
-    radius = _num(data, "radius", path, 0.0)
-    if radius < 0.0:
-        raise ScenarioError(f"{path}.radius: violates radius >= 0 (obstacle id {obs_id})")
-
-    motion = MotionSpec()
-    if "motion" in data:
-        mpath = f"{path}.motion"
-        mdata = _require_map(data["motion"], mpath)
-        kind = _str(mdata, "type", mpath, MOTION_STATIC)
-        if kind == MOTION_STATIC:
-            _check_keys(mdata, {"type"}, mpath)
-        elif kind == MOTION_WAYPOINT_LOOP:
-            _check_keys(mdata, {"type", "speed", "waypoints"}, mpath)
-            speed = _num(mdata, "speed", mpath)
-            if speed < 0.0:
-                raise ScenarioError(f"{mpath}.speed: violates speed >= 0")
-            raw = mdata.get("waypoints")
-            if not isinstance(raw, list) or not raw:
-                raise ScenarioError(f"{mpath}.waypoints: non-empty list required for {kind}")
-            waypoints = []
-            for j, wp in enumerate(raw):
-                wpath = f"{mpath}.waypoints[{j}]"
-                wdata = _require_map(wp, wpath)
-                _check_keys(wdata, {"x", "y"}, wpath)
-                waypoints.append(Vec2(_num(wdata, "x", wpath), _num(wdata, "y", wpath)))
-            motion = MotionSpec(kind=kind, waypoints=tuple(waypoints), speed=speed)
-        else:
-            raise ScenarioError(
-                f"{mpath}.type: expected '{MOTION_STATIC}' or '{MOTION_WAYPOINT_LOOP}', got {kind!r}"
-            )
-    return ObstacleInstance(id=obs_id, class_label=label, center=center, radius=radius, motion=motion)
-
-
-def _parse_policy(data: Any, path: str) -> ClearancePolicy:
-    pdata = _require_map(data, path)
-    _check_keys(pdata, {"default_d0", "classes"}, path)
-    default_d0 = _num(pdata, "default_d0", path, DEFAULT_UNIFORM_D0)
-    if default_d0 < 0.0:
-        raise ScenarioError(f"{path}.default_d0: violates d0 >= 0")
-    entries: dict[str, float] = {}
-    if "classes" in pdata:
-        cdata = _require_map(pdata["classes"], f"{path}.classes")
-        for label, value in cdata.items():
-            cpath = f"{path}.classes.{label}"
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ScenarioError(f"{cpath}: expected a number, got {value!r}")
-            d0 = float(value)
-            if not math.isfinite(d0) or d0 < 0.0:
-                raise ScenarioError(f"{cpath}: violates d0 >= 0")
-            entries[str(label)] = d0
-    return ClearancePolicy(entries=entries, default_d0=default_d0)
-
-
-def _parse_sensor(data: Any, path: str) -> tuple[StereoRig, SensorNoiseSpec]:
-    sdata = _require_map(data, path)
-    _check_keys(
-        sdata,
-        {"focal_px", "baseline_m", "cx", "cy", "width", "height", "fov_deg",
-         "max_range_m", "disparity_std", "misclassify_prob", "confusion"},
-        path,
+    data = _mapping(entry, path, {"id", "class", "x", "y", "radius", "motion"})
+    return ObstacleInstance(
+        id=_get(data, "id", path, kind=int),
+        class_label=_get(data, "class", path, kind=str),
+        center=_point(data, path),
+        radius=_get(data, "radius", path, 0.0),
+        motion=_parse_motion(data, path),
     )
-    rig = StereoRig(
-        focal_px=_num(sdata, "focal_px", path, 400.0),
-        baseline_m=_num(sdata, "baseline_m", path, 0.12),
-        cx=_num(sdata, "cx", path, 320.0),
-        cy=_num(sdata, "cy", path, 240.0),
-        width=_int(sdata, "width", path, 640),
-        height=_int(sdata, "height", path, 480),
-    )
-    if rig.focal_px <= 0.0:
-        raise ScenarioError(f"{path}.focal_px: violates focal_px > 0")
-    if rig.baseline_m <= 0.0:
-        raise ScenarioError(f"{path}.baseline_m: violates baseline_m > 0")
-
-    confusion: dict[str, str] = {}
-    if "confusion" in sdata:
-        cdata = _require_map(sdata["confusion"], f"{path}.confusion")
-        for true_label, reported in cdata.items():
-            if not isinstance(reported, str):
-                raise ScenarioError(f"{path}.confusion.{true_label}: expected a class name")
-            confusion[str(true_label)] = reported
-    noise = SensorNoiseSpec(
-        disparity_std=_num(sdata, "disparity_std", path, 0.0),
-        misclassify_prob=_num(sdata, "misclassify_prob", path, 0.0),
-        confusion=confusion,
-        fov_rad=math.radians(_num(sdata, "fov_deg", path, 360.0)),
-        max_range_m=_num(sdata, "max_range_m", path, 15.0),
-    )
-    if noise.disparity_std < 0.0:
-        raise ScenarioError(f"{path}.disparity_std: violates disparity_std >= 0")
-    if not 0.0 <= noise.misclassify_prob <= 1.0:
-        raise ScenarioError(f"{path}.misclassify_prob: violates probability in [0, 1]")
-    if not 0.0 < noise.fov_rad <= 2.0 * math.pi + 1e-12:
-        raise ScenarioError(f"{path}.fov_deg: violates fov in (0, 360]")
-    if noise.max_range_m <= 0.0:
-        raise ScenarioError(f"{path}.max_range_m: violates max_range_m > 0")
-    return rig, noise
 
 
 def load_scenario(text: str) -> ScenarioSpec:
-    """Parse and validate one scenario document."""
+    """Read one scenario document, then validate it."""
     try:
         data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4,300 digits, a bad date
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ScenarioError(f"scenario: malformed document{where}: {exc}") from exc
-    data = _require_map(data, "scenario")
-    _check_keys(
+    data = _mapping(
         data,
+        "scenario",
         {"format_version", "name", "robot", "goal", "start", "disturbance",
          "time_limit_s", "seed", "policy", "uniform_d0", "obstacles", "sensor"},
-        "scenario",
     )
-    if "format_version" not in data:
-        raise ScenarioError("scenario.format_version: required")
-    version = _int(data, "format_version", "scenario")
+    version = _get(data, "format_version", "scenario", kind=int)
     if version != FORMAT_VERSION:
         raise ScenarioError(f"scenario.format_version: expected {FORMAT_VERSION}, got {version}")
 
-    name = _str(data, "name", "scenario", "scenario")
-
-    sdata = _require_map(data.get("start"), "scenario.start") if "start" in data else None
-    if sdata is None:
-        raise ScenarioError("scenario.start: required")
-    _check_keys(sdata, {"x", "y", "heading"}, "scenario.start")
-    start_pose = (
-        Vec2(_num(sdata, "x", "scenario.start"), _num(sdata, "y", "scenario.start")),
-        _num(sdata, "heading", "scenario.start", 0.0),
-    )
-
-    if "goal" not in data:
-        raise ScenarioError("scenario.goal: required")
-    gdata = _require_map(data["goal"], "scenario.goal")
-    _check_keys(gdata, {"x", "y", "radius"}, "scenario.goal")
-    goal = Vec2(_num(gdata, "x", "scenario.goal"), _num(gdata, "y", "scenario.goal"))
-    goal_radius = _num(gdata, "radius", "scenario.goal", DEFAULT_GOAL_RADIUS)
-
-    robot = RobotParams()
-    if "robot" in data:
-        rdata = _require_map(data["robot"], "scenario.robot")
-        _check_keys(
-            rdata,
-            {"cruise_speed", "max_turn_rate", "slowdown_radius", "collision_radius", "dt"},
-            "scenario.robot",
-        )
-        robot = RobotParams(
-            cruise_speed=_num(rdata, "cruise_speed", "scenario.robot", robot.cruise_speed),
-            max_turn_rate=_num(rdata, "max_turn_rate", "scenario.robot", robot.max_turn_rate),
-            slowdown_radius=_num(rdata, "slowdown_radius", "scenario.robot", robot.slowdown_radius),
-            collision_radius=_num(rdata, "collision_radius", "scenario.robot", robot.collision_radius),
-            dt=_num(rdata, "dt", "scenario.robot", robot.dt),
-        )
-
-    disturbance = DisturbanceSpec()
-    if "disturbance" in data:
-        ddata = _require_map(data["disturbance"], "scenario.disturbance")
-        _check_keys(ddata, {"drift_x", "drift_y", "gust_std"}, "scenario.disturbance")
-        disturbance = DisturbanceSpec(
-            drift=Vec2(
-                _num(ddata, "drift_x", "scenario.disturbance", 0.0),
-                _num(ddata, "drift_y", "scenario.disturbance", 0.0),
-            ),
-            gust_std=_num(ddata, "gust_std", "scenario.disturbance", 0.0),
-        )
-
-    policy = (
-        _parse_policy(data["policy"], "scenario.policy")
-        if "policy" in data
-        else ClearancePolicy()
-    )
-    rig, noise = (
-        _parse_sensor(data["sensor"], "scenario.sensor")
-        if "sensor" in data
-        else (StereoRig(), SensorNoiseSpec())
-    )
-
-    obstacles = []
-    if "obstacles" in data:
-        raw = data["obstacles"]
-        if not isinstance(raw, list):
-            raise ScenarioError("scenario.obstacles: expected a list")
-        for i, entry in enumerate(raw):
-            obstacles.append(_parse_obstacle(entry, f"scenario.obstacles[{i}]"))
+    start = _mapping(_get(data, "start", "scenario", kind=dict), "scenario.start", {"x", "y", "heading"})
+    goal = _mapping(_get(data, "goal", "scenario", kind=dict), "scenario.goal", {"x", "y", "radius"})
+    robot = _mapping(data.get("robot", {}), "scenario.robot", _names(RobotParams))
+    dpath = "scenario.disturbance"
+    ddata = _mapping(data.get("disturbance", {}), dpath, {"drift_x", "drift_y", "gust_std"})
+    ppath = "scenario.policy"
+    pdata = _mapping(data.get("policy", {}), ppath, {"default_d0", "classes"})
+    spath = "scenario.sensor"
+    sdata = _mapping(data.get("sensor", {}), spath, _names(StereoRig) | _SENSOR_NOISE_KEYS)
+    calm, default_policy, noiseless = DisturbanceSpec(), ClearancePolicy(), SensorNoiseSpec()
 
     spec = ScenarioSpec(
-        name=name,
-        obstacles=tuple(obstacles),
-        start_pose=start_pose,
-        goal=goal,
-        goal_radius=goal_radius,
-        robot=robot,
-        disturbance=disturbance,
-        policy=policy,
-        uniform_d0=_num(data, "uniform_d0", "scenario", DEFAULT_UNIFORM_D0),
-        time_limit=_num(data, "time_limit_s", "scenario", DEFAULT_TIME_LIMIT),
-        seed=_int(data, "seed", "scenario", DEFAULT_SEED),
-        rig=rig,
-        noise=noise,
+        name=_get(data, "name", "scenario", "scenario", str),
+        obstacles=tuple(
+            _parse_obstacle(entry, f"scenario.obstacles[{i}]")
+            for i, entry in enumerate(_get(data, "obstacles", "scenario", [], list))
+        ),
+        start_pose=(_point(start, "scenario.start"), _get(start, "heading", "scenario.start", 0.0)),
+        goal=_point(goal, "scenario.goal"),
+        goal_radius=_get(goal, "radius", "scenario.goal", DEFAULT_GOAL_RADIUS),
+        robot=_from_fields(RobotParams, robot, "scenario.robot"),
+        disturbance=DisturbanceSpec(
+            drift=Vec2(_get(ddata, "drift_x", dpath, calm.drift.x),
+                       _get(ddata, "drift_y", dpath, calm.drift.y)),
+            gust_std=_get(ddata, "gust_std", dpath, calm.gust_std),
+        ),
+        policy=ClearancePolicy(
+            entries={
+                str(label): _typed(d0, f"{ppath}.classes.{label}", float)
+                for label, d0 in _get(pdata, "classes", ppath, default_policy.entries, dict).items()
+            },
+            default_d0=_get(pdata, "default_d0", ppath, default_policy.default_d0),
+        ),
+        uniform_d0=_get(data, "uniform_d0", "scenario", DEFAULT_UNIFORM_D0),
+        time_limit=_get(data, "time_limit_s", "scenario", DEFAULT_TIME_LIMIT),
+        seed=_get(data, "seed", "scenario", DEFAULT_SEED, int),
+        rig=_from_fields(StereoRig, sdata, spath),
+        noise=SensorNoiseSpec(
+            disparity_std=_get(sdata, "disparity_std", spath, noiseless.disparity_std),
+            misclassify_prob=_get(sdata, "misclassify_prob", spath, noiseless.misclassify_prob),
+            confusion={
+                str(true_label): _typed(reported, f"{spath}.confusion.{true_label}", str)
+                for true_label, reported
+                in _get(sdata, "confusion", spath, noiseless.confusion, dict).items()
+            },
+            fov_rad=math.radians(_get(sdata, "fov_deg", spath, _fov_degrees(noiseless.fov_rad))),
+            max_range_m=_get(sdata, "max_range_m", spath, noiseless.max_range_m),
+        ),
     )
     validate_scenario(spec)
     return spec
@@ -343,66 +247,80 @@ def _polyline_distance(point: Vec2, pts: tuple[Vec2, ...]) -> float:
     return best
 
 
+def _non_finite(node: Any, path: str) -> Iterator[str]:
+    """Document path of every NaN or infinite number under node."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _non_finite(child, f"{path}.{key}")
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _non_finite(child, f"{path}[{i}]")
+    elif isinstance(node, float) and not math.isfinite(node):
+        yield path
+
+
+def _check(ok: bool, path: str, rule: str) -> None:
+    if not ok:
+        raise ScenarioError(f"{path}: violates {rule}")
+
+
 def validate_scenario(spec: ScenarioSpec) -> None:
-    """Check every cross-field invariant; raises ScenarioError naming the culprit."""
+    """Check every value rule; raises ScenarioError naming the document path of the culprit.
+
+    Each bound is a comparison that NaN fails, after every number has been
+    checked finite.
+    """
+    for path in _non_finite(_document(spec), "scenario"):
+        raise ScenarioError(f"{path}: must be finite")
     # the name is the stem of every artifact file: no NUL, no way out of --out
-    if any(c in spec.name for c in "/\\\0"):
-        raise ScenarioError("scenario.name: violates no '/', '\\' or NUL in name")
-    if spec.time_limit <= 0.0:
-        raise ScenarioError("scenario.time_limit_s: violates time_limit > 0")
-    if spec.goal_radius <= 0.0:
-        raise ScenarioError("scenario.goal.radius: violates goal_radius > 0")
-    if spec.seed < 0:
-        raise ScenarioError("scenario.seed: violates seed >= 0")
-    if spec.uniform_d0 < 0.0:
-        raise ScenarioError("scenario.uniform_d0: violates d0 >= 0")
+    _check(not any(c in spec.name for c in "/\\\0"), "scenario.name", "no '/', '\\' or NUL in name")
+    _check(spec.time_limit > 0.0, "scenario.time_limit_s", "time_limit > 0")
+    _check(spec.goal_radius > 0.0, "scenario.goal.radius", "goal_radius > 0")
+    _check(spec.seed >= 0, "scenario.seed", "seed >= 0")
+    _check(spec.uniform_d0 >= 0.0, "scenario.uniform_d0", "d0 >= 0")
 
     r = spec.robot
-    if r.cruise_speed <= 0.0:
-        raise ScenarioError("scenario.robot.cruise_speed: violates cruise_speed > 0")
-    if r.max_turn_rate <= 0.0:
-        raise ScenarioError("scenario.robot.max_turn_rate: violates max_turn_rate > 0")
-    if r.collision_radius < 0.0:
-        raise ScenarioError("scenario.robot.collision_radius: violates collision_radius >= 0")
-    if r.dt <= 0.0 or r.dt > 0.1:
-        raise ScenarioError("scenario.robot.dt: violates 0 < dt <= 0.1")
+    _check(r.cruise_speed > 0.0, "scenario.robot.cruise_speed", "cruise_speed > 0")
+    _check(r.max_turn_rate > 0.0, "scenario.robot.max_turn_rate", "max_turn_rate > 0")
+    _check(r.collision_radius >= 0.0, "scenario.robot.collision_radius", "collision_radius >= 0")
+    _check(0.0 < r.dt <= 0.1, "scenario.robot.dt", "0 < dt <= 0.1")
     # before any ceil: an infinite quotient would raise there, a huge one never end
-    if not spec.time_limit / r.dt <= MAX_TICKS:
-        raise ScenarioError(
-            f"scenario.time_limit_s: violates time_limit_s / robot.dt <= {MAX_TICKS} ticks"
-        )
-    heading = spec.start_pose[1]
+    _check(spec.time_limit / r.dt <= MAX_TICKS, "scenario.time_limit_s",
+           f"time_limit_s / robot.dt <= {MAX_TICKS} ticks")
     # wrap_angle steps by 2 pi, so a huge heading would stall the first tick
-    if not abs(heading) <= 2.0 * math.pi:
-        raise ScenarioError("scenario.start.heading: violates |heading| <= 2 pi")
-    if r.slowdown_radius < spec.goal_radius:
-        raise ScenarioError(
-            "scenario.robot.slowdown_radius: violates slowdown_radius >= goal_radius"
-        )
-    if spec.disturbance.gust_std < 0.0:
-        raise ScenarioError("scenario.disturbance.gust_std: violates gust_std >= 0")
+    _check(abs(spec.start_pose[1]) <= 2.0 * math.pi, "scenario.start.heading", "|heading| <= 2 pi")
+    _check(r.slowdown_radius >= spec.goal_radius, "scenario.robot.slowdown_radius",
+           "slowdown_radius >= goal_radius")
+    _check(spec.disturbance.gust_std >= 0.0, "scenario.disturbance.gust_std", "gust_std >= 0")
+
+    _check(spec.policy.default_d0 >= 0.0, "scenario.policy.default_d0", "d0 >= 0")
+    for label, d0 in spec.policy.entries.items():
+        _check(d0 >= 0.0, f"scenario.policy.classes.{label}", "d0 >= 0")
+
+    rig, noise = spec.rig, spec.noise
+    _check(rig.focal_px > 0.0, "scenario.sensor.focal_px", "focal_px > 0")
+    _check(rig.baseline_m > 0.0, "scenario.sensor.baseline_m", "baseline_m > 0")
+    _check(noise.disparity_std >= 0.0, "scenario.sensor.disparity_std", "disparity_std >= 0")
+    _check(0.0 <= noise.misclassify_prob <= 1.0, "scenario.sensor.misclassify_prob",
+           "probability in [0, 1]")
+    _check(0.0 < noise.fov_rad <= 2.0 * math.pi + 1e-12, "scenario.sensor.fov_deg", "fov in (0, 360]")
+    _check(noise.max_range_m > 0.0, "scenario.sensor.max_range_m", "max_range_m > 0")
 
     seen_ids: set[int] = set()
     for i, obs in enumerate(spec.obstacles):
         path = f"scenario.obstacles[{i}]"
-        if obs.id in seen_ids:
-            raise ScenarioError(f"{path}.id: violates id unique (obstacle id {obs.id})")
+        _check(obs.id not in seen_ids, f"{path}.id", f"id unique (obstacle id {obs.id})")
         seen_ids.add(obs.id)
-        if not obs.center.is_finite():
-            raise ScenarioError(f"{path}: position must be finite")
+        _check(obs.radius >= 0.0, f"{path}.radius", f"radius >= 0 (obstacle id {obs.id})")
+        if obs.motion.kind != MOTION_STATIC:
+            _check(obs.motion.speed >= 0.0, f"{path}.motion.speed", "speed >= 0")
+            _check(len(obs.motion.waypoints) > 0, f"{path}.motion.waypoints", "waypoints non-empty")
         d0 = effective_d0(spec.policy, obs.class_label)
         if d0 > 0.0:
-            keep_out = obs.radius + d0
-            if _polyline_distance(spec.goal, obs.path_points()) <= keep_out:
-                raise ScenarioError(
-                    f"{path}: violates goal outside (radius + d0) region "
-                    f"(obstacle id {obs.id}, class {obs.class_label})"
-                )
-            start_gap = spec.start_pose[0].dist(obs.center) - obs.radius
-            if start_gap <= spec.robot.collision_radius:
-                raise ScenarioError(
-                    f"{path}: violates start position collision-free (obstacle id {obs.id})"
-                )
+            _check(_polyline_distance(spec.goal, obs.path_points()) > obs.radius + d0, path,
+                   f"goal outside (radius + d0) region (obstacle id {obs.id}, class {obs.class_label})")
+            _check(spec.start_pose[0].dist(obs.center) - obs.radius > spec.robot.collision_radius, path,
+                   f"start position collision-free (obstacle id {obs.id})")
 
 
 # ---------------------------------------------------------- serialization
@@ -426,27 +344,34 @@ def _fov_degrees(fov_rad: float) -> float:
     return deg
 
 
-def serialize_scenario(spec: ScenarioSpec) -> str:
-    """Emit a document that load_scenario parses back to an equal spec."""
-    doc: dict[str, Any] = {
+def _obstacle_document(obs: ObstacleInstance) -> dict[str, Any]:
+    entry: dict[str, Any] = {
+        "id": obs.id,
+        "class": obs.class_label,
+        "x": obs.center.x,
+        "y": obs.center.y,
+        "radius": obs.radius,
+    }
+    if obs.motion.kind != MOTION_STATIC:
+        entry["motion"] = {
+            "type": obs.motion.kind,
+            "speed": obs.motion.speed,
+            "waypoints": [{"x": wp.x, "y": wp.y} for wp in obs.motion.waypoints],
+        }
+    return entry
+
+
+def _document(spec: ScenarioSpec) -> dict[str, Any]:
+    """The mapping a scenario file holds for spec."""
+    return {
         "format_version": FORMAT_VERSION,
         "name": spec.name,
         "seed": spec.seed,
         "time_limit_s": spec.time_limit,
         "uniform_d0": spec.uniform_d0,
-        "start": {
-            "x": spec.start_pose[0].x,
-            "y": spec.start_pose[0].y,
-            "heading": spec.start_pose[1],
-        },
+        "start": {"x": spec.start_pose[0].x, "y": spec.start_pose[0].y, "heading": spec.start_pose[1]},
         "goal": {"x": spec.goal.x, "y": spec.goal.y, "radius": spec.goal_radius},
-        "robot": {
-            "cruise_speed": spec.robot.cruise_speed,
-            "max_turn_rate": spec.robot.max_turn_rate,
-            "slowdown_radius": spec.robot.slowdown_radius,
-            "collision_radius": spec.robot.collision_radius,
-            "dt": spec.robot.dt,
-        },
+        "robot": asdict(spec.robot),
         "disturbance": {
             "drift_x": spec.disturbance.drift.x,
             "drift_y": spec.disturbance.drift.y,
@@ -457,36 +382,20 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
             "classes": dict(sorted(spec.policy.entries.items())),
         },
         "sensor": {
-            "focal_px": spec.rig.focal_px,
-            "baseline_m": spec.rig.baseline_m,
-            "cx": spec.rig.cx,
-            "cy": spec.rig.cy,
-            "width": spec.rig.width,
-            "height": spec.rig.height,
+            **asdict(spec.rig),
             "fov_deg": _fov_degrees(spec.noise.fov_rad),
             "max_range_m": spec.noise.max_range_m,
             "disparity_std": spec.noise.disparity_std,
             "misclassify_prob": spec.noise.misclassify_prob,
             "confusion": dict(sorted(spec.noise.confusion.items())),
         },
-        "obstacles": [],
+        "obstacles": [_obstacle_document(obs) for obs in spec.obstacles],
     }
-    for obs in spec.obstacles:
-        entry: dict[str, Any] = {
-            "id": obs.id,
-            "class": obs.class_label,
-            "x": obs.center.x,
-            "y": obs.center.y,
-            "radius": obs.radius,
-        }
-        if obs.motion.kind != MOTION_STATIC:
-            entry["motion"] = {
-                "type": obs.motion.kind,
-                "speed": obs.motion.speed,
-                "waypoints": [{"x": wp.x, "y": wp.y} for wp in obs.motion.waypoints],
-            }
-        doc["obstacles"].append(entry)
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+
+
+def serialize_scenario(spec: ScenarioSpec) -> str:
+    """Emit a document that load_scenario parses back to an equal spec."""
+    return yaml.safe_dump(_document(spec), sort_keys=False, default_flow_style=False)
 
 
 def with_noise(spec: ScenarioSpec, **kwargs: Any) -> ScenarioSpec:

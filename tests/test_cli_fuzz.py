@@ -39,7 +39,8 @@ FIELD_PATH = re.compile(r"INVALID: scenario(\.\w+|\[\d+\])*: \S")
 SCALAR = st.one_of(
     st.none(),
     st.booleans(),
-    st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, 2**70, 1e-320, 0, -1, 0.5]),
+    # 10**400: an integer no float holds
+    st.sampled_from([1e308, -1e308, math.nan, math.inf, -math.inf, 2**70, 10**400, 1e-320, 0, -1, 0.5]),
     st.text(max_size=4),
     st.sampled_from(["\0", "../up"]),
 )
@@ -98,7 +99,8 @@ def put(doc, path, value) -> None:
 
 
 def is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    # a comparison, not math.isfinite, which raises OverflowError on 10**400
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -math.inf < value < math.inf
 
 
 def get(doc, path):
@@ -131,6 +133,8 @@ class TestRunOnJunkDocuments:
     @given(doc=edited_documents())
     # the name is the artifact file stem; a NUL in it raised ValueError in open()
     @example(doc={**DOCUMENTS["single_block"], "name": "a\0b"})
+    # float() of a 400-digit integer raised OverflowError in the loader
+    @example(doc={**DOCUMENTS["single_block"], "goal": {**DOCUMENTS["single_block"]["goal"], "x": 10**400}})
     def test_exit_code_and_one_line_never_a_traceback(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             scenario = Path(tmp) / "junk.yaml"

@@ -2,17 +2,28 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
+from dataclasses import replace
 
 import pytest
 
+from soar_sim.perception import StereoRig
 from soar_sim.scenario_io import (
     ScenarioError,
     ScenarioSpec,
     load_scenario,
     serialize_scenario,
+    validate_scenario,
     with_noise,
 )
-from soar_sim.world import ClearancePolicy, MotionSpec, ObstacleInstance, Vec2
+from soar_sim.world import (
+    ClearancePolicy,
+    DisturbanceSpec,
+    MotionSpec,
+    ObstacleInstance,
+    RobotParams,
+    Vec2,
+)
 
 MINIMAL = """
 format_version: 1
@@ -55,6 +66,11 @@ class TestLoadDefaults:
     def test_integers_accepted_for_floats(self):
         spec = load_scenario(MINIMAL.replace("x: 5.0", "x: 5"))
         assert spec.goal.x == 5.0
+
+    def test_empty_sections_load_like_absent_ones(self):
+        # every default comes from the dataclass the section fills
+        empty = MINIMAL + "robot: {}\nsensor: {}\ndisturbance: {}\npolicy: {}\n"
+        assert load_scenario(empty) == load_scenario(MINIMAL)
 
 
 class TestLoadErrors:
@@ -158,11 +174,117 @@ class TestLoadErrors:
         doc = MINIMAL.replace("heading: 0.0", "heading: -6.28")
         assert load_scenario(doc).start_pose[1] == -6.28
 
+    @pytest.mark.parametrize("old, new, field", [
+        ("time_limit_s: 1", "time_limit_s: 1" + "0" * 400, "scenario.time_limit_s"),
+        ("x: 5.0", "x: 1" + "0" * 400, "scenario.goal.x"),
+    ], ids=["time_limit", "goal_x"])
+    def test_integer_past_the_float_range(self, old, new, field):
+        # float() of it raised OverflowError, a traceback from the CLI
+        doc = (MINIMAL + "time_limit_s: 100\n").replace(old, new)
+        with pytest.raises(ScenarioError, match=re.escape(field) + ": expected a number"):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "2001-02-30"], ids=["int_5000_digits", "bad_date"])
+    def test_yaml_value_error_is_a_scenario_error(self, value):
+        # PyYAML raises a plain ValueError for these, not a YAMLError
+        with pytest.raises(ScenarioError, match="malformed"):
+            load_scenario(MINIMAL + f"name: {value}\n")
+
+    def test_unknown_keys_of_mixed_types(self):
+        # sorting an int and a str key raised TypeError
+        with pytest.raises(ScenarioError, match=r"scenario\.start: unknown key"):
+            load_scenario(MINIMAL.replace("heading: 0.0", "heading: 0.0, 1: 2, z: 3"))
+
     @pytest.mark.parametrize("name", ["'../up'", "'a\\b'", '"a\\0b"'], ids=["slash", "backslash", "nul"])
     def test_name_is_a_file_stem(self, name):
         # artifacts are written as <name>_<mode>_seed<n>.*: a NUL raised in open(), a '/' left --out
         with pytest.raises(ScenarioError, match=r"scenario\.name"):
             load_scenario(MINIMAL + f"name: {name}\n")
+
+
+CONSTRUCTED = ScenarioSpec(
+    name="constructed",
+    obstacles=(
+        ObstacleInstance(1, "rock", Vec2(3.0, 2.0), 0.4,
+                         MotionSpec("waypoint_loop", (Vec2(3.5, 2.5),), 0.3)),
+    ),
+    start_pose=(Vec2(0.0, 0.0), 0.0),
+    goal=Vec2(8.0, 0.0),
+    goal_radius=0.3,
+    robot=RobotParams(),
+    disturbance=DisturbanceSpec(),
+    policy=ClearancePolicy({"rock": 1.0}),
+    uniform_d0=1.0,
+    time_limit=20.0,
+    seed=0,
+)
+
+
+def _obstacle(spec, **changes):
+    return replace(spec, obstacles=(replace(spec.obstacles[0], **changes),))
+
+
+def _motion(spec, **changes):
+    return _obstacle(spec, motion=replace(spec.obstacles[0].motion, **changes))
+
+
+def _rig(spec, **changes):
+    return replace(spec, rig=replace(spec.rig, **changes))
+
+
+class TestValidateConstructed:
+    """validate_scenario holds every value rule, so a spec built in code gets the loader's message."""
+
+    def test_base_spec_is_valid(self):
+        validate_scenario(CONSTRUCTED)
+
+    @pytest.mark.parametrize("edit, field", [
+        pytest.param(lambda s: replace(s, goal=Vec2(math.nan, 0.0)), "scenario.goal.x", id="goal_nan"),
+        pytest.param(lambda s: replace(s, start_pose=(Vec2(0.0, math.inf), 0.0)), "scenario.start.y",
+                     id="start_inf"),
+        pytest.param(lambda s: replace(s, start_pose=(Vec2(0.0, 0.0), math.nan)), "scenario.start.heading",
+                     id="heading_nan"),
+        pytest.param(lambda s: replace(s, time_limit=math.nan), "scenario.time_limit_s", id="time_limit_nan"),
+        pytest.param(lambda s: replace(s, uniform_d0=math.inf), "scenario.uniform_d0", id="uniform_d0_inf"),
+        pytest.param(lambda s: replace(s, robot=RobotParams(dt=math.nan)), "scenario.robot.dt", id="dt_nan"),
+        pytest.param(lambda s: replace(s, disturbance=DisturbanceSpec(Vec2(-math.inf, 0.0))),
+                     "scenario.disturbance.drift_x", id="drift_inf"),
+        pytest.param(lambda s: _obstacle(s, center=Vec2(math.nan, 2.0)), "scenario.obstacles[0].x",
+                     id="center_nan"),
+        pytest.param(lambda s: _obstacle(s, radius=math.inf), "scenario.obstacles[0].radius", id="radius_inf"),
+        pytest.param(lambda s: _obstacle(s, radius=-0.1), "scenario.obstacles[0].radius", id="radius_negative"),
+        pytest.param(lambda s: _motion(s, waypoints=(Vec2(3.5, math.nan),)),
+                     "scenario.obstacles[0].motion.waypoints[0].y", id="waypoint_nan"),
+        pytest.param(lambda s: _motion(s, speed=-0.3), "scenario.obstacles[0].motion.speed",
+                     id="speed_negative"),
+        pytest.param(lambda s: _motion(s, waypoints=()), "scenario.obstacles[0].motion.waypoints",
+                     id="waypoints_empty"),
+        pytest.param(lambda s: replace(s, policy=ClearancePolicy({"rock": 1.0}, -1.0)),
+                     "scenario.policy.default_d0", id="default_d0_negative"),
+        pytest.param(lambda s: replace(s, policy=ClearancePolicy({"rock": 1.0, "cone": -0.5})),
+                     "scenario.policy.classes.cone", id="class_d0_negative"),
+        pytest.param(lambda s: _rig(s, cx=math.nan), "scenario.sensor.cx", id="cx_nan"),
+        pytest.param(lambda s: _rig(s, focal_px=0.0), "scenario.sensor.focal_px", id="focal_zero"),
+        pytest.param(lambda s: _rig(s, baseline_m=-0.1), "scenario.sensor.baseline_m", id="baseline_negative"),
+        pytest.param(lambda s: with_noise(s, disparity_std=-0.1), "scenario.sensor.disparity_std",
+                     id="disparity_std_negative"),
+        pytest.param(lambda s: with_noise(s, misclassify_prob=1.5), "scenario.sensor.misclassify_prob",
+                     id="misclassify_above_1"),
+        pytest.param(lambda s: with_noise(s, misclassify_prob=-0.1), "scenario.sensor.misclassify_prob",
+                     id="misclassify_below_0"),
+        pytest.param(lambda s: with_noise(s, fov_rad=0.0), "scenario.sensor.fov_deg", id="fov_zero"),
+        pytest.param(lambda s: with_noise(s, max_range_m=-1.0), "scenario.sensor.max_range_m",
+                     id="max_range_negative"),
+        pytest.param(lambda s: with_noise(s, max_range_m=math.nan), "scenario.sensor.max_range_m",
+                     id="max_range_nan"),
+    ])
+    def test_rejected_with_the_loaders_message(self, edit, field):
+        spec = edit(CONSTRUCTED)
+        with pytest.raises(ScenarioError, match=re.escape(field) + ": ") as constructed:
+            validate_scenario(spec)
+        with pytest.raises(ScenarioError) as loaded:
+            load_scenario(serialize_scenario(spec))
+        assert str(loaded.value) == str(constructed.value)
 
 
 class TestFixtures:

@@ -3,6 +3,8 @@
 Specs are drawn directly, so invalid ones (a dt above 0.1, a slowdown radius
 inside the goal, an obstacle over the start or the goal) reach the loader
 and must come back as a ScenarioError, never as any other exception.
+Specs with out-of-range sensor values or a NaN check that validate_scenario
+accepts a spec exactly when the loader accepts its document.
 
 The roadmap's "zero-d0 classes are transparent" property is not checked
 here: a zero-d0 obstacle still occludes the obstacles behind it and still
@@ -13,6 +15,7 @@ arranged scenes. Acceptance criterion 05 checks it in such a scene.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -56,6 +59,39 @@ COORD = st.floats(-6.0, 6.0, allow_nan=False)
 POINT = st.builds(Vec2, COORD, COORD)
 STEP = st.builds(Vec2, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
+RIGS = st.builds(StereoRig, focal_px=st.sampled_from([200.0, 400.0]), baseline_m=st.sampled_from([0.06, 0.12]))
+NOISES = st.builds(
+    SensorNoiseSpec,
+    disparity_std=st.sampled_from([0.0, 0.3]),
+    misclassify_prob=st.sampled_from([0.0, 0.3]),
+    confusion=st.just({"rock": "sports_ball"}),
+    fov_rad=st.sampled_from([2.0 * math.pi, math.radians(90.0)]),
+    max_range_m=st.sampled_from([4.0, 15.0]),
+)
+# each field drawn from in-range and out-of-range values
+ANY_RIGS = st.builds(StereoRig, focal_px=st.sampled_from([0.0, 400.0]), baseline_m=st.sampled_from([-0.1, 0.12]))
+ANY_NOISES = st.builds(
+    SensorNoiseSpec,
+    disparity_std=st.sampled_from([-0.1, 0.0, 0.3]),
+    misclassify_prob=st.sampled_from([0.3, 1.5, -0.1]),
+    confusion=st.just({"rock": "sports_ball"}),
+    fov_rad=st.sampled_from([2.0 * math.pi, 0.0, math.radians(90.0)]),
+    max_range_m=st.sampled_from([-1.0, 4.0, 15.0]),
+)
+NAN = math.nan
+# no edit, or one field of the spec set to NaN
+NAN_EDITS = [
+    lambda s: s,
+    lambda s: replace(s, goal=Vec2(NAN, s.goal.y)),
+    lambda s: replace(s, start_pose=(s.start_pose[0], NAN)),
+    lambda s: replace(s, uniform_d0=NAN),
+    lambda s: replace(s, disturbance=replace(s.disturbance, drift=Vec2(s.disturbance.drift.x, NAN))),
+    lambda s: replace(s, policy=replace(s.policy, default_d0=NAN)),
+    lambda s: replace(s, rig=replace(s.rig, cx=NAN)),
+    lambda s: replace(s, noise=replace(s.noise, max_range_m=NAN)),
+    lambda s: replace(s, obstacles=tuple(replace(o, radius=NAN) for o in s.obstacles)),
+]
+
 
 @st.composite
 def obstacles(draw, max_count=8):
@@ -76,7 +112,7 @@ def obstacles(draw, max_count=8):
 
 
 @st.composite
-def scenarios(draw, obstacle_strategy=obstacles()):
+def scenarios(draw, obstacle_strategy=obstacles(), rigs=RIGS, noises=NOISES):
     goal_radius = draw(st.floats(0.05, 0.8))
     return ScenarioSpec(
         name="random",
@@ -102,15 +138,16 @@ def scenarios(draw, obstacle_strategy=obstacles()):
         uniform_d0=draw(st.sampled_from([0.5, 1.0, 1.5])),
         time_limit=draw(st.floats(0.05, 8.0)),
         seed=draw(st.integers(0, 2**31)),
-        rig=StereoRig(),
-        noise=SensorNoiseSpec(
-            disparity_std=draw(st.sampled_from([0.0, 0.3])),
-            misclassify_prob=draw(st.sampled_from([0.0, 0.3])),
-            confusion={"rock": "sports_ball"},
-            fov_rad=draw(st.sampled_from([2.0 * math.pi, math.radians(90.0)])),
-            max_range_m=draw(st.sampled_from([4.0, 15.0])),
-        ),
+        rig=draw(rigs),
+        noise=draw(noises),
     )
+
+
+@st.composite
+def odd_scenarios(draw):
+    """Specs with rig and noise values often out of range, and sometimes a NaN."""
+    spec = draw(scenarios(obstacle_strategy=obstacles(max_count=3), rigs=ANY_RIGS, noises=ANY_NOISES))
+    return draw(st.sampled_from(NAN_EDITS))(spec)
 
 
 def rock_on_start(offset, radius):
@@ -148,6 +185,25 @@ class TestRandomScenarios:
             result = run_trial(spec, mode)
             assert result.outcome in OUTCOMES
             assert result.travel_time <= spec.time_limit + spec.robot.dt
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=odd_scenarios())
+    # a zero focal length passed validation and then raised in fuse
+    @example(spec=replace(rock_on_start(0.5, 0.1), rig=StereoRig(focal_px=0.0)))
+    def test_validating_agrees_with_loading(self, spec):
+        try:
+            validate_scenario(spec)
+            valid = True
+        except ScenarioError:
+            valid = False
+        try:
+            load_scenario(serialize_scenario(spec))
+            loads = True
+        except ScenarioError:
+            loads = False
+        assert valid == loads
+        if valid:
+            assert run_trial(spec, MODE_SOAR).outcome in OUTCOMES
 
     @settings(max_examples=20, deadline=None)
     @given(spec=scenarios(obstacle_strategy=st.just(())))
