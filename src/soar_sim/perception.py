@@ -19,7 +19,7 @@ import numpy as np
 
 from soar_sim.world import ObstacleInstance, Vec2, wrap_angle
 
-# samples drawn per detection; odd so the median is a single sample
+# samples drawn per detection; odd so the median is a single sample when all are positive
 SAMPLES_PER_DETECTION = 9
 
 
@@ -60,17 +60,18 @@ class SensorNoiseSpec:
 
 
 class Detection(NamedTuple):
-    """One segmented instance: label pair and disparity samples.
+    """One segmented instance: label pair and median of the positive disparity samples.
 
-    bearing_rad is the azimuth of the mask centroid ray in the camera frame;
-    known_radius_m is the oracle segmenter's instance radius, used by fusion
-    to convert range to surface distance.
+    disparity is None when no sample is positive. bearing_rad is the azimuth
+    of the mask centroid ray in the camera frame; known_radius_m is the
+    oracle segmenter's instance radius, used by fusion to convert range to
+    surface distance.
     """
 
     instance_id: int
     reported_class: str
     true_class: str
-    disparity_samples: tuple[float, ...]
+    disparity: Optional[float]
     bearing_rad: float
     known_radius_m: float
 
@@ -109,11 +110,11 @@ def sense(
     Noise is drawn after occlusion, in one block per source for the k visible
     obstacles: first rng.random(k) when misclassify_prob > 0 (element j
     decides detection j's label), then rng.normal(0, disparity_std, (k, 9))
-    when disparity_std > 0 (row j is detection j's samples). With one source
+    when disparity_std > 0 (row j offsets detection j's samples). With one source
     on this is the same stream as per-detection draws; with both on, all of
     a frame's label draws come before its disparity draws. No draw is
     consumed when a noise parameter is zero, so noise-free sensing leaves
-    the rng untouched. Non-positive disparity draws are discarded.
+    the rng untouched. Non-positive samples are discarded, the rest's median kept.
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
@@ -190,7 +191,7 @@ def sense(
     k = len(visible)
     flips = rng.random(k).tolist() if noise.misclassify_prob > 0.0 else None
     draws = (
-        rng.normal(0.0, noise.disparity_std, (k, SAMPLES_PER_DETECTION)).tolist()
+        np.sort(rng.normal(0.0, noise.disparity_std, (k, SAMPLES_PER_DETECTION)), axis=1).tolist()
         if noise.disparity_std > 0.0 else None
     )
     focal_baseline = rig.focal_px * rig.baseline_m
@@ -200,18 +201,23 @@ def sense(
         if flips is not None and flips[j] < noise.misclassify_prob:
             reported = noise.confusion.get(obs.class_label, obs.class_label)
         true_disparity = focal_baseline / rng_m
-        if draws is not None:
-            samples = tuple([s for d in draws[j] if (s := true_disparity + d) > 0.0])
+        # fl(t + d) is monotone in d: a sorted row gives the samples sorted, positive ones last
+        row = draws[j] if draws is not None else (0.0,) * SAMPLES_PER_DETECTION
+        if true_disparity + row[0] > 0.0:
+            disparity = true_disparity + row[SAMPLES_PER_DETECTION // 2]
         else:
-            samples = (true_disparity,) * SAMPLES_PER_DETECTION
-        detections.append(Detection(obs.id, reported, obs.class_label, samples, bearing, obs.radius))
+            kept = [s for d in row if (s := true_disparity + d) > 0.0]
+            half = len(kept) // 2
+            # the middle sample, or the mean of the middle two: the standard library median's arithmetic
+            disparity = (kept[half] if len(kept) % 2 else (kept[half - 1] + kept[half]) / 2) if kept else None
+        detections.append(Detection(obs.id, reported, obs.class_label, disparity, bearing, obs.radius))
     return PerceptionFrame(detections=tuple(detections), camera_pose=(cam_pos, heading))
 
 
 def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[LabeledObstacleEstimate], int]:
     """Fuse labels and depth into world-frame obstacle estimates.
 
-    Per detection the range is recovered from the median disparity sample
+    Per detection the range is recovered from the median disparity
     through the Q reprojection and placed along the centroid bearing ray.
     Returns (estimates, dropped) where dropped counts detections left with
     no positive disparity sample.
@@ -220,14 +226,10 @@ def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[LabeledObstacleEs
     estimates = []
     dropped = 0
     for det in frame.detections:
-        if not det.disparity_samples:
+        if det.disparity is None:
             dropped += 1
             continue
-        ordered = sorted(det.disparity_samples)
-        half = len(ordered) // 2
-        # the middle sample, or the mean of the middle two: the standard library median's arithmetic
-        median = ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
-        rng_m = depth_from_disparity(median, rig)
+        rng_m = depth_from_disparity(det.disparity, rig)
         ray = heading + det.bearing_rad
         position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
         gap = rng_m - det.known_radius_m

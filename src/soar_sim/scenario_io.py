@@ -120,19 +120,22 @@ def _point(data: dict, path: str) -> Vec2:
     return Vec2(_get(data, "x", path), _get(data, "y", path))
 
 
+def _check_motion_type(kind: str, path: str) -> None:
+    """The reader's motion-type rule (it picks the keys read), which validate_scenario applies too."""
+    if kind not in (MOTION_STATIC, MOTION_WAYPOINT_LOOP):
+        raise ScenarioError(f"{path}.type: expected '{MOTION_STATIC}' or '{MOTION_WAYPOINT_LOOP}', got {kind!r}")
+
+
 def _parse_motion(data: dict, path: str) -> MotionSpec:
     if "motion" not in data:
         return MotionSpec()
     path = f"{path}.motion"
     mdata = _mapping(data["motion"], path, {"type", "speed", "waypoints"})
     kind = _get(mdata, "type", path, MotionSpec().kind, str)
+    _check_motion_type(kind, path)
     if kind == MOTION_STATIC:
         _mapping(mdata, path, {"type"})  # a static obstacle takes no speed or waypoints
         return MotionSpec()
-    if kind != MOTION_WAYPOINT_LOOP:
-        raise ScenarioError(
-            f"{path}.type: expected '{MOTION_STATIC}' or '{MOTION_WAYPOINT_LOOP}', got {kind!r}"
-        )
     speed = _get(mdata, "speed", path)
     waypoints = []
     for j, entry in enumerate(_get(mdata, "waypoints", path, kind=list)):
@@ -312,9 +315,13 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         _check(obs.id not in seen_ids, f"{path}.id", f"id unique (obstacle id {obs.id})")
         seen_ids.add(obs.id)
         _check(obs.radius >= 0.0, f"{path}.radius", f"radius >= 0 (obstacle id {obs.id})")
+        _check_motion_type(obs.motion.kind, f"{path}.motion")
         if obs.motion.kind != MOTION_STATIC:
             _check(obs.motion.speed >= 0.0, f"{path}.motion.speed", "speed >= 0")
             _check(len(obs.motion.waypoints) > 0, f"{path}.motion.waypoints", "waypoints non-empty")
+        else:  # its document carries neither
+            _check(not obs.motion.waypoints and obs.motion.speed == 0.0, f"{path}.motion.waypoints",
+                   "a static motion has no waypoints and speed 0")
         d0 = effective_d0(spec.policy, obs.class_label)
         if d0 > 0.0:
             _check(_polyline_distance(spec.goal, obs.path_points()) > obs.radius + d0, path,

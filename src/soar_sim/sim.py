@@ -58,6 +58,9 @@ STEERING_PARAMS = SteeringParams()
 _STREAM_PERCEPTION = 1
 _STREAM_DISTURBANCE = 2
 
+# gust pairs per rng call: a block is the same stream as one size-2 normal draw per tick
+GUST_BLOCK = 256
+
 
 class RobotState(NamedTuple):
     position: Vec2
@@ -105,9 +108,10 @@ def step(
 ) -> RobotState:
     """Advance the robot one tick toward v_hat.
 
-    Heading turns toward v_hat rate-limited by max_turn_rate; speed is
-    cruise_speed, ramped linearly to zero inside slowdown_radius of the goal;
-    the disturbance is added as a velocity.
+    Heading turns toward v_hat rate-limited by max_turn_rate; an error of
+    exactly +-pi turns left by wrap_angle's (-pi, pi], not by a tie-break.
+    Speed is cruise_speed, ramped linearly to zero inside slowdown_radius of
+    the goal; the disturbance is added as a velocity.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -215,6 +219,7 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
     drift, gust_std = spec.disturbance.drift, spec.disturbance.gust_std
     # without gusts the disturbance is fixed for the trial; adding Vec2(0.0, 0.0) maps a -0.0 drift to 0.0
     disturbance = drift + Vec2(0.0, 0.0)
+    gusts: list[list[float]] = []  # the drawn block's unused pairs, next one last
 
     for tick in range(1, max_ticks + 1):
         if outcome is not None:
@@ -237,8 +242,10 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
         decision = steering_direction(state.position, spec.goal, active, STEERING_PARAMS)
 
         if gust_std > 0.0:
-            gx, gy = rng_gust.normal(0.0, gust_std, 2)
-            disturbance = drift + Vec2(float(gx), float(gy))
+            if not gusts:
+                gusts = rng_gust.normal(0.0, gust_std, (min(GUST_BLOCK, max_ticks + 1 - tick), 2)).tolist()[::-1]
+            gx, gy = gusts.pop()
+            disturbance = drift + Vec2(gx, gy)
 
         state = step(state, decision.v_hat, spec.robot, spec.goal, disturbance, dt)
         path_length += trajectory[-1].position.dist(state.position)

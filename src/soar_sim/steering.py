@@ -88,7 +88,9 @@ def steering_direction(
     With no active obstacle this is the goal direction. With one, the gained
     obstacle term is added and the sum normalized; if the sum degenerates to
     zero (exact head-on at the clearance boundary) the deterministic
-    tie-break picks the left perpendicular of the obstacle direction. An
+    tie-break picks the left perpendicular of the obstacle direction. A sum
+    exactly opposite the heading (head-on with c1 = -1, c2 > 1) is no tie:
+    step turns it left, as wrap_angle maps that +-pi error to +pi. An
     obstacle estimated at the robot's own position gives no direction to
     steer away from, so it is treated as no active obstacle. An active
     obstacle outside 0 < d0 and 0 <= dist <= d0 is rejected by c2.

@@ -53,6 +53,15 @@ class ObstacleInstance:
     center: Vec2
     radius: float
     motion: MotionSpec = field(default_factory=MotionSpec)
+    # (path points, segment lengths, loop length), or None if the obstacle stays at center
+    _loop: Optional[tuple] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        pts = self.path_points()
+        seg_lengths = tuple(pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1))
+        total = sum(seg_lengths)  # 0 for a one-point path
+        loop = None if self.motion.speed <= 0.0 or total <= 0.0 else (pts, seg_lengths, total)
+        object.__setattr__(self, "_loop", loop)
 
     def path_points(self) -> tuple[Vec2, ...]:
         """Closed loop the obstacle travels, starting and ending at center."""
@@ -60,20 +69,13 @@ class ObstacleInstance:
             return (self.center,)
         return (self.center, *self.motion.waypoints, self.center)
 
-    def _loop(self) -> Optional[tuple[tuple[Vec2, ...], list[float], float]]:
-        """Path points, segment lengths and loop length; None if the obstacle stays at center."""
-        pts = self.path_points()
-        seg_lengths = [pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1)]
-        total = sum(seg_lengths)  # 0 for a one-point path
-        return None if self.motion.speed <= 0.0 or total <= 0.0 else (pts, seg_lengths, total)
-
     def is_moving(self) -> bool:
         """Whether position_at depends on t; if not, it always returns center."""
-        return self._loop() is not None
+        return self._loop is not None
 
     def position_at(self, t: float) -> Vec2:
         """Obstacle center at time t; a pure function so trials stay replayable."""
-        loop = self._loop()
+        loop = self._loop
         if loop is None:
             return self.center
         pts, seg_lengths, total = loop

@@ -21,6 +21,25 @@ RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, 
 QUIET = SensorNoiseSpec(max_range_m=15.0)
 
 
+class FixedDraws:
+    """rng stand-in for sense: normal() returns the given disparity offsets, one row per detection."""
+
+    def __init__(self, *rows):
+        self.rows = rows
+
+    def normal(self, loc, scale, size):
+        return np.array(self.rows, dtype=float).reshape(size)
+
+
+def sensed_disparity(offsets, true_disparity=10.0):
+    """Detection.disparity that sense gives for one obstacle and the 9 given noise offsets."""
+    rig = rig_for(100.0, 0.1)  # focal * baseline = 10, so the range is 10 / true_disparity
+    noise = SensorNoiseSpec(disparity_std=1.0, max_range_m=1e3)
+    obstacles = [ObstacleInstance(1, "rock", Vec2(10.0 / true_disparity, 0.0), 0.0)]
+    frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, FixedDraws(list(offsets)))
+    return frame.detections[0].disparity
+
+
 def q_reprojection_oracle(u: float, v: float, d: float, rig: StereoRig) -> float:
     """Independent brute-force depth: full 4-vector reprojection by hand."""
     q = rig.Q
@@ -104,8 +123,7 @@ class TestSense:
             assert det.reported_class == obs.class_label
             assert det.true_class == obs.class_label
             expected_range = math.hypot(obs.center.x, obs.center.y)
-            for sample in det.disparity_samples:
-                assert depth_from_disparity(sample, RIG) == pytest.approx(expected_range, rel=1e-12)
+            assert depth_from_disparity(det.disparity, RIG) == pytest.approx(expected_range, rel=1e-12)
 
     def test_noise_free_consumes_no_randomness(self):
         obstacles = [ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5)]
@@ -197,7 +215,7 @@ class TestSense:
         for seed in range(20):
             frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, np.random.default_rng(seed))
             for det in frame.detections:
-                assert all(s > 0.0 for s in det.disparity_samples)
+                assert det.disparity is None or det.disparity > 0.0
 
     def test_moving_obstacle_uses_supplied_positions(self):
         obs = ObstacleInstance(
@@ -208,21 +226,20 @@ class TestSense:
                       positions=[moved])
         det = frame.detections[0]
         expected_range = math.hypot(moved.x, moved.y)
-        assert depth_from_disparity(det.disparity_samples[0], RIG) == pytest.approx(expected_range, rel=1e-12)
+        assert depth_from_disparity(det.disparity, RIG) == pytest.approx(expected_range, rel=1e-12)
 
 
 class TestFuse:
-    def make_detection(self, samples, bearing=0.0, radius=0.5, label="rock"):
+    def make_detection(self, disparity, bearing=0.0, radius=0.5, label="rock"):
         return Detection(
             instance_id=1, reported_class=label, true_class=label,
-            disparity_samples=tuple(samples),
-            bearing_rad=bearing, known_radius_m=radius,
+            disparity=disparity, bearing_rad=bearing, known_radius_m=radius,
         )
 
     def test_single_detection_straight_ahead(self):
         rig = rig_for(100.0, 0.1)
         frame = PerceptionFrame(
-            detections=(self.make_detection([10.0, 10.0, 10.0], radius=0.0),),
+            detections=(self.make_detection(10.0, radius=0.0),),
             camera_pose=(Vec2(0.0, 0.0), 0.0),
         )
         estimates, dropped = fuse(frame, rig)
@@ -232,33 +249,37 @@ class TestFuse:
         assert est.position.y == pytest.approx(0.0, abs=1e-12)
         assert est.surface_distance == pytest.approx(1.0, rel=1e-12)
 
+    # sense now takes the median, so these cases feed it fixed noise offsets
     def test_median_rejects_outlier(self):
-        rig = rig_for(100.0, 0.1)
-        clean = PerceptionFrame(
-            detections=(self.make_detection([10.0, 10.0, 10.0]),),
-            camera_pose=(Vec2(0.0, 0.0), 0.0),
-        )
-        outlier = PerceptionFrame(
-            detections=(self.make_detection([10.0, 10.0, 1000.0]),),
-            camera_pose=(Vec2(0.0, 0.0), 0.0),
-        )
-        assert fuse(clean, rig)[0] == fuse(outlier, rig)[0]
+        clean = sensed_disparity([0.0] * 9)
+        assert sensed_disparity([0.0] * 8 + [990.0]) == clean
+        assert sensed_disparity([-9.5] + [0.0] * 8) == clean  # the low outlier survives as 0.5
 
     @pytest.mark.parametrize(
-        "samples", [[7.0], [9.0, 3.0], [4.0, 12.0, 5.0, 0.1, 8.0], [0.3, 11.0, 2.5, 6.0, 6.5, 1.0]],
+        "samples",
+        [
+            [3.0, -1.0, 0.5, 2.0, -2.5, 1.5, 0.25, -0.75, 4.0],  # all 9 positive
+            [-30.0, -11.0, 2.0, -10.5, -20.0, -15.0, -12.0, 5.0, -40.0],  # 2 survive
+            [-10.0, 3.0, -12.0, 1.0, 0.5, -10.0, 2.0, -11.0, 6.0],  # 5 survive
+            [0.0, -10.0, 1.0, -9.9, 2.5, 3.0, -10.0, -20.0, 0.25],  # 6 survive, one at 0.1
+        ],
     )
     def test_median_is_statistics_median(self, samples):
+        positive = [s for d in samples if (s := 10.0 + d) > 0.0]
+        assert len(positive) in (9, 2, 5, 6)
+        disparity = sensed_disparity(samples)
+        assert disparity == statistics.median(positive)
         rig = rig_for(100.0, 0.1)
-        frame = PerceptionFrame((self.make_detection(samples, radius=0.0),), (Vec2(0.0, 0.0), 0.0))
+        frame = PerceptionFrame((self.make_detection(disparity, radius=0.0),), (Vec2(0.0, 0.0), 0.0))
         estimates, _ = fuse(frame, rig)
-        assert estimates[0].surface_distance == depth_from_disparity(statistics.median(samples), rig)
+        assert estimates[0].surface_distance == depth_from_disparity(statistics.median(positive), rig)
 
     def test_bearing_and_pose_compose(self):
         rig = rig_for(100.0, 0.1)
         heading = 0.7
         bearing = -0.3
         frame = PerceptionFrame(
-            detections=(self.make_detection([5.0], bearing=bearing, radius=0.25),),
+            detections=(self.make_detection(5.0, bearing=bearing, radius=0.25),),
             camera_pose=(Vec2(2.0, -1.0), heading),
         )
         estimates, _ = fuse(frame, rig)
@@ -271,7 +292,7 @@ class TestFuse:
     def test_surface_distance_clamped(self):
         rig = rig_for(100.0, 0.1)
         frame = PerceptionFrame(
-            detections=(self.make_detection([50.0], radius=1.0),),  # range 0.2, radius 1.0
+            detections=(self.make_detection(50.0, radius=1.0),),  # range 0.2, radius 1.0
             camera_pose=(Vec2(0.0, 0.0), 0.0),
         )
         estimates, _ = fuse(frame, rig)
@@ -281,7 +302,7 @@ class TestFuse:
         rig = rig_for(100.0, 0.1)
         det = Detection(
             instance_id=3, reported_class="robot", true_class="fish",
-            disparity_samples=(10.0,), bearing_rad=0.0, known_radius_m=0.2,
+            disparity=10.0, bearing_rad=0.0, known_radius_m=0.2,
         )
         estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0)), rig)
         assert estimates[0].class_label == "robot"
@@ -289,11 +310,12 @@ class TestFuse:
 
     def test_empty_sample_detection_dropped_with_counter(self):
         rig = rig_for(100.0, 0.1)
+        assert sensed_disparity([-10.0, -12.0] * 4 + [-10.5]) is None  # no positive sample
         empty = Detection(
             instance_id=1, reported_class="rock", true_class="rock",
-            disparity_samples=(), bearing_rad=0.0, known_radius_m=0.1,
+            disparity=None, bearing_rad=0.0, known_radius_m=0.1,
         )
-        keep = self.make_detection([10.0])
+        keep = self.make_detection(10.0)
         estimates, dropped = fuse(PerceptionFrame((empty, keep), (Vec2(0.0, 0.0), 0.0)), rig)
         assert dropped == 1
         assert len(estimates) == 1

@@ -259,6 +259,8 @@ class TestValidateConstructed:
                      id="speed_negative"),
         pytest.param(lambda s: _motion(s, waypoints=()), "scenario.obstacles[0].motion.waypoints",
                      id="waypoints_empty"),
+        pytest.param(lambda s: _motion(s, kind="orbit"), "scenario.obstacles[0].motion.type",
+                     id="motion_kind_unknown"),
         pytest.param(lambda s: replace(s, policy=ClearancePolicy({"rock": 1.0}, -1.0)),
                      "scenario.policy.default_d0", id="default_d0_negative"),
         pytest.param(lambda s: replace(s, policy=ClearancePolicy({"rock": 1.0, "cone": -0.5})),
@@ -285,6 +287,19 @@ class TestValidateConstructed:
         with pytest.raises(ScenarioError) as loaded:
             load_scenario(serialize_scenario(spec))
         assert str(loaded.value) == str(constructed.value)
+
+    @pytest.mark.parametrize("motion", [
+        MotionSpec("static", (Vec2(3.5, 2.5),), 0.3),
+        MotionSpec("static", (Vec2(3.5, 2.5),)),
+        MotionSpec("static", speed=0.3),
+    ], ids=["waypoints_and_speed", "waypoints", "speed"])
+    def test_static_motion_carries_nothing(self, motion):
+        assert load_scenario(serialize_scenario(CONSTRUCTED)) == CONSTRUCTED
+        spec = _obstacle(CONSTRUCTED, motion=motion)
+        with pytest.raises(ScenarioError, match=re.escape("scenario.obstacles[0].motion.waypoints: ")):
+            validate_scenario(spec)
+        # its document drops what the motion carries, so it loads, as a different spec
+        assert load_scenario(serialize_scenario(spec)) == _obstacle(CONSTRUCTED, motion=MotionSpec())
 
 
 class TestFixtures:

@@ -1,13 +1,15 @@
 """sense() against a per-pair occlusion reference on random obstacle fields.
 
-The reference tests every pair exactly and draws noise per detection in
-sense's documented order, so it checks both sense's occlusion prefilter and
-its block draws.
+The reference tests every pair exactly, draws noise per detection in
+sense's documented order and takes statistics.median of each detection's
+positive samples, so it checks sense's occlusion prefilter, its block draws
+and its median from sorted rows.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from soar_sim.perception import (  # noqa: E402
     PerceptionFrame,
     SensorNoiseSpec,
     StereoRig,
+    fuse,
     sense,
 )
 from soar_sim.world import ObstacleInstance, Vec2, wrap_angle  # noqa: E402
@@ -80,15 +83,16 @@ def reference_sense(obstacles, pose, rig, noise, rng, positions):
         true_disparity = rig.focal_px * rig.baseline_m / rng_m
         if noise.disparity_std > 0.0:
             draws = true_disparity + rng.normal(0.0, noise.disparity_std, SAMPLES_PER_DETECTION)
-            samples = tuple(float(d) for d in draws if d > 0.0)
+            positive = [float(d) for d in draws if d > 0.0]
+            disparity = statistics.median(positive) if positive else None
         else:
-            samples = (true_disparity,) * SAMPLES_PER_DETECTION
+            disparity = true_disparity
         detections.append(
             Detection(
                 instance_id=obs.id,
                 reported_class=reported,
                 true_class=obs.class_label,
-                disparity_samples=samples,
+                disparity=disparity,
                 bearing_rad=bearing,
                 known_radius_m=obs.radius,
             )
@@ -166,6 +170,10 @@ def near_tangent_fields(draw):
     return obstacles, [obs.center for obs in obstacles], (cam, heading), draw(noise_specs())
 
 
+FAR_ROCK = ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)
+WIDE_NOISE = SensorNoiseSpec(disparity_std=40.0)
+
+
 def world_of(obstacles, cam, heading=0.0, noise=QUIET):
     return obstacles, [obs.center for obs in obstacles], (cam, heading), noise
 
@@ -241,6 +249,13 @@ class TestSenseMatchesPerPairReference:
         ),
         seed=1,
     )
+    # the median of the positive samples, seen 14 m away with disparity std 40
+    # (true disparity 3.43): all 9 positive, 3 survive (odd), 4 survive (even),
+    # and none survive, so fuse drops the detection and counts it
+    @example(world=world_of([FAR_ROCK], Vec2(0.0, 0.0), noise=WIDE_NOISE), seed=372)
+    @example(world=world_of([FAR_ROCK], Vec2(0.0, 0.0), noise=WIDE_NOISE), seed=17)
+    @example(world=world_of([FAR_ROCK], Vec2(0.0, 0.0), noise=WIDE_NOISE), seed=4)
+    @example(world=world_of([FAR_ROCK], Vec2(0.0, 0.0), noise=WIDE_NOISE), seed=62)
     # zero-length center ray: obstacle 1's squared range underflows, and
     # obstacle 2, nearer still, covers the camera
     @example(
@@ -265,7 +280,13 @@ class TestSenseMatchesPerPairReference:
     def test_same_detections_and_rng_state(self, world, seed):
         obstacles, positions, pose, noise = world
         rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert sense(obstacles, pose, RIG, noise, rng_new, positions=positions) == reference_sense(
-            obstacles, pose, RIG, noise, rng_ref, positions=positions
-        )
+        frame = sense(obstacles, pose, RIG, noise, rng_new, positions=positions)
+        reference = reference_sense(obstacles, pose, RIG, noise, rng_ref, positions=positions)
+        assert frame == reference
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+        # fuse drops exactly the detections with no positive sample, and counts them
+        estimates, dropped = fuse(frame, RIG)
+        assert dropped == sum(det.disparity is None for det in reference.detections)
+        assert [est.source_instance for est in estimates] == [
+            det.instance_id for det in reference.detections if det.disparity is not None
+        ]

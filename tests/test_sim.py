@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from soar_sim.perception import Detection, LabeledObstacleEstimate, PerceptionFrame
@@ -34,7 +35,7 @@ PER_TICK_RECORDS = {
     "Tick": (Tick(0.0, ORIGIN, 0.0, 0.0, None, math.inf), "min_clearance"),
     "ActiveObstacle": (ActiveObstacle(ORIGIN, 0.5, 1.0, 3), "d0"),
     "SteeringDecision": (SteeringDecision(ORIGIN, None, 0.0, 0.0, ORIGIN, None, False), "v_hat"),
-    "Detection": (Detection(3, "rock", "rock", (1.0,), 0.0, 0.5), "disparity_samples"),
+    "Detection": (Detection(3, "rock", "rock", 1.0, 0.0, 0.5), "disparity"),
     "PerceptionFrame": (PerceptionFrame((), (ORIGIN, 0.0)), "detections"),
     "LabeledObstacleEstimate": (LabeledObstacleEstimate("rock", ORIGIN, 0.5, 3), "surface_distance"),
 }
@@ -46,6 +47,17 @@ def test_per_tick_records_are_immutable(name):
     with pytest.raises(AttributeError):
         setattr(record, field_name, None)
     assert getattr(record, field_name) is not None
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
+def test_gust_block_is_the_per_tick_stream(seed):
+    # run_trial draws gusts GUST_BLOCK pairs at a time; the goldens were recorded with one
+    # normal(0, s, 2) call per tick, so a numpy that fills a block differently fails here first
+    std = 0.3
+    blocks = np.random.default_rng(seed)
+    drawn = blocks.normal(0.0, std, (37, 2)).tolist() + blocks.normal(0.0, std, (5, 2)).tolist()
+    rng = np.random.default_rng(seed)
+    assert drawn == [rng.normal(0.0, std, 2).tolist() for _ in range(42)]
 
 
 class TestStep:
