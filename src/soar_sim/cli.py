@@ -1,18 +1,20 @@
 """Command-line front end.
 
-Sub-commands: validate | run | batch | compare | plot. Exit codes:
-0 success, 1 scenario validation failure, 2 runtime failure. Batch trials
-can run in parallel (--jobs). The worker that runs a trial also writes its
-*.traj.csv and *.result.yaml; only (seed, travel_time, outcome) returns to
-the parent, which writes the summaries in seed order once every trial has
-finished, so every file is byte-identical to a serial run. On exit 2, --out
-may already hold the artifacts of the trials that finished.
+Sub-commands: validate | run | batch | compare | plot. Exit codes: 0
+success, 1 scenario validation failure, 2 runtime failure. Batch trials
+can run in parallel (--jobs, on at most the CPU count of workers). The
+worker that runs a trial also writes its *.traj.csv and *.result.yaml;
+only (seed, travel_time, outcome) returns to the parent, which writes
+the summaries in seed order once every trial has finished, so every file
+is byte-identical to a serial run. On exit 2, --out may already hold the
+artifacts of the trials that finished.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -46,11 +48,12 @@ def _run_batch(
 ) -> list[list[report_mod.TrialRow]]:
     """Every mode on seeds base_seed.. through one pool; one seed-ordered row list per mode."""
     tasks = [(spec, mode, base_seed + i, out) for mode in modes for i in range(trials)]
-    if jobs <= 1 or len(tasks) == 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         rows = [_run_one(task) for task in tasks]
     else:
         # map yields in task order, which is seed order within each mode
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, tasks))
     return [rows[k * trials:(k + 1) * trials] for k in range(len(modes))]
 
@@ -201,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42, help="base seed")
         p.add_argument("--out", default="out", help="artifact output directory")
         p.add_argument("--format", choices=["table", "delimited", "structured"], default="table")
-        p.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
+        p.add_argument("--jobs", type=int, default=1, help="parallel trial workers, at most the CPU count")
 
     p_run = sub.add_parser("run", help="run a single trial")
     common(p_run)

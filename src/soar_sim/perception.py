@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from soar_sim.world import ObstacleInstance, Vec2, wrap_angle
+from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, wrap_angle
 
 # samples drawn per detection; odd so the median is a single sample when all are positive
 SAMPLES_PER_DETECTION = 9
@@ -214,25 +214,36 @@ def sense(
     return PerceptionFrame(detections=tuple(detections), camera_pose=(cam_pos, heading))
 
 
-def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[LabeledObstacleEstimate], int]:
-    """Fuse labels and depth into world-frame obstacle estimates.
+def fuse(
+    frame: PerceptionFrame, rig: StereoRig, policy: ClearancePolicy
+) -> tuple[list[LabeledObstacleEstimate], int]:
+    """Fuse labels and depth into the world-frame estimates steering can act on.
 
-    Per detection the range is recovered from the median disparity
-    through the Q reprojection and placed along the centroid bearing ray.
-    Returns (estimates, dropped) where dropped counts detections left with
-    no positive disparity sample.
+    Each detection's d0 is looked up by its reported class first, with the
+    rule nearest_effective_obstacle applies: a class with d0 <= 0 is not
+    ranged, and a detection whose clamped surface distance exceeds d0 is not
+    placed. Every other range is recovered from the median disparity through
+    the Q reprojection and placed along the centroid bearing ray. Returns
+    (estimates, dropped) where dropped counts every detection left with no
+    positive disparity sample, whatever its class.
     """
     cam_pos, heading = frame.camera_pose
+    entries, default_d0 = policy.entries, policy.default_d0
     estimates = []
     dropped = 0
     for det in frame.detections:
         if det.disparity is None:
             dropped += 1
             continue
+        d0 = entries.get(det.reported_class, default_d0)  # effective_d0, inlined
+        if d0 <= 0.0:
+            continue
         rng_m = depth_from_disparity(det.disparity, rig)
-        ray = heading + det.bearing_rad
-        position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
         gap = rng_m - det.known_radius_m
         gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
+        if gap > d0:
+            continue
+        ray = heading + det.bearing_rad
+        position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
         estimates.append(LabeledObstacleEstimate(det.reported_class, position, gap, det.instance_id))
     return estimates, dropped

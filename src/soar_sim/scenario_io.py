@@ -303,6 +303,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     rig, noise = spec.rig, spec.noise
     _check(rig.focal_px > 0.0, "scenario.sensor.focal_px", "focal_px > 0")
     _check(rig.baseline_m > 0.0, "scenario.sensor.baseline_m", "baseline_m > 0")
+    # f * B underflowing to 0 zeroes every true disparity, 1 / B overflowing every range: the robot drives blind
+    _check(rig.focal_px * rig.baseline_m > 0.0 and math.isfinite(1.0 / rig.baseline_m),
+           "scenario.sensor.baseline_m", "focal_px * baseline_m > 0 and 1 / baseline_m finite")
     _check(noise.disparity_std >= 0.0, "scenario.sensor.disparity_std", "disparity_std >= 0")
     _check(0.0 <= noise.misclassify_prob <= 1.0, "scenario.sensor.misclassify_prob",
            "probability in [0, 1]")

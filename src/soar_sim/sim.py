@@ -169,9 +169,9 @@ def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Option
 def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> TrialResult:
     """Run one trial; bit-identical for identical (spec, mode, seed).
 
-    soar mode looks every fused estimate up in the scenario's per-class
-    policy. non_soar mode withholds the semantic information: every label
-    gets the uniform clearance spec.uniform_d0.
+    soar mode looks labels up in the scenario's per-class policy, in fuse
+    and in the selection. non_soar mode withholds the semantic information:
+    every label gets the uniform clearance spec.uniform_d0.
     """
     if mode not in (MODE_SOAR, MODE_NON_SOAR):
         raise ValueError(f"mode must be '{MODE_SOAR}' or '{MODE_NON_SOAR}', got {mode!r}")
@@ -233,8 +233,8 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
             obstacles, (state.position, state.heading), spec.rig, spec.noise,
             rng_perception, positions=positions,
         )
-        estimates, _ = fuse(frame, spec.rig)
-        selected = nearest_effective_obstacle(state.position, estimates, lookup_policy)
+        estimates, _ = fuse(frame, spec.rig, lookup_policy)
+        selected = nearest_effective_obstacle(estimates, lookup_policy)
         active = None
         if selected is not None:
             est, d0 = selected

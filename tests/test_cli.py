@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from soar_sim import cli
 from soar_sim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
+from soar_sim.report import TrialRow
+from soar_sim.scenario_io import load_scenario_file
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 OPEN_FIELD = str(SCENARIOS / "open_field.yaml")
@@ -46,8 +49,12 @@ class TestRunRejectsUnboundedScenario:
             ("time_limit_s: 120.0", "time_limit_s: 1.0e+308", "scenario.time_limit_s"),
             ("  dt: 0.02", "  dt: 1.0e-300", "scenario.time_limit_s"),
             ("  heading: 0.0", "  heading: 1.0e+9", "scenario.start.heading"),
+            # a degenerate rig: every detection would be dropped or placed on the camera
+            ("  focal_px: 400.0\n  baseline_m: 0.12", "  focal_px: 1.0e-200\n  baseline_m: 1.0e-200",
+             "scenario.sensor.baseline_m"),
+            ("  baseline_m: 0.12", "  baseline_m: 1.0e-310", "scenario.sensor.baseline_m"),
         ],
-        ids=["time_limit_1e308", "dt_1e-300", "heading_1e9"],
+        ids=["time_limit_1e308", "dt_1e-300", "heading_1e9", "focal_baseline_1e-200", "baseline_1e-310"],
     )
     def test_exit_1_with_one_invalid_line(self, tmp_path, capsys, old, new, field):
         doc = (SCENARIOS / "single_block.yaml").read_text()
@@ -137,21 +144,23 @@ class TestCompare:
         assert (tmp_path / "open_field_compare.csv").exists()
 
     def test_parallel_jobs_match_serial(self, tmp_path, capsys):
-        # with --jobs 2 each worker writes its own trial's artifacts
+        # with --jobs 2 each worker writes its own trial's artifacts; --jobs 500 starts at most
+        # the CPU count of workers
         for command in (["batch", "--mode", "non-soar"], ["compare"]):
             outputs = {}
-            for jobs in ("1", "2"):
+            for jobs in ("1", "2", "500"):
                 out = tmp_path / f"{command[0]}_jobs{jobs}"
                 rc = main([*command, "--scenario", PARKING_LOT, "--trials", "2", "--seed", "3",
                            "--out", str(out), "--jobs", jobs])
                 assert rc == EXIT_OK
                 outputs[jobs] = out, capsys.readouterr().out
-            (serial, serial_stdout), (parallel, parallel_stdout) = outputs["1"], outputs["2"]
+            serial, serial_stdout = outputs["1"]
             names = sorted(p.name for p in serial.iterdir())
-            assert names == sorted(p.name for p in parallel.iterdir())
-            for name in names:
-                assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
-            assert serial_stdout == parallel_stdout
+            for parallel, parallel_stdout in (outputs["2"], outputs["500"]):
+                assert names == sorted(p.name for p in parallel.iterdir())
+                for name in names:
+                    assert (serial / name).read_bytes() == (parallel / name).read_bytes(), name
+                assert serial_stdout == parallel_stdout
 
     def test_worker_failure_stops_the_batch_early(self, tmp_path, capsys):
         # a failed map result cancels the pool's pending trials: the 39 others do not all run
@@ -175,6 +184,42 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("ERROR: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+class PoolRecorder:
+    """ProcessPoolExecutor stand-in: records each pool's max_workers and maps in this process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return [fn(task) for task in tasks]
+
+
+@pytest.mark.parametrize("cpus, jobs, trials, pool", [
+    (2, 500, 500, 2),
+    (64, 500, 500, 64),
+    (64, 3, 500, 3),
+    (64, 500, 2, 4),  # both modes' tasks
+    (1, 500, 500, None),
+    (None, 500, 500, None),  # an unknown CPU count is one
+])
+def test_jobs_capped_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, trials, pool):
+    sizes = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: PoolRecorder(sizes, max_workers))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    # no trial runs: each task's row is made up from its seed
+    monkeypatch.setattr(cli, "_run_one", lambda task: TrialRow(task[2], 1.0, "goal_reached"))
+    spec = load_scenario_file(OPEN_FIELD)
+    rows = cli._run_batch(spec, ["soar", "non_soar"], trials, 7, jobs, tmp_path)
+    assert sizes == ([] if pool is None else [pool])
+    assert [[row.seed for row in mode_rows] for mode_rows in rows] == [list(range(7, 7 + trials))] * 2
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

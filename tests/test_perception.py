@@ -15,10 +15,12 @@ from soar_sim.perception import (
     fuse,
     sense,
 )
-from soar_sim.world import MotionSpec, ObstacleInstance, Vec2
+from soar_sim.world import ClearancePolicy, MotionSpec, ObstacleInstance, Vec2
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
 QUIET = SensorNoiseSpec(max_range_m=15.0)
+# every class has an infinite clearance, so fuse places every detection with a positive sample
+KEEP_ALL = ClearancePolicy({}, default_d0=math.inf)
 
 
 class FixedDraws:
@@ -242,7 +244,7 @@ class TestFuse:
             detections=(self.make_detection(10.0, radius=0.0),),
             camera_pose=(Vec2(0.0, 0.0), 0.0),
         )
-        estimates, dropped = fuse(frame, rig)
+        estimates, dropped = fuse(frame, rig, KEEP_ALL)
         assert dropped == 0
         est = estimates[0]
         assert est.position.x == pytest.approx(1.0, rel=1e-12)
@@ -271,7 +273,7 @@ class TestFuse:
         assert disparity == statistics.median(positive)
         rig = rig_for(100.0, 0.1)
         frame = PerceptionFrame((self.make_detection(disparity, radius=0.0),), (Vec2(0.0, 0.0), 0.0))
-        estimates, _ = fuse(frame, rig)
+        estimates, _ = fuse(frame, rig, KEEP_ALL)
         assert estimates[0].surface_distance == depth_from_disparity(statistics.median(positive), rig)
 
     def test_bearing_and_pose_compose(self):
@@ -282,7 +284,7 @@ class TestFuse:
             detections=(self.make_detection(5.0, bearing=bearing, radius=0.25),),
             camera_pose=(Vec2(2.0, -1.0), heading),
         )
-        estimates, _ = fuse(frame, rig)
+        estimates, _ = fuse(frame, rig, KEEP_ALL)
         est = estimates[0]
         rng_m = 100.0 * 0.1 / 5.0
         assert est.position.x == pytest.approx(2.0 + rng_m * math.cos(heading + bearing), rel=1e-12)
@@ -295,7 +297,7 @@ class TestFuse:
             detections=(self.make_detection(50.0, radius=1.0),),  # range 0.2, radius 1.0
             camera_pose=(Vec2(0.0, 0.0), 0.0),
         )
-        estimates, _ = fuse(frame, rig)
+        estimates, _ = fuse(frame, rig, KEEP_ALL)
         assert estimates[0].surface_distance == 0.0
 
     def test_label_passthrough(self):
@@ -304,7 +306,7 @@ class TestFuse:
             instance_id=3, reported_class="robot", true_class="fish",
             disparity=10.0, bearing_rad=0.0, known_radius_m=0.2,
         )
-        estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0)), rig)
+        estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0)), rig, KEEP_ALL)
         assert estimates[0].class_label == "robot"
         assert estimates[0].source_instance == 3
 
@@ -316,7 +318,7 @@ class TestFuse:
             disparity=None, bearing_rad=0.0, known_radius_m=0.1,
         )
         keep = self.make_detection(10.0)
-        estimates, dropped = fuse(PerceptionFrame((empty, keep), (Vec2(0.0, 0.0), 0.0)), rig)
+        estimates, dropped = fuse(PerceptionFrame((empty, keep), (Vec2(0.0, 0.0), 0.0)), rig, KEEP_ALL)
         assert dropped == 1
         assert len(estimates) == 1
 
@@ -330,7 +332,7 @@ class TestSenseFuseRoundTrip:
         pose = (Vec2(0.5, -0.25), 0.35)
         noise = SensorNoiseSpec(fov_rad=2.0 * math.pi, max_range_m=20.0)
         frame = sense(obstacles, pose, RIG, noise, np.random.default_rng(0))
-        estimates, dropped = fuse(frame, RIG)
+        estimates, dropped = fuse(frame, RIG, KEEP_ALL)
         assert dropped == 0
         by_id = {e.source_instance: e for e in estimates}
         for obs in obstacles:

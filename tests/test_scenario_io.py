@@ -268,6 +268,10 @@ class TestValidateConstructed:
         pytest.param(lambda s: _rig(s, cx=math.nan), "scenario.sensor.cx", id="cx_nan"),
         pytest.param(lambda s: _rig(s, focal_px=0.0), "scenario.sensor.focal_px", id="focal_zero"),
         pytest.param(lambda s: _rig(s, baseline_m=-0.1), "scenario.sensor.baseline_m", id="baseline_negative"),
+        pytest.param(lambda s: _rig(s, focal_px=1.0e-200, baseline_m=1.0e-200), "scenario.sensor.baseline_m",
+                     id="focal_baseline_product_underflows"),
+        pytest.param(lambda s: _rig(s, baseline_m=1.0e-310), "scenario.sensor.baseline_m",
+                     id="inverse_baseline_overflows"),
         pytest.param(lambda s: with_noise(s, disparity_std=-0.1), "scenario.sensor.disparity_std",
                      id="disparity_std_negative"),
         pytest.param(lambda s: with_noise(s, misclassify_prob=1.5), "scenario.sensor.misclassify_prob",

@@ -28,7 +28,7 @@ from soar_sim.perception import (  # noqa: E402
     fuse,
     sense,
 )
-from soar_sim.world import ObstacleInstance, Vec2, wrap_angle  # noqa: E402
+from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, wrap_angle  # noqa: E402
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
 QUIET = SensorNoiseSpec(max_range_m=15.0)
@@ -285,7 +285,7 @@ class TestSenseMatchesPerPairReference:
         assert frame == reference
         assert rng_new.bit_generator.state == rng_ref.bit_generator.state
         # fuse drops exactly the detections with no positive sample, and counts them
-        estimates, dropped = fuse(frame, RIG)
+        estimates, dropped = fuse(frame, RIG, ClearancePolicy({}, default_d0=math.inf))
         assert dropped == sum(det.disparity is None for det in reference.detections)
         assert [est.source_instance for est in estimates] == [
             det.instance_id for det in reference.detections if det.disparity is not None

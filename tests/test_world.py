@@ -63,16 +63,13 @@ class TestWrapAngle:
 
 
 class TestNearestEffectiveObstacle:
-    ORIGIN = Vec2(0.0, 0.0)
-
     def test_none_within_d0(self):
         policy = ClearancePolicy({}, default_d0=1.0)
-        assert nearest_effective_obstacle(self.ORIGIN, [est("car", 2.0)], policy) is None
+        assert nearest_effective_obstacle([est("car", 2.0)], policy) is None
 
     def test_zero_d0_class_never_qualifies(self):
         policy = ClearancePolicy({"sports_ball": 0.0, "car": 1.0}, default_d0=1.0)
         picked = nearest_effective_obstacle(
-            self.ORIGIN,
             [est("sports_ball", 0.1, source=1), est("car", 0.8, source=2)],
             policy,
         )
@@ -84,13 +81,13 @@ class TestNearestEffectiveObstacle:
     def test_zero_d0_excluded_even_at_contact(self):
         policy = ClearancePolicy({"sports_ball": 0.0}, default_d0=1.0)
         for dist in (0.0, 0.01, 0.5):
-            assert nearest_effective_obstacle(self.ORIGIN, [est("sports_ball", dist)], policy) is None
+            assert nearest_effective_obstacle([est("sports_ball", dist)], policy) is None
 
     def test_max_intrusion_wins(self):
         # two cars with d0=1 at 0.9 m and 0.5 m: intrusions 0.1 vs 0.5
         policy = ClearancePolicy({"car": 1.0}, default_d0=1.0)
         picked = nearest_effective_obstacle(
-            self.ORIGIN, [est("car", 0.9, source=1), est("car", 0.5, source=2)], policy
+            [est("car", 0.9, source=1), est("car", 0.5, source=2)], policy
         )
         assert picked is not None
         assert picked[0].source_instance == 2
@@ -99,7 +96,7 @@ class TestNearestEffectiveObstacle:
         # equal intrusion 0.5: car at 0.5 (d0 1.0) vs bus at 0.7 (d0 1.2)
         policy = ClearancePolicy({"car": 1.0, "bus": 1.2}, default_d0=1.0)
         picked = nearest_effective_obstacle(
-            self.ORIGIN, [est("bus", 0.7, source=1), est("car", 0.5, source=2)], policy
+            [est("bus", 0.7, source=1), est("car", 0.5, source=2)], policy
         )
         assert picked is not None
         assert picked[0].class_label == "car"
@@ -107,7 +104,7 @@ class TestNearestEffectiveObstacle:
     def test_full_tie_breaks_by_id(self):
         policy = ClearancePolicy({"car": 1.0}, default_d0=1.0)
         picked = nearest_effective_obstacle(
-            self.ORIGIN, [est("car", 0.5, source=7), est("car", 0.5, source=3)], policy
+            [est("car", 0.5, source=7), est("car", 0.5, source=3)], policy
         )
         assert picked is not None
         assert picked[0].source_instance == 3
@@ -115,8 +112,8 @@ class TestNearestEffectiveObstacle:
     def test_selection_is_order_independent(self):
         policy = ClearancePolicy({"car": 1.0}, default_d0=1.0)
         estimates = [est("car", 0.9, source=1), est("car", 0.5, source=2), est("car", 0.7, source=3)]
-        forward = nearest_effective_obstacle(self.ORIGIN, estimates, policy)
-        backward = nearest_effective_obstacle(self.ORIGIN, list(reversed(estimates)), policy)
+        forward = nearest_effective_obstacle(estimates, policy)
+        backward = nearest_effective_obstacle(list(reversed(estimates)), policy)
         assert forward == backward
 
 
