@@ -30,6 +30,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
+# --trials cap: the task list is built up front; the same 10^6 that bounds a trial's ticks
+MAX_TRIALS = 1_000_000
+
 
 def _canonical_mode(mode: str) -> str:
     return MODE_NON_SOAR if mode in ("non-soar", "non_soar") else MODE_SOAR
@@ -235,6 +238,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, option, least) < least:
             print(f"ERROR: --{option} must be >= {least}", file=sys.stderr)
             return EXIT_RUNTIME
+    if getattr(args, "trials", 1) > MAX_TRIALS:
+        print(f"ERROR: --trials must be <= {MAX_TRIALS}", file=sys.stderr)
+        return EXIT_RUNTIME
     try:
         return args.func(args)
     except CliError as exc:

@@ -62,23 +62,25 @@ class SensorNoiseSpec:
 class Detection(NamedTuple):
     """One segmented instance: label pair and median of the positive disparity samples.
 
-    disparity is None when no sample is positive. bearing_rad is the azimuth
-    of the mask centroid ray in the camera frame; known_radius_m is the
-    oracle segmenter's instance radius, used by fusion to convert range to
-    surface distance.
+    bearing_rad is the azimuth of the mask centroid ray in the camera frame;
+    known_radius_m is the oracle segmenter's instance radius, used by fusion
+    to convert range to surface distance.
     """
 
     instance_id: int
     reported_class: str
     true_class: str
-    disparity: Optional[float]
+    disparity: float
     bearing_rad: float
     known_radius_m: float
 
 
 class PerceptionFrame(NamedTuple):
+    """What sense emits: the selectable detections, and the count of visible obstacles dropped."""
+
     detections: tuple[Detection, ...]
     camera_pose: tuple[Vec2, float]
+    dropped: int
 
 
 class LabeledObstacleEstimate(NamedTuple):
@@ -100,21 +102,28 @@ def sense(
     pose: tuple[Vec2, float],
     rig: StereoRig,
     noise: SensorNoiseSpec,
+    policy: ClearancePolicy,
     rng: np.random.Generator,
     positions: Optional[Sequence[Vec2]] = None,
 ) -> PerceptionFrame:
-    """Observe the world from pose, emitting one detection per visible obstacle.
+    """Observe the world from pose, emitting the detections steering can select.
 
     Visible means within the field of view and max range and not occluded by
-    a nearer obstacle along the center ray. Detections come in id order.
-    Noise is drawn after occlusion, in one block per source for the k visible
-    obstacles: first rng.random(k) when misclassify_prob > 0 (element j
-    decides detection j's label), then rng.normal(0, disparity_std, (k, 9))
-    when disparity_std > 0 (row j offsets detection j's samples). With one source
-    on this is the same stream as per-detection draws; with both on, all of
-    a frame's label draws come before its disparity draws. No draw is
-    consumed when a noise parameter is zero, so noise-free sensing leaves
-    the rng untouched. Non-positive samples are discarded, the rest's median kept.
+    a nearer obstacle along the center ray. Noise is drawn after occlusion,
+    in one block per source for the k visible obstacles in id order: first
+    rng.random(k) when misclassify_prob > 0 (element j decides visible
+    obstacle j's label), then rng.normal(0, disparity_std, (k, 9)) when
+    disparity_std > 0 (row j offsets its samples). With one source on this
+    is the same stream as per-obstacle draws; with both on, all of a frame's
+    label draws come before its disparity draws. No draw is consumed when a
+    noise parameter is zero, so noise-free sensing leaves the rng untouched.
+    Non-positive samples are discarded and the rest's median kept; a visible
+    obstacle with no positive sample is counted in frame.dropped.
+
+    Then the rule nearest_effective_obstacle applies: d0 is looked up by the
+    reported class, a class with d0 <= 0 is skipped, and so is a detection
+    whose clamped surface distance, ranged through the Q reprojection,
+    exceeds d0. Only the rest get a bearing and a Detection, in id order.
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
@@ -147,8 +156,9 @@ def sense(
         candidates.append((obs, gx, gy, rng_m, bearing))
     geo.sort()
 
-    visible = []  # (obstacle, range, bearing)
-    for obs, abx, aby, rng_m, bearing in candidates:
+    visible = []  # (obstacle, gx, gy, range, bearing)
+    for candidate in candidates:
+        _, abx, aby, rng_m, _ = candidate
         # center ray cam_pos -> obstacle against every strictly nearer disc
         seg_len2 = abx * abx + aby * aby
         # Prefilter: skip a disc whose center is farther than reach from the
@@ -183,9 +193,7 @@ def sense(
             if occluded:
                 break
         if not occluded:
-            if bearing is None:
-                bearing = wrap_angle(math.atan2(aby, abx) - heading)
-            visible.append((obs, rng_m, bearing))
+            visible.append(candidate)
     visible.sort(key=lambda v: v[0].id)
 
     k = len(visible)
@@ -194,56 +202,57 @@ def sense(
         np.sort(rng.normal(0.0, noise.disparity_std, (k, SAMPLES_PER_DETECTION)), axis=1).tolist()
         if noise.disparity_std > 0.0 else None
     )
+    no_noise = (0.0,) * SAMPLES_PER_DETECTION
     focal_baseline = rig.focal_px * rig.baseline_m
+    focal, inv_baseline = rig.focal_px, 1.0 / rig.baseline_m
+    entries, default_d0 = policy.entries, policy.default_d0
     detections = []
-    for j, (obs, rng_m, bearing) in enumerate(visible):
+    dropped = 0
+    for j, (obs, abx, aby, rng_m, bearing) in enumerate(visible):
         reported = obs.class_label
         if flips is not None and flips[j] < noise.misclassify_prob:
             reported = noise.confusion.get(obs.class_label, obs.class_label)
         true_disparity = focal_baseline / rng_m
         # fl(t + d) is monotone in d: a sorted row gives the samples sorted, positive ones last
-        row = draws[j] if draws is not None else (0.0,) * SAMPLES_PER_DETECTION
+        row = draws[j] if draws is not None else no_noise
+        if not true_disparity + row[-1] > 0.0:  # no positive sample; inf + -inf included
+            dropped += 1
+            continue
+        d0 = entries.get(reported, default_d0)  # effective_d0, inlined
+        if d0 <= 0.0:
+            continue
         if true_disparity + row[0] > 0.0:
             disparity = true_disparity + row[SAMPLES_PER_DETECTION // 2]
         else:
             kept = [s for d in row if (s := true_disparity + d) > 0.0]
             half = len(kept) // 2
             # the middle sample, or the mean of the middle two: the standard library median's arithmetic
-            disparity = (kept[half] if len(kept) % 2 else (kept[half - 1] + kept[half]) / 2) if kept else None
-        detections.append(Detection(obs.id, reported, obs.class_label, disparity, bearing, obs.radius))
-    return PerceptionFrame(detections=tuple(detections), camera_pose=(cam_pos, heading))
-
-
-def fuse(
-    frame: PerceptionFrame, rig: StereoRig, policy: ClearancePolicy
-) -> tuple[list[LabeledObstacleEstimate], int]:
-    """Fuse labels and depth into the world-frame estimates steering can act on.
-
-    Each detection's d0 is looked up by its reported class first, with the
-    rule nearest_effective_obstacle applies: a class with d0 <= 0 is not
-    ranged, and a detection whose clamped surface distance exceeds d0 is not
-    placed. Every other range is recovered from the median disparity through
-    the Q reprojection and placed along the centroid bearing ray. Returns
-    (estimates, dropped) where dropped counts every detection left with no
-    positive disparity sample, whatever its class.
-    """
-    cam_pos, heading = frame.camera_pose
-    entries, default_d0 = policy.entries, policy.default_d0
-    estimates = []
-    dropped = 0
-    for det in frame.detections:
-        if det.disparity is None:
-            dropped += 1
-            continue
-        d0 = entries.get(det.reported_class, default_d0)  # effective_d0, inlined
-        if d0 <= 0.0:
-            continue
-        rng_m = depth_from_disparity(det.disparity, rig)
-        gap = rng_m - det.known_radius_m
+            disparity = kept[half] if len(kept) % 2 else (kept[half - 1] + kept[half]) / 2
+        gap = focal / (disparity * inv_baseline) - obs.radius  # depth_from_disparity, inlined
         gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
         if gap > d0:
             continue
+        if bearing is None:
+            bearing = wrap_angle(math.atan2(aby, abx) - heading)
+        detections.append(Detection(obs.id, reported, obs.class_label, disparity, bearing, obs.radius))
+    return PerceptionFrame(tuple(detections), (cam_pos, heading), dropped)
+
+
+def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[LabeledObstacleEstimate], int]:
+    """Place each detection in the world frame, for steering to act on.
+
+    The range is recovered from the median disparity through the Q
+    reprojection and placed along the centroid bearing ray. sense has
+    already applied the clearance rule, so every estimate qualifies for
+    nearest_effective_obstacle. Returns (estimates, frame.dropped).
+    """
+    cam_pos, heading = frame.camera_pose
+    estimates = []
+    for det in frame.detections:
+        rng_m = depth_from_disparity(det.disparity, rig)
+        gap = rng_m - det.known_radius_m
+        gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
         ray = heading + det.bearing_rad
         position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
         estimates.append(LabeledObstacleEstimate(det.reported_class, position, gap, det.instance_id))
-    return estimates, dropped
+    return estimates, frame.dropped

@@ -169,7 +169,7 @@ def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Option
 def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> TrialResult:
     """Run one trial; bit-identical for identical (spec, mode, seed).
 
-    soar mode looks labels up in the scenario's per-class policy, in fuse
+    soar mode looks labels up in the scenario's per-class policy, in sense
     and in the selection. non_soar mode withholds the semantic information:
     every label gets the uniform clearance spec.uniform_d0.
     """
@@ -230,10 +230,10 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
             positions[i] = obstacles[i].position_at(t_next)
 
         frame = sense(
-            obstacles, (state.position, state.heading), spec.rig, spec.noise,
+            obstacles, (state.position, state.heading), spec.rig, spec.noise, lookup_policy,
             rng_perception, positions=positions,
         )
-        estimates, _ = fuse(frame, spec.rig, lookup_policy)
+        estimates, _ = fuse(frame, spec.rig)
         selected = nearest_effective_obstacle(estimates, lookup_policy)
         active = None
         if selected is not None:

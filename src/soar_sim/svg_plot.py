@@ -2,11 +2,13 @@
 
 Obstacles draw as labeled discs with their clearance ring dashed, the
 start as a square, the goal as a cross, and each trajectory as a colored
-polyline with a legend entry. Output bytes are deterministic.
+polyline with a legend entry. Output bytes are deterministic, and names
+and labels are escaped, so any scenario name or class gives well-formed XML.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Sequence
 
 from soar_sim.scenario_io import ScenarioSpec
@@ -18,6 +20,25 @@ _PALETTE = {
     "non_soar": "#d62728",
 }
 _EXTRA_COLORS = ("#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+
+# characters XML 1.0 cannot hold at all, escaped or not
+_NOT_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _text(s: str) -> str:
+    """s as XML character data: markup escaped, unrepresentable characters as U+FFFD.
+
+    These are xml.sax.saxutils.escape's replacements; that module is not
+    imported because it loads urllib.request, and with it http.client and
+    email, into every CLI command.
+    """
+    s = _NOT_XML_CHAR.sub("\ufffd", s)
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _comment(s: str) -> str:
+    """s as XML comment text: no markup there, but no "--" either."""
+    return re.sub("-(?=-)", "- ", _NOT_XML_CHAR.sub("\ufffd", s))
 
 
 def _color_for(label: str, index: int) -> str:
@@ -68,7 +89,7 @@ def render_svg(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" '
         f'height="{fmt(height)}" viewBox="0 0 {fmt(width)} {fmt(height)}">',
         f'<rect width="{fmt(width)}" height="{fmt(height)}" fill="#fafafa"/>',
-        f"<!-- scenario: {spec.name} -->",
+        f"<!-- scenario: {_comment(spec.name)} -->",
     ]
 
     for obs in spec.obstacles:
@@ -85,7 +106,7 @@ def render_svg(
         )
         parts.append(
             f'<text x="{cx}" y="{cy}" font-size="10" text-anchor="middle" '
-            f'fill="#333333">{obs.class_label}#{obs.id}</text>'
+            f'fill="#333333">{_text(obs.class_label)}#{obs.id}</text>'
         )
 
     for index, (label, points) in enumerate(trajectories):
@@ -125,7 +146,7 @@ def render_svg(
             f'<line x1="8" y1="{fmt(y)}" x2="30" y2="{fmt(y)}" '
             f'stroke="{color}" stroke-width="2"/>'
         )
-        parts.append(f'<text x="34" y="{fmt(y + 3.5)}" font-size="11" fill="#222222">{label}</text>')
+        parts.append(f'<text x="34" y="{fmt(y + 3.5)}" font-size="11" fill="#222222">{_text(label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

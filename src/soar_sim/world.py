@@ -137,7 +137,7 @@ def nearest_effective_obstacle(
     Qualifying estimates have d0 > 0 for their class and surface distance
     within that d0; among them the one with the deepest intrusion
     (d0 - surface distance) wins. Ties break by smaller distance, then by
-    smaller source obstacle id. Returns (estimate, d0) or None. fuse applies
+    smaller source obstacle id. Returns (estimate, d0) or None. sense applies
     the same d0 rule first, so in a trial every estimate it gets qualifies.
     """
     best = None

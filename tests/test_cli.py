@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,18 @@ class TestBatch:
     def test_trials_must_be_positive(self, tmp_path, capsys):
         rc = main(["batch", "--scenario", OPEN_FIELD, "--trials", "0", "--out", str(tmp_path)])
         assert rc == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("command", ["batch", "compare"])
+    def test_trials_capped(self, tmp_path, capsys, monkeypatch, command):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(cli, "_run_one", no_trial)
+        rc = main([command, "--scenario", OPEN_FIELD, "--trials", str(cli.MAX_TRIALS + 1),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_RUNTIME
+        assert capsys.readouterr().err == f"ERROR: --trials must be <= {cli.MAX_TRIALS}\n"
+        assert not any(tmp_path.iterdir())
 
     def test_jobs_must_be_positive(self, tmp_path, capsys):
         for jobs in ("0", "-2"):
@@ -284,4 +297,20 @@ class TestPlot:
         assert svg.count("<polyline") == 2
         assert ">soar</text>" in svg
         assert ">non_soar</text>" in svg
+
+    def test_markup_in_names_gives_well_formed_svg(self, tmp_path):
+        traj = self.make_traj(tmp_path)
+        odd = tmp_path / "a<b&c\x01.traj.csv"  # the trajectory label is the file's stem
+        odd.write_bytes(traj.read_bytes())
+        doc = (SCENARIOS / "transparency.yaml").read_text()
+        doc = doc.replace("name: transparency", 'name: "block--<1>-"')
+        doc = doc.replace("sports_ball", '"rock & <roll>\\x02"')
+        scenario = tmp_path / "odd.yaml"
+        scenario.write_text(doc)
+        out = tmp_path / "odd.svg"
+        assert main(["plot", "--scenario", str(scenario), "--out", str(out), str(odd)]) == EXIT_OK
+        root = ET.fromstring(out.read_bytes())  # raises ParseError on malformed XML
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "rock & <roll>\ufffd#1" in texts
+        assert "a<b&c\ufffd.traj" in texts
 

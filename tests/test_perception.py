@@ -19,7 +19,7 @@ from soar_sim.world import ClearancePolicy, MotionSpec, ObstacleInstance, Vec2
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
 QUIET = SensorNoiseSpec(max_range_m=15.0)
-# every class has an infinite clearance, so fuse places every detection with a positive sample
+# every class has an infinite clearance, so sense emits every detection with a positive sample
 KEEP_ALL = ClearancePolicy({}, default_d0=math.inf)
 
 
@@ -38,7 +38,7 @@ def sensed_disparity(offsets, true_disparity=10.0):
     rig = rig_for(100.0, 0.1)  # focal * baseline = 10, so the range is 10 / true_disparity
     noise = SensorNoiseSpec(disparity_std=1.0, max_range_m=1e3)
     obstacles = [ObstacleInstance(1, "rock", Vec2(10.0 / true_disparity, 0.0), 0.0)]
-    frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, FixedDraws(list(offsets)))
+    frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL, FixedDraws(list(offsets)))
     return frame.detections[0].disparity
 
 
@@ -110,7 +110,7 @@ class TestDepthFromDisparity:
 class TestSense:
     def test_empty_world(self):
         rng = np.random.default_rng(0)
-        frame = sense([], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, rng)
+        frame = sense([], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, rng)
         assert frame.detections == ()
 
     def test_noise_free_identity(self):
@@ -119,7 +119,7 @@ class TestSense:
             ObstacleInstance(2, "fish", Vec2(2.0, -1.0), 0.2),
         ]
         rng = np.random.default_rng(0)
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, rng)
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, rng)
         assert [d.instance_id for d in frame.detections] == [1, 2]
         for det, obs in zip(frame.detections, obstacles):
             assert det.reported_class == obs.class_label
@@ -131,24 +131,24 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5)]
         rng = np.random.default_rng(123)
         state_before = rng.bit_generator.state
-        sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, rng)
+        sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, rng)
         assert rng.bit_generator.state == state_before
 
     def test_max_range_filter(self):
         obstacles = [ObstacleInstance(1, "rock", Vec2(20.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, np.random.default_rng(0))
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0))
         assert frame.detections == ()
 
     def test_fov_filter(self):
         noise = SensorNoiseSpec(fov_rad=math.pi, max_range_m=15.0)  # forward half-plane
         behind = [ObstacleInstance(1, "rock", Vec2(-3.0, 0.1), 0.5)]
-        frame = sense(behind, (Vec2(0.0, 0.0), 0.0), RIG, noise, np.random.default_rng(0))
+        frame = sense(behind, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(0))
         assert frame.detections == ()
 
     def test_occlusion_drops_far_obstacle(self):
         near = ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)
         far = ObstacleInstance(2, "rock", Vec2(8.0, 0.0), 0.5)
-        frame = sense([near, far], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, np.random.default_rng(0))
+        frame = sense([near, far], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0))
         assert [d.instance_id for d in frame.detections] == [1]
 
     def test_occlusion_matches_brute_force_ray_test(self):
@@ -164,7 +164,7 @@ class TestSense:
                 ObstacleInstance(1, "rock", blocker_center, radius),
                 ObstacleInstance(2, "rock", target, 0.2),
             ]
-            frame = sense(obstacles, (cam, 0.0), RIG, QUIET, np.random.default_rng(0))
+            frame = sense(obstacles, (cam, 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0))
             detected_ids = {d.instance_id for d in frame.detections}
             # brute force: sample the center ray densely
             blocked = any(
@@ -181,13 +181,14 @@ class TestSense:
         target = ObstacleInstance(2, "rock", Vec2(6.0, 0.0), 0.3)
         # blocker center well outside the 10 deg cone, disc still crossing the ray
         blocker = ObstacleInstance(1, "rock", Vec2(2.0, 0.6), 0.7)
-        frame = sense([blocker, target], (Vec2(0.0, 0.0), 0.0), RIG, noise, np.random.default_rng(0))
+        frame = sense([blocker, target], (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL,
+                      np.random.default_rng(0))
         assert frame.detections == ()
 
     def test_misclassification_uses_confusion_map(self):
         noise = SensorNoiseSpec(misclassify_prob=1.0, confusion={"rock": "fish"}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, np.random.default_rng(0))
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(0))
         det = frame.detections[0]
         assert det.reported_class == "fish"
         assert det.true_class == "rock"
@@ -195,7 +196,7 @@ class TestSense:
     def test_misclassification_without_mapping_keeps_class(self):
         noise = SensorNoiseSpec(misclassify_prob=1.0, confusion={}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, np.random.default_rng(0))
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(0))
         assert frame.detections[0].reported_class == "rock"
 
     def test_same_seed_same_frame(self):
@@ -206,7 +207,7 @@ class TestSense:
         noise = SensorNoiseSpec(disparity_std=0.4, misclassify_prob=0.3,
                                 confusion={"rock": "fish"}, max_range_m=15.0)
         frames = [
-            sense(obstacles, (Vec2(0.0, 0.0), 0.1), RIG, noise, np.random.default_rng(77))
+            sense(obstacles, (Vec2(0.0, 0.0), 0.1), RIG, noise, KEEP_ALL, np.random.default_rng(77))
             for _ in range(2)
         ]
         assert frames[0] == frames[1]
@@ -215,16 +216,16 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)]
         noise = SensorNoiseSpec(disparity_std=50.0, max_range_m=15.0)
         for seed in range(20):
-            frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, np.random.default_rng(seed))
+            frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(seed))
             for det in frame.detections:
-                assert det.disparity is None or det.disparity > 0.0
+                assert det.disparity > 0.0
 
     def test_moving_obstacle_uses_supplied_positions(self):
         obs = ObstacleInstance(
             1, "fish", Vec2(5.0, 0.0), 0.2, MotionSpec("waypoint_loop", (Vec2(5.0, 2.0),), 1.0)
         )
         moved = obs.position_at(1.0)
-        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, np.random.default_rng(0),
+        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0),
                       positions=[moved])
         det = frame.detections[0]
         expected_range = math.hypot(moved.x, moved.y)
@@ -243,8 +244,9 @@ class TestFuse:
         frame = PerceptionFrame(
             detections=(self.make_detection(10.0, radius=0.0),),
             camera_pose=(Vec2(0.0, 0.0), 0.0),
+            dropped=0,
         )
-        estimates, dropped = fuse(frame, rig, KEEP_ALL)
+        estimates, dropped = fuse(frame, rig)
         assert dropped == 0
         est = estimates[0]
         assert est.position.x == pytest.approx(1.0, rel=1e-12)
@@ -272,8 +274,8 @@ class TestFuse:
         disparity = sensed_disparity(samples)
         assert disparity == statistics.median(positive)
         rig = rig_for(100.0, 0.1)
-        frame = PerceptionFrame((self.make_detection(disparity, radius=0.0),), (Vec2(0.0, 0.0), 0.0))
-        estimates, _ = fuse(frame, rig, KEEP_ALL)
+        frame = PerceptionFrame((self.make_detection(disparity, radius=0.0),), (Vec2(0.0, 0.0), 0.0), 0)
+        estimates, _ = fuse(frame, rig)
         assert estimates[0].surface_distance == depth_from_disparity(statistics.median(positive), rig)
 
     def test_bearing_and_pose_compose(self):
@@ -283,8 +285,9 @@ class TestFuse:
         frame = PerceptionFrame(
             detections=(self.make_detection(5.0, bearing=bearing, radius=0.25),),
             camera_pose=(Vec2(2.0, -1.0), heading),
+            dropped=0,
         )
-        estimates, _ = fuse(frame, rig, KEEP_ALL)
+        estimates, _ = fuse(frame, rig)
         est = estimates[0]
         rng_m = 100.0 * 0.1 / 5.0
         assert est.position.x == pytest.approx(2.0 + rng_m * math.cos(heading + bearing), rel=1e-12)
@@ -296,8 +299,9 @@ class TestFuse:
         frame = PerceptionFrame(
             detections=(self.make_detection(50.0, radius=1.0),),  # range 0.2, radius 1.0
             camera_pose=(Vec2(0.0, 0.0), 0.0),
+            dropped=0,
         )
-        estimates, _ = fuse(frame, rig, KEEP_ALL)
+        estimates, _ = fuse(frame, rig)
         assert estimates[0].surface_distance == 0.0
 
     def test_label_passthrough(self):
@@ -306,21 +310,23 @@ class TestFuse:
             instance_id=3, reported_class="robot", true_class="fish",
             disparity=10.0, bearing_rad=0.0, known_radius_m=0.2,
         )
-        estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0)), rig, KEEP_ALL)
+        estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0), 0), rig)
         assert estimates[0].class_label == "robot"
         assert estimates[0].source_instance == 3
 
     def test_empty_sample_detection_dropped_with_counter(self):
         rig = rig_for(100.0, 0.1)
-        assert sensed_disparity([-10.0, -12.0] * 4 + [-10.5]) is None  # no positive sample
-        empty = Detection(
-            instance_id=1, reported_class="rock", true_class="rock",
-            disparity=None, bearing_rad=0.0, known_radius_m=0.1,
-        )
-        keep = self.make_detection(10.0)
-        estimates, dropped = fuse(PerceptionFrame((empty, keep), (Vec2(0.0, 0.0), 0.0)), rig, KEEP_ALL)
+        noise = SensorNoiseSpec(disparity_std=1.0, max_range_m=1e3)
+        obstacles = [ObstacleInstance(1, "rock", Vec2(1.0, 0.0), 0.1),  # true disparity 10
+                     ObstacleInstance(2, "rock", Vec2(0.0, 1.0), 0.1)]
+        no_positive = [-10.0, -12.0] * 4 + [-10.5]
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL,
+                      FixedDraws(no_positive, [0.0] * 9))
+        assert frame.dropped == 1
+        assert [det.instance_id for det in frame.detections] == [2]
+        estimates, dropped = fuse(frame, rig)
         assert dropped == 1
-        assert len(estimates) == 1
+        assert [est.source_instance for est in estimates] == [2]
 
 
 class TestSenseFuseRoundTrip:
@@ -331,8 +337,8 @@ class TestSenseFuseRoundTrip:
         ]
         pose = (Vec2(0.5, -0.25), 0.35)
         noise = SensorNoiseSpec(fov_rad=2.0 * math.pi, max_range_m=20.0)
-        frame = sense(obstacles, pose, RIG, noise, np.random.default_rng(0))
-        estimates, dropped = fuse(frame, RIG, KEEP_ALL)
+        frame = sense(obstacles, pose, RIG, noise, KEEP_ALL, np.random.default_rng(0))
+        estimates, dropped = fuse(frame, RIG)
         assert dropped == 0
         by_id = {e.source_instance: e for e in estimates}
         for obs in obstacles:

@@ -1,9 +1,14 @@
-"""sense() against a per-pair occlusion reference on random obstacle fields.
+"""sense() against a per-pair reference sense and a place-everything fuse, on random obstacle fields.
 
 The reference tests every pair exactly, draws noise per detection in
-sense's documented order and takes statistics.median of each detection's
-positive samples, so it checks sense's occlusion prefilter, its block draws
-and its median from sorted rows.
+sense's documented order, takes statistics.median of each detection's
+positive samples and keeps every visible obstacle, with disparity None
+when no sample is positive. A reference fuse then ranges and places every
+detection that has a positive sample. Filtered by the rule of
+nearest_effective_obstacle, that must give exactly what sense emits, what
+fuse places and the dropped count, with the rng left in the same state. So
+this checks sense's occlusion prefilter, its block draws, its median from
+sorted rows and its early clearance rule.
 """
 
 from __future__ import annotations
@@ -22,16 +27,26 @@ from hypothesis import strategies as st  # noqa: E402
 from soar_sim.perception import (  # noqa: E402
     SAMPLES_PER_DETECTION,
     Detection,
-    PerceptionFrame,
+    LabeledObstacleEstimate,
     SensorNoiseSpec,
     StereoRig,
+    depth_from_disparity,
     fuse,
     sense,
 )
-from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, wrap_angle  # noqa: E402
+from soar_sim.world import (  # noqa: E402
+    ClearancePolicy,
+    ObstacleInstance,
+    Vec2,
+    nearest_effective_obstacle,
+    wrap_angle,
+)
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
 QUIET = SensorNoiseSpec(max_range_m=15.0)
+KEEP_ALL = ClearancePolicy({}, default_d0=math.inf)
+CLASSES = ("rock", "fish")
+
 
 def segment_hits_disc(a: Vec2, b: Vec2, center: Vec2, radius: float) -> bool:
     """Whether segment a-b passes within radius of center (per-pair oracle)."""
@@ -46,7 +61,10 @@ def segment_hits_disc(a: Vec2, b: Vec2, center: Vec2, radius: float) -> bool:
 
 
 def reference_sense(obstacles, pose, rig, noise, rng, positions):
-    """sense() as a per-pair loop: every obstacle tests every other one exactly."""
+    """sense() before its clearance rule, as a per-pair loop: one detection per visible obstacle.
+
+    Every obstacle tests every other one exactly; disparity is None when no sample is positive.
+    """
     cam_pos, heading = pose
     ordered = sorted(range(len(obstacles)), key=lambda i: obstacles[i].id)
     geo, candidates = [], []
@@ -87,17 +105,37 @@ def reference_sense(obstacles, pose, rig, noise, rng, positions):
             disparity = statistics.median(positive) if positive else None
         else:
             disparity = true_disparity
-        detections.append(
-            Detection(
-                instance_id=obs.id,
-                reported_class=reported,
-                true_class=obs.class_label,
-                disparity=disparity,
-                bearing_rad=bearing,
-                known_radius_m=obs.radius,
-            )
-        )
-    return PerceptionFrame(detections=tuple(detections), camera_pose=(cam_pos, heading))
+        detections.append(Detection(obs.id, reported, obs.class_label, disparity, bearing, obs.radius))
+    return detections
+
+
+def reference_fuse(detections, pose, rig):
+    """fuse without a clearance rule: every detection with a positive sample is ranged and placed.
+
+    Returns ([(detection, estimate)], dropped).
+    """
+    cam_pos, heading = pose
+    placed = []
+    dropped = 0
+    for det in detections:
+        if det.disparity is None:
+            dropped += 1
+            continue
+        rng_m = depth_from_disparity(det.disparity, rig)
+        ray = heading + det.bearing_rad
+        position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
+        gap = rng_m - det.known_radius_m
+        gap = gap if gap > 0.0 else 0.0
+        placed.append((det, LabeledObstacleEstimate(det.reported_class, position, gap, det.instance_id)))
+    return placed, dropped
+
+
+def reference(world, seed):
+    """The reference pipeline's ([(detection, estimate)], dropped, rng) for one world and seed."""
+    obstacles, positions, pose, noise = world
+    rng = np.random.default_rng(seed)
+    placed, dropped = reference_fuse(reference_sense(obstacles, pose, RIG, noise, rng, positions), pose, RIG)
+    return placed, dropped, rng
 
 
 # Grid values make equal ranges and exactly tangent center rays likely; the
@@ -170,123 +208,152 @@ def near_tangent_fields(draw):
     return obstacles, [obs.center for obs in obstacles], (cam, heading), draw(noise_specs())
 
 
+@st.composite
+def policies(draw, world, seed):
+    """d0s drawn from 0, inf, the reference's own gaps, their float neighbours and random values."""
+    gaps = [est.surface_distance for _, est in reference(world, seed)[0]]
+    edges = [0.0, math.inf, *gaps, *(math.nextafter(g, math.inf) for g in gaps),
+             *(math.nextafter(g, 0.0) for g in gaps)]
+    d0s = st.one_of(st.sampled_from(edges), st.floats(0.0, 20.0))
+    return ClearancePolicy(draw(st.dictionaries(st.sampled_from(CLASSES), d0s)), default_d0=draw(d0s))
+
+
+@st.composite
+def cases(draw):
+    """(world, seed, policy); a third of the policies keep every detection, to check sensing alone."""
+    world = draw(st.one_of(obstacle_fields(), near_tangent_fields()))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return world, seed, draw(st.one_of(st.just(KEEP_ALL), policies(world, seed), policies(world, seed)))
+
+
 FAR_ROCK = ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)
 WIDE_NOISE = SensorNoiseSpec(disparity_std=40.0)
+ORIGIN = Vec2(0.0, 0.0)
 
 
-def world_of(obstacles, cam, heading=0.0, noise=QUIET):
+def world_of(obstacles, cam=ORIGIN, heading=0.0, noise=QUIET):
     return obstacles, [obs.center for obs in obstacles], (cam, heading), noise
+
+
+ROCK_AHEAD = world_of([ObstacleInstance(1, "rock", Vec2(5.0, 0.3), 0.5)])
+ROCK_GAP = reference(ROCK_AHEAD, 0)[0][0][1].surface_distance
 
 
 class TestSenseMatchesPerPairReference:
     @settings(max_examples=400, deadline=None)
-    @given(world=st.one_of(obstacle_fields(), near_tangent_fields()), seed=st.integers(0, 2**32 - 1))
+    @given(case=cases())
     # an obstacle exactly at max_range is still seen
-    @example(
-        world=world_of([ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)], Vec2(0.0, 0.0),
-                       noise=SensorNoiseSpec(max_range_m=4.0)),
-        seed=0,
-    )
+    @example(case=(world_of([ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)],
+                            noise=SensorNoiseSpec(max_range_m=4.0)), 0, KEEP_ALL))
     # a disc tangent to the ray within rounding, 1e9 off the origin: it
     # occludes only through rounding that a margin-free prefilter misses
-    @example(
-        world=world_of(
+    @example(case=(
+        world_of(
             [ObstacleInstance(1, "rock", Vec2(1000000005.403023, -8.414709848078965), 0.1),
              ObstacleInstance(2, "fish", Vec2(1000000004.4730028, -6.040881233125154), 0.5)],
             Vec2(1e9, 0.0),
         ),
-        seed=0,
-    )
+        0, KEEP_ALL,
+    ))
     # a disc of radius 1e-300 touching the camera occludes a target 1e150
     # away; its squared prefilter bound underflows to 0 without the floor
-    @example(
-        world=world_of(
+    @example(case=(
+        world_of(
             [ObstacleInstance(1, "rock", Vec2(1e150, 0.0), 1.0),
              ObstacleInstance(2, "fish", Vec2(0.0, 1e-300), 1e-300)],
-            Vec2(0.0, 0.0),
             noise=SensorNoiseSpec(max_range_m=1e200),
         ),
-        seed=0,
-    )
+        0, KEEP_ALL,
+    ))
     # a target 1e-101 away behind a disc 1e-110 off its center ray: the cross
     # product's square underflows to 0, so the prefilter must not skip
-    @example(
-        world=world_of(
+    @example(case=(
+        world_of(
             [ObstacleInstance(1, "rock", Vec2(1e-101, 0.0), 1e-300),
              ObstacleInstance(2, "fish", Vec2(5e-102, 1e-110), 1e-105)],
-            Vec2(0.0, 0.0),
         ),
-        seed=0,
-    )
+        0, KEEP_ALL,
+    ))
     # a target 1e85 away and a disc 1e75 off its center ray: the cross
     # product's square overflows to inf while bound * seg_len2 stays finite
-    @example(
-        world=world_of(
+    @example(case=(
+        world_of(
             [ObstacleInstance(1, "rock", Vec2(1e85, 0.0), 1.0),
              ObstacleInstance(2, "fish", Vec2(1e79, 1e75), 1.0)],
-            Vec2(0.0, 0.0),
             noise=SensorNoiseSpec(max_range_m=1e90),
         ),
-        seed=0,
-    )
+        0, KEEP_ALL,
+    ))
     # straight behind is bearing pi, just outside a view of nextafter(2 pi, 0)
-    @example(
-        world=world_of(
-            [ObstacleInstance(1, "rock", Vec2(2.0, 0.0), 0.5)],
-            Vec2(0.0, 0.0),
-            heading=math.pi,
-            noise=SensorNoiseSpec(fov_rad=math.nextafter(2.0 * math.pi, 0.0)),
-        ),
-        seed=0,
-    )
+    @example(case=(
+        world_of([ObstacleInstance(1, "rock", Vec2(2.0, 0.0), 0.5)], heading=math.pi,
+                 noise=SensorNoiseSpec(fov_rad=math.nextafter(2.0 * math.pi, 0.0))),
+        0, KEEP_ALL,
+    ))
     # both noise sources on: all label draws come before the disparity draws
-    @example(
-        world=world_of(
+    @example(case=(
+        world_of(
             [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5),
              ObstacleInstance(2, "rock", Vec2(0.0, 3.0), 0.5)],
-            Vec2(0.0, 0.0),
             noise=SensorNoiseSpec(disparity_std=0.3, misclassify_prob=0.5, confusion={"rock": "fish"}),
         ),
-        seed=1,
-    )
+        1, KEEP_ALL,
+    ))
     # the median of the positive samples, seen 14 m away with disparity std 40
-    # (true disparity 3.43): all 9 positive, 3 survive (odd), 4 survive (even),
-    # and none survive, so fuse drops the detection and counts it
-    @example(world=world_of([FAR_ROCK], Vec2(0.0, 0.0), noise=WIDE_NOISE), seed=372)
-    @example(world=world_of([FAR_ROCK], Vec2(0.0, 0.0), noise=WIDE_NOISE), seed=17)
-    @example(world=world_of([FAR_ROCK], Vec2(0.0, 0.0), noise=WIDE_NOISE), seed=4)
-    @example(world=world_of([FAR_ROCK], Vec2(0.0, 0.0), noise=WIDE_NOISE), seed=62)
+    # (true disparity 3.43): all 9 positive, 3 survive (odd), 4 survive (even)
+    @example(case=(world_of([FAR_ROCK], noise=WIDE_NOISE), 372, KEEP_ALL))
+    @example(case=(world_of([FAR_ROCK], noise=WIDE_NOISE), 17, KEEP_ALL))
+    @example(case=(world_of([FAR_ROCK], noise=WIDE_NOISE), 4, KEEP_ALL))
+    # an all-negative row: no sample survives, so the obstacle is dropped and
+    # counted, before and whatever its class's d0 (here 0)
+    @example(case=(world_of([FAR_ROCK], noise=WIDE_NOISE), 62, ClearancePolicy({"rock": 0.0})))
     # zero-length center ray: obstacle 1's squared range underflows, and
     # obstacle 2, nearer still, covers the camera
-    @example(
-        world=(
+    @example(case=(
+        (
             [ObstacleInstance(1, "rock", Vec2(0.0, 1e-170), 1e-300),
              ObstacleInstance(2, "fish", Vec2(0.0, 5e-324), 1e-300)],
             [Vec2(0.0, 1e-170), Vec2(0.0, 5e-324)],
-            (Vec2(0.0, 0.0), 0.0),
+            (ORIGIN, 0.0),
             QUIET,
         ),
-        seed=0,
-    )
+        0, KEEP_ALL,
+    ))
     # the same, but the nearer disc's edge passes exactly through the camera
-    @example(
-        world=world_of(
+    @example(case=(
+        world_of(
             [ObstacleInstance(1, "rock", Vec2(0.0, 1e-170), 1e-300),
              ObstacleInstance(2, "fish", Vec2(0.0, 5e-324), 5e-324)],
-            Vec2(0.0, 0.0),
         ),
-        seed=0,
-    )
-    def test_same_detections_and_rng_state(self, world, seed):
+        0, KEEP_ALL,
+    ))
+    # a gap exactly equal to d0 still qualifies, with zero intrusion
+    @example(case=(ROCK_AHEAD, 0, ClearancePolicy({"rock": ROCK_GAP}, default_d0=0.0)))
+    # a d0 = 0 class is never emitted, not even at contact; the nearer rock beside it is
+    @example(case=(
+        world_of([ObstacleInstance(1, "fish", Vec2(0.5, 0.0), 1.0),
+                  ObstacleInstance(2, "rock", Vec2(0.0, -0.4), 0.1)]),
+        0, ClearancePolicy({"fish": 0.0}, default_d0=1.0),
+    ))
+    # the reported class decides, not the true one
+    @example(case=(
+        world_of([ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)],
+                 noise=SensorNoiseSpec(misclassify_prob=1.0, confusion={"rock": "fish"})),
+        0, ClearancePolicy({"fish": 5.0, "rock": 0.0}),
+    ))
+    def test_same_detections_and_rng_state(self, case):
+        world, seed, policy = case
         obstacles, positions, pose, noise = world
-        rng_new, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        frame = sense(obstacles, pose, RIG, noise, rng_new, positions=positions)
-        reference = reference_sense(obstacles, pose, RIG, noise, rng_ref, positions=positions)
-        assert frame == reference
-        assert rng_new.bit_generator.state == rng_ref.bit_generator.state
-        # fuse drops exactly the detections with no positive sample, and counts them
-        estimates, dropped = fuse(frame, RIG, ClearancePolicy({}, default_d0=math.inf))
-        assert dropped == sum(det.disparity is None for det in reference.detections)
-        assert [est.source_instance for est in estimates] == [
-            det.instance_id for det in reference.detections if det.disparity is not None
-        ]
+        rng = np.random.default_rng(seed)
+        frame = sense(obstacles, pose, RIG, noise, policy, rng, positions=positions)
+        placed, dropped, rng_ref = reference(world, seed)
+        kept = [(det, est) for det, est in placed if nearest_effective_obstacle([est], policy) is not None]
+        assert frame.detections == tuple(det for det, _ in kept)
+        assert frame.dropped == dropped
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        # fuse places every emitted detection, and steering picks what it would from everything
+        estimates, fused_dropped = fuse(frame, RIG)
+        assert estimates == [est for _, est in kept]
+        assert fused_dropped == dropped
+        assert nearest_effective_obstacle(estimates, policy) == \
+            nearest_effective_obstacle([est for _, est in placed], policy)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import soar_sim.sim
 from soar_sim.perception import Detection, LabeledObstacleEstimate, PerceptionFrame
 from soar_sim.sim import (
     MODE_NON_SOAR,
@@ -36,7 +37,7 @@ PER_TICK_RECORDS = {
     "ActiveObstacle": (ActiveObstacle(ORIGIN, 0.5, 1.0, 3), "d0"),
     "SteeringDecision": (SteeringDecision(ORIGIN, None, 0.0, 0.0, ORIGIN, None, False), "v_hat"),
     "Detection": (Detection(3, "rock", "rock", 1.0, 0.0, 0.5), "disparity"),
-    "PerceptionFrame": (PerceptionFrame((), (ORIGIN, 0.0)), "detections"),
+    "PerceptionFrame": (PerceptionFrame((), (ORIGIN, 0.0), 0), "detections"),
     "LabeledObstacleEstimate": (LabeledObstacleEstimate("rock", ORIGIN, 0.5, 3), "surface_distance"),
 }
 
@@ -241,3 +242,30 @@ class TestRunTrial:
         at_rock = run_trial(replace(transparency, start_pose=(touching_rock, heading)), MODE_SOAR, seed=5)
         assert at_rock.outcome == OUTCOME_COLLISION
         assert at_rock.travel_time == 0.0
+
+
+def test_stage_hooks_called_once_per_tick(monkeypatch, parking_lot):
+    # perfbench/spans.py times sim.sense and sim.fuse by swapping these module
+    # attributes; it counts sense(...).detections and fuse(...)[1] as dropped
+    frames, dropped = [], []
+    sense, fuse = soar_sim.sim.sense, soar_sim.sim.fuse
+
+    def counting_sense(*args, **kwargs):
+        frames.append(sense(*args, **kwargs))
+        return frames[-1]
+
+    def counting_fuse(*args, **kwargs):
+        fused = fuse(*args, **kwargs)
+        dropped.append(fused[1])
+        return fused
+
+    monkeypatch.setattr(soar_sim.sim, "sense", counting_sense)
+    monkeypatch.setattr(soar_sim.sim, "fuse", counting_fuse)
+    # with noise this wide, each visible obstacle has no positive sample with odds near 2^-9
+    noisy = replace(parking_lot, time_limit=5.0, noise=replace(parking_lot.noise, disparity_std=1e3))
+    ticks = len(run_trial(noisy, MODE_SOAR, seed=42).trajectory) - 1
+    assert ticks > 0
+    assert len(frames) == len(dropped) == ticks
+    assert all(isinstance(frame.detections, tuple) for frame in frames)
+    assert dropped == [frame.dropped for frame in frames]
+    assert sum(dropped) > 0
