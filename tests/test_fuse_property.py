@@ -1,10 +1,12 @@
-"""Policy-aware fuse against a fuse that places every detection, on random frames.
+"""fuse against a reference that places every detection, on random frames.
 
-fuse skips a detection whose reported class has d0 <= 0, or whose clamped
-surface distance exceeds d0: the rule nearest_effective_obstacle applies.
-The reference places every detection with a positive sample, as fuse did
-before it took the policy. Steering must pick the same estimate from both,
-and fuse must keep exactly the reference estimates that the rule admits.
+sense emits only the detections that pass the rule nearest_effective_obstacle
+applies; fuse then ranges and places each one, and passes frame.dropped on.
+The reference places every detection of a raw frame, whatever its class.
+On the raw frame fuse must give the reference's estimates; on the frame
+filtered by the rule, as sense emits it, fuse must keep exactly the
+reference estimates the rule admits, each of which qualifies, and steering
+must pick the same estimate as from everything.
 """
 
 from __future__ import annotations
@@ -34,47 +36,44 @@ POSE = (Vec2(1.5, -2.0), 0.4)
 
 
 def reference_fuse(frame, rig):
-    """fuse without a policy: every detection with a positive sample is ranged and placed."""
+    """fuse written out per detection: every detection is ranged and placed."""
     cam_pos, heading = frame.camera_pose
     estimates = []
-    dropped = 0
     for det in frame.detections:
-        if det.disparity is None:
-            dropped += 1
-            continue
         rng_m = depth_from_disparity(det.disparity, rig)
         ray = heading + det.bearing_rad
         position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
         gap = rng_m - det.known_radius_m
         gap = gap if gap > 0.0 else 0.0
         estimates.append(LabeledObstacleEstimate(det.reported_class, position, gap, det.instance_id))
-    return estimates, dropped
+    return estimates
 
 
 @st.composite
 def frames(draw):
-    """0-12 detections with unique ids, None disparities and labels confused at random."""
+    """0-12 detections with unique ids, labels confused at random, and a dropped count."""
     fields = draw(st.lists(
         st.tuples(
             st.sampled_from(CLASSES),  # reported
             st.sampled_from(CLASSES),  # true
-            st.one_of(st.none(), st.floats(0.01, 500.0)),  # range 0.096 to 4800 m
+            st.floats(0.01, 500.0),  # range 0.096 to 4800 m
             st.floats(-math.pi, math.pi),
             st.floats(0.0, 3.0),
         ),
         max_size=12,
     ))
     ids = draw(st.lists(st.integers(0, 99), min_size=len(fields), max_size=len(fields), unique=True))
-    detections = tuple(Detection(i, *f) for i, f in zip(ids, fields))
+    detections = tuple(Detection(i, *f) for i, f in zip(sorted(ids), fields))
     position = Vec2(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
-    return PerceptionFrame(detections, (position, draw(st.floats(-math.pi, math.pi))))
+    return PerceptionFrame(detections, (position, draw(st.floats(-math.pi, math.pi))),
+                           draw(st.integers(0, 5)))
 
 
 @st.composite
 def frames_and_policies(draw):
     """A frame, and d0s drawn from 0, the frame's own gaps, their float neighbours and random values."""
     frame = draw(frames())
-    gaps = [est.surface_distance for est in reference_fuse(frame, RIG)[0]]
+    gaps = [est.surface_distance for est in reference_fuse(frame, RIG)]
     edges = [0.0, *gaps, *(math.nextafter(g, math.inf) for g in gaps),
              *(math.nextafter(g, 0.0) for g in gaps)]
     d0s = st.one_of(st.sampled_from(edges), st.floats(0.0, 10.0))
@@ -83,11 +82,11 @@ def frames_and_policies(draw):
 
 
 def one(det):
-    return PerceptionFrame((det,), POSE)
+    return PerceptionFrame((det,), POSE, 0)
 
 
 ROCK = Detection(1, "rock", "rock", 10.0, 0.3, 0.5)  # range 4.8, gap 4.3
-ROCK_GAP = reference_fuse(one(ROCK), RIG)[0][0].surface_distance
+ROCK_GAP = reference_fuse(one(ROCK), RIG)[0].surface_distance
 BALL_AT_CONTACT = Detection(2, "ball", "ball", 400.0, 0.0, 1.0)  # range 0.12, gap 0
 ROCK_SEEN_AS_FISH = Detection(3, "fish", "rock", 10.0, -0.2, 0.5)
 
@@ -102,9 +101,13 @@ ROCK_SEEN_AS_FISH = Detection(3, "fish", "rock", 10.0, -0.2, 0.5)
 @example(case=(one(ROCK_SEEN_AS_FISH), ClearancePolicy({"fish": 5.0, "rock": 0.0})))
 def test_fuse_keeps_what_the_selection_rule_admits(case):
     frame, policy = case
-    estimates, dropped = fuse(frame, RIG, policy)
-    every, every_dropped = reference_fuse(frame, RIG)
-    # dropped counts every detection with no positive sample, whatever its class
-    assert dropped == every_dropped
+    every = reference_fuse(frame, RIG)
+    assert fuse(frame, RIG) == (every, frame.dropped)
+    # the frame sense would emit: only the detections whose estimate the rule admits
+    admitted = [nearest_effective_obstacle([est], policy) is not None for est in every]
+    emitted = frame._replace(detections=tuple(det for det, ok in zip(frame.detections, admitted) if ok))
+    estimates, dropped = fuse(emitted, RIG)
+    assert dropped == frame.dropped
+    assert estimates == [est for est, ok in zip(every, admitted) if ok]
+    assert all(nearest_effective_obstacle([est], policy) is not None for est in estimates)
     assert nearest_effective_obstacle(estimates, policy) == nearest_effective_obstacle(every, policy)
-    assert estimates == [est for est in every if nearest_effective_obstacle([est], policy) is not None]
