@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -55,9 +56,11 @@ def _run_batch(
     if workers <= 1:
         rows = [_run_one(task) for task in tasks]
     else:
-        # map yields in task order, which is seed order within each mode
+        # map yields in task order, which is seed order within each mode; it submits every
+        # chunk at once, so at most 64 chunks per worker keep a 10^6-trial batch's futures few
+        chunksize = math.ceil(len(tasks) / (64 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_one, tasks))
+            rows = list(pool.map(_run_one, tasks, chunksize=chunksize))
     return [rows[k * trials:(k + 1) * trials] for k in range(len(modes))]
 
 

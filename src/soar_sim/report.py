@@ -40,12 +40,9 @@ class ComparisonReport:
     relative_time_delta: Optional[float]  # percent, None unless both modes succeeded
 
 
-def summarize_mode(mode: str, results: Sequence[TrialRow | TrialResult]) -> ModeSummary:
-    """Aggregate trial rows or results; the mean covers goal_reached trials only."""
-    rows = tuple(
-        TrialRow(seed=r.seed, travel_time=r.travel_time, outcome=r.outcome)
-        for r in sorted(results, key=lambda r: r.seed)
-    )
+def summarize_mode(mode: str, results: Sequence[TrialRow]) -> ModeSummary:
+    """Aggregate trial rows; the mean covers goal_reached trials only."""
+    rows = tuple(sorted(results, key=lambda r: r.seed))
     times = [r.travel_time for r in results if r.outcome == OUTCOME_GOAL]
     return ModeSummary(
         mode=mode,
@@ -58,8 +55,8 @@ def summarize_mode(mode: str, results: Sequence[TrialRow | TrialResult]) -> Mode
 
 def build_comparison(
     scenario_name: str,
-    soar_results: Sequence[TrialRow | TrialResult],
-    non_soar_results: Sequence[TrialRow | TrialResult],
+    soar_results: Sequence[TrialRow],
+    non_soar_results: Sequence[TrialRow],
 ) -> ComparisonReport:
     soar = summarize_mode(MODE_SOAR, soar_results)
     non_soar = summarize_mode(MODE_NON_SOAR, non_soar_results)

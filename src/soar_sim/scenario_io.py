@@ -5,7 +5,9 @@ Each schema decision has one owner:
 
 - the reader checks shape only: mappings, lists, required keys, unknown
   keys (errors) and each value's type (an integer counts as a number, a
-  boolean as neither). It applies no value bound;
+  boolean as neither). It applies no value bound but one: it alone knows
+  the motion types, and a `waypoint_loop` at speed 0 needs a waypoint, or
+  it would load as a static obstacle (one without waypoints);
 - an absent key takes the default of the dataclass field it fills;
 - validate_scenario holds every value rule: each number finite, then every
   range. load_scenario runs it, and a spec built in code gets the same
@@ -25,11 +27,8 @@ import yaml
 
 from soar_sim.perception import SensorNoiseSpec, StereoRig
 from soar_sim.world import (
-    MOTION_STATIC,
-    MOTION_WAYPOINT_LOOP,
     ClearancePolicy,
     DisturbanceSpec,
-    MotionSpec,
     ObstacleInstance,
     RobotParams,
     Vec2,
@@ -44,6 +43,8 @@ DEFAULT_UNIFORM_D0 = 1.0
 DEFAULT_SEED = 0
 # cap on time_limit_s / robot.dt, the trial's tick budget; shipped scenarios need at most 6,001
 MAX_TICKS = 1_000_000
+_STATIC = "static"  # the document's motion types
+_WAYPOINT_LOOP = "waypoint_loop"
 
 
 class ScenarioError(ValueError):
@@ -120,28 +121,31 @@ def _point(data: dict, path: str) -> Vec2:
     return Vec2(_get(data, "x", path), _get(data, "y", path))
 
 
-def _check_motion_type(kind: str, path: str) -> None:
-    """The reader's motion-type rule (it picks the keys read), which validate_scenario applies too."""
-    if kind not in (MOTION_STATIC, MOTION_WAYPOINT_LOOP):
-        raise ScenarioError(f"{path}.type: expected '{MOTION_STATIC}' or '{MOTION_WAYPOINT_LOOP}', got {kind!r}")
+def _check(ok: bool, path: str, rule: str) -> None:
+    if not ok:
+        raise ScenarioError(f"{path}: violates {rule}")
 
 
-def _parse_motion(data: dict, path: str) -> MotionSpec:
+def _parse_motion(data: dict, path: str) -> dict[str, Any]:
+    """The obstacle's waypoints and speed, as ObstacleInstance keywords; none for a static one."""
     if "motion" not in data:
-        return MotionSpec()
+        return {}
     path = f"{path}.motion"
     mdata = _mapping(data["motion"], path, {"type", "speed", "waypoints"})
-    kind = _get(mdata, "type", path, MotionSpec().kind, str)
-    _check_motion_type(kind, path)
-    if kind == MOTION_STATIC:
+    kind = _get(mdata, "type", path, _STATIC, str)
+    if kind not in (_STATIC, _WAYPOINT_LOOP):
+        raise ScenarioError(f"{path}.type: expected '{_STATIC}' or '{_WAYPOINT_LOOP}', got {kind!r}")
+    if kind == _STATIC:
         _mapping(mdata, path, {"type"})  # a static obstacle takes no speed or waypoints
-        return MotionSpec()
+        return {}
     speed = _get(mdata, "speed", path)
     waypoints = []
     for j, entry in enumerate(_get(mdata, "waypoints", path, kind=list)):
         wpath = f"{path}.waypoints[{j}]"
         waypoints.append(_point(_mapping(entry, wpath, {"x", "y"}), wpath))
-    return MotionSpec(kind=kind, waypoints=tuple(waypoints), speed=speed)
+    # at speed 0 an empty loop would load as a static obstacle; validate_scenario rejects any other
+    _check(bool(waypoints) or speed != 0.0, f"{path}.waypoints", "waypoints non-empty")
+    return {"waypoints": tuple(waypoints), "speed": speed}
 
 
 def _parse_obstacle(entry: Any, path: str) -> ObstacleInstance:
@@ -151,7 +155,7 @@ def _parse_obstacle(entry: Any, path: str) -> ObstacleInstance:
         class_label=_get(data, "class", path, kind=str),
         center=_point(data, path),
         radius=_get(data, "radius", path, 0.0),
-        motion=_parse_motion(data, path),
+        **_parse_motion(data, path),
     )
 
 
@@ -262,11 +266,6 @@ def _non_finite(node: Any, path: str) -> Iterator[str]:
         yield path
 
 
-def _check(ok: bool, path: str, rule: str) -> None:
-    if not ok:
-        raise ScenarioError(f"{path}: violates {rule}")
-
-
 def validate_scenario(spec: ScenarioSpec) -> None:
     """Check every value rule; raises ScenarioError naming the document path of the culprit.
 
@@ -318,13 +317,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         _check(obs.id not in seen_ids, f"{path}.id", f"id unique (obstacle id {obs.id})")
         seen_ids.add(obs.id)
         _check(obs.radius >= 0.0, f"{path}.radius", f"radius >= 0 (obstacle id {obs.id})")
-        _check_motion_type(obs.motion.kind, f"{path}.motion")
-        if obs.motion.kind != MOTION_STATIC:
-            _check(obs.motion.speed >= 0.0, f"{path}.motion.speed", "speed >= 0")
-            _check(len(obs.motion.waypoints) > 0, f"{path}.motion.waypoints", "waypoints non-empty")
-        else:  # its document carries neither
-            _check(not obs.motion.waypoints and obs.motion.speed == 0.0, f"{path}.motion.waypoints",
-                   "a static motion has no waypoints and speed 0")
+        _check(obs.speed >= 0.0, f"{path}.motion.speed", "speed >= 0")
+        # a speed alone serializes as a loop with no waypoints
+        _check(bool(obs.waypoints) or obs.speed == 0.0, f"{path}.motion.waypoints", "waypoints non-empty")
         d0 = effective_d0(spec.policy, obs.class_label)
         if d0 > 0.0:
             _check(_polyline_distance(spec.goal, obs.path_points()) > obs.radius + d0, path,
@@ -362,11 +357,11 @@ def _obstacle_document(obs: ObstacleInstance) -> dict[str, Any]:
         "y": obs.center.y,
         "radius": obs.radius,
     }
-    if obs.motion.kind != MOTION_STATIC:
+    if obs.waypoints or obs.speed != 0.0:
         entry["motion"] = {
-            "type": obs.motion.kind,
-            "speed": obs.motion.speed,
-            "waypoints": [{"x": wp.x, "y": wp.y} for wp in obs.motion.waypoints],
+            "type": _WAYPOINT_LOOP,
+            "speed": obs.speed,
+            "waypoints": [{"x": wp.x, "y": wp.y} for wp in obs.waypoints],
         }
     return entry
 

@@ -16,9 +16,6 @@ from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 if TYPE_CHECKING:
     from soar_sim.perception import LabeledObstacleEstimate
 
-MOTION_STATIC = "static"
-MOTION_WAYPOINT_LOOP = "waypoint_loop"
-
 
 class Vec2(NamedTuple):
     x: float
@@ -35,24 +32,19 @@ class Vec2(NamedTuple):
 
 
 @dataclass(frozen=True, slots=True)
-class MotionSpec:
-    """Obstacle motion: static, or a closed waypoint loop at constant speed.
+class ObstacleInstance:
+    """An obstacle at center, or on a closed waypoint loop at a constant speed.
 
     The loop path is center -> waypoints[0] -> ... -> waypoints[-1] -> center.
+    With no waypoints, or speed 0, the obstacle stays at center.
     """
 
-    kind: str = MOTION_STATIC
-    waypoints: tuple[Vec2, ...] = ()
-    speed: float = 0.0
-
-
-@dataclass(frozen=True, slots=True)
-class ObstacleInstance:
     id: int
     class_label: str
     center: Vec2
     radius: float
-    motion: MotionSpec = field(default_factory=MotionSpec)
+    waypoints: tuple[Vec2, ...] = ()
+    speed: float = 0.0
     # (path points, segment lengths, loop length), or None if the obstacle stays at center
     _loop: Optional[tuple] = field(init=False, compare=False, repr=False)
 
@@ -60,14 +52,12 @@ class ObstacleInstance:
         pts = self.path_points()
         seg_lengths = tuple(pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1))
         total = sum(seg_lengths)  # 0 for a one-point path
-        loop = None if self.motion.speed <= 0.0 or total <= 0.0 else (pts, seg_lengths, total)
+        loop = None if self.speed <= 0.0 or total <= 0.0 else (pts, seg_lengths, total)
         object.__setattr__(self, "_loop", loop)
 
     def path_points(self) -> tuple[Vec2, ...]:
         """Closed loop the obstacle travels, starting and ending at center."""
-        if self.motion.kind == MOTION_STATIC or not self.motion.waypoints:
-            return (self.center,)
-        return (self.center, *self.motion.waypoints, self.center)
+        return (self.center, *self.waypoints, self.center) if self.waypoints else (self.center,)
 
     def is_moving(self) -> bool:
         """Whether position_at depends on t; if not, it always returns center."""
@@ -79,7 +69,7 @@ class ObstacleInstance:
         if loop is None:
             return self.center
         pts, seg_lengths, total = loop
-        s = math.fmod(self.motion.speed * t, total)
+        s = math.fmod(self.speed * t, total)
         for i, seg in enumerate(seg_lengths):
             if s <= seg:
                 if seg == 0.0:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -200,10 +201,11 @@ class TestCompare:
 
 
 class PoolRecorder:
-    """ProcessPoolExecutor stand-in: records each pool's max_workers and maps in this process."""
+    """ProcessPoolExecutor stand-in: records each pool's max_workers and map chunksize, and maps in this process."""
 
-    def __init__(self, sizes, max_workers):
+    def __init__(self, sizes, max_workers, chunksizes=None):
         sizes.append(max_workers)
+        self.chunksizes = [] if chunksizes is None else chunksizes
 
     def __enter__(self):
         return self
@@ -211,7 +213,8 @@ class PoolRecorder:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, chunksize=1):
+        self.chunksizes.append(chunksize)
         return [fn(task) for task in tasks]
 
 
@@ -232,6 +235,20 @@ def test_jobs_capped_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, trials, poo
     spec = load_scenario_file(OPEN_FIELD)
     rows = cli._run_batch(spec, ["soar", "non_soar"], trials, 7, jobs, tmp_path)
     assert sizes == ([] if pool is None else [pool])
+    assert [[row.seed for row in mode_rows] for mode_rows in rows] == [list(range(7, 7 + trials))] * 2
+
+
+def test_large_batch_submits_few_chunks(tmp_path, monkeypatch):
+    # map submits every chunk at once: 2 * 10^5 tasks must not become 2 * 10^5 pending futures
+    sizes, chunksizes = [], []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+                        lambda max_workers: PoolRecorder(sizes, max_workers, chunksizes))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_run_one", lambda task: TrialRow(task[2], 1.0, "goal_reached"))
+    trials = 100_000
+    rows = cli._run_batch(load_scenario_file(OPEN_FIELD), ["soar", "non_soar"], trials, 7, 2, tmp_path)
+    [workers], [chunksize] = sizes, chunksizes
+    assert math.ceil(2 * trials / chunksize) <= 64 * workers
     assert [[row.seed for row in mode_rows] for mode_rows in rows] == [list(range(7, 7 + trials))] * 2
 
 

@@ -39,10 +39,8 @@ from soar_sim.scenario_io import (  # noqa: E402
 )
 from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, run_trial  # noqa: E402
 from soar_sim.world import (  # noqa: E402
-    MOTION_WAYPOINT_LOOP,
     ClearancePolicy,
     DisturbanceSpec,
-    MotionSpec,
     ObstacleInstance,
     RobotParams,
     Vec2,
@@ -62,8 +60,7 @@ def mirror(spec: ScenarioSpec) -> ScenarioSpec:
     return replace(
         spec,
         obstacles=tuple(
-            replace(obs, center=flip(obs.center),
-                    motion=replace(obs.motion, waypoints=tuple(flip(w) for w in obs.motion.waypoints)))
+            replace(obs, center=flip(obs.center), waypoints=tuple(flip(w) for w in obs.waypoints))
             for obs in spec.obstacles
         ),
         start_pose=(flip(spec.start_pose[0]), -spec.start_pose[1]),
@@ -146,13 +143,10 @@ def y_distinct_scenarios(draw):
     obstacles = []
     for obstacle_id, waypoints in enumerate(loops, start=1):
         center = Vec2(draw(COORD), next(ys))
-        motion = MotionSpec()
-        if waypoints:
-            motion = MotionSpec(MOTION_WAYPOINT_LOOP,
-                                tuple(Vec2(center.x + draw(STEP), next(ys)) for _ in range(waypoints)),
-                                draw(st.floats(0.0, 1.5)))
+        path = tuple(Vec2(center.x + draw(STEP), next(ys)) for _ in range(waypoints))
+        speed = draw(st.floats(0.0, 1.5)) if waypoints else 0.0
         obstacles.append(ObstacleInstance(obstacle_id, draw(st.sampled_from(CLASSES)), center,
-                                          draw(st.floats(0.0, 1.0)), motion))
+                                          draw(st.floats(0.0, 1.0)), path, speed))
     goal_radius = draw(st.floats(0.05, 0.8))
     return ScenarioSpec(
         name="random",

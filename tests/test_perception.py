@@ -15,7 +15,7 @@ from soar_sim.perception import (
     fuse,
     sense,
 )
-from soar_sim.world import ClearancePolicy, MotionSpec, ObstacleInstance, Vec2
+from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
 QUIET = SensorNoiseSpec(max_range_m=15.0)
@@ -221,9 +221,7 @@ class TestSense:
                 assert det.disparity > 0.0
 
     def test_moving_obstacle_uses_supplied_positions(self):
-        obs = ObstacleInstance(
-            1, "fish", Vec2(5.0, 0.0), 0.2, MotionSpec("waypoint_loop", (Vec2(5.0, 2.0),), 1.0)
-        )
+        obs = ObstacleInstance(1, "fish", Vec2(5.0, 0.0), 0.2, waypoints=(Vec2(5.0, 2.0),), speed=1.0)
         moved = obs.position_at(1.0)
         frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0),
                       positions=[moved])

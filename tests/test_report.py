@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 
 import pytest
 
 from soar_sim.report import (
+    TrialRow,
     build_comparison,
     render_comparison_csv,
     render_comparison_table,
@@ -17,24 +17,15 @@ from soar_sim.report import (
     render_trial_summary,
     summarize_mode,
 )
-from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, Tick, TrialResult, run_trial
-from soar_sim.world import Vec2
-
-
-def fake_result(seed: int, travel_time: float, outcome: str, mode: str = MODE_SOAR) -> TrialResult:
-    return TrialResult(
-        outcome=outcome, path_length=travel_time, min_clearance_by_class={},
-        trajectory=(Tick(travel_time, Vec2(0.0, 0.0), 0.0, 0.0, None, math.inf),),
-        mode=mode, seed=seed,
-    )
+from soar_sim.sim import MODE_SOAR, run_trial
 
 
 class TestSummaries:
     def test_mean_covers_successes_only(self):
         results = [
-            fake_result(1, 10.0, "goal_reached"),
-            fake_result(2, 99.0, "timeout"),
-            fake_result(3, 20.0, "goal_reached"),
+            TrialRow(1, 10.0, "goal_reached"),
+            TrialRow(2, 99.0, "timeout"),
+            TrialRow(3, 20.0, "goal_reached"),
         ]
         summary = summarize_mode(MODE_SOAR, results)
         assert summary.mean_travel_time == pytest.approx(15.0)
@@ -42,27 +33,27 @@ class TestSummaries:
         assert summary.total == 3
 
     def test_rows_sorted_by_seed(self):
-        summary = summarize_mode(MODE_SOAR, [fake_result(5, 1.0, "goal_reached"),
-                                             fake_result(2, 2.0, "goal_reached")])
+        summary = summarize_mode(MODE_SOAR, [TrialRow(5, 1.0, "goal_reached"),
+                                             TrialRow(2, 2.0, "goal_reached")])
         assert [r.seed for r in summary.rows] == [2, 5]
 
     def test_delta_requires_success_in_both_modes(self):
-        soar = [fake_result(1, 10.0, "goal_reached")]
-        failed = [fake_result(1, 50.0, "stuck", MODE_NON_SOAR)]
+        soar = [TrialRow(1, 10.0, "goal_reached")]
+        failed = [TrialRow(1, 50.0, "stuck")]
         report = build_comparison("x", soar, failed)
         assert report.relative_time_delta is None
 
     def test_delta_value(self):
-        soar = [fake_result(1, 10.0, "goal_reached")]
-        non_soar = [fake_result(1, 11.4, "goal_reached", MODE_NON_SOAR)]
+        soar = [TrialRow(1, 10.0, "goal_reached")]
+        non_soar = [TrialRow(1, 11.4, "goal_reached")]
         report = build_comparison("x", soar, non_soar)
         assert report.relative_time_delta == pytest.approx(14.0)
 
 
 class TestRenderers:
     def build_report(self):
-        soar = [fake_result(s, 10.0 + s, "goal_reached") for s in range(3)]
-        non_soar = [fake_result(s, 13.0 + s, "goal_reached", MODE_NON_SOAR) for s in range(3)]
+        soar = [TrialRow(s, 10.0 + s, "goal_reached") for s in range(3)]
+        non_soar = [TrialRow(s, 13.0 + s, "goal_reached") for s in range(3)]
         return build_comparison("demo", soar, non_soar)
 
     def test_avg_row_recomputable_by_external_checker(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import pickle
 import re
@@ -12,6 +13,7 @@ from soar_sim.scenario_io import (
     ScenarioError,
     ScenarioSpec,
     load_scenario,
+    load_scenario_file,
     serialize_scenario,
     validate_scenario,
     with_noise,
@@ -19,7 +21,6 @@ from soar_sim.scenario_io import (
 from soar_sim.world import (
     ClearancePolicy,
     DisturbanceSpec,
-    MotionSpec,
     ObstacleInstance,
     RobotParams,
     Vec2,
@@ -61,7 +62,8 @@ class TestLoadDefaults:
         assert len(spec.obstacles) == 1
         obs = spec.obstacles[0]
         assert obs.class_label == "rock"
-        assert obs.motion.kind == "static"
+        assert obs.waypoints == ()
+        assert not obs.is_moving()
 
     def test_integers_accepted_for_floats(self):
         spec = load_scenario(MINIMAL.replace("x: 5.0", "x: 5"))
@@ -131,6 +133,21 @@ class TestLoadErrors:
         )
         with pytest.raises(ScenarioError, match="waypoints"):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("motion, message", [
+        ("{type: orbit}", "scenario.obstacles[0].motion.type: expected 'static' or 'waypoint_loop', got 'orbit'"),
+        # a loop with no waypoints would load as a static obstacle, and a static one holds no speed
+        ("{type: waypoint_loop, speed: 0, waypoints: []}",
+         "scenario.obstacles[0].motion.waypoints: violates waypoints non-empty"),
+        ("{type: waypoint_loop, speed: -0.5, waypoints: []}",
+         "scenario.obstacles[0].motion.speed: violates speed >= 0"),
+        ("{type: static, speed: 0.3}", "scenario.obstacles[0].motion: unknown key(s) ['speed']"),
+    ], ids=["motion_kind_unknown", "loop_without_waypoints", "negative_loop_without_waypoints",
+            "static_with_speed"])
+    def test_motion_document_rejected(self, motion, message):
+        with pytest.raises(ScenarioError) as exc:
+            load_scenario(ONE_OBSTACLE.replace("radius: 0.4}", f"radius: 0.4, motion: {motion}}}"))
+        assert str(exc.value) == message
 
     def test_waypoint_speed_nonnegative(self):
         doc = ONE_OBSTACLE.replace(
@@ -205,8 +222,7 @@ class TestLoadErrors:
 CONSTRUCTED = ScenarioSpec(
     name="constructed",
     obstacles=(
-        ObstacleInstance(1, "rock", Vec2(3.0, 2.0), 0.4,
-                         MotionSpec("waypoint_loop", (Vec2(3.5, 2.5),), 0.3)),
+        ObstacleInstance(1, "rock", Vec2(3.0, 2.0), 0.4, waypoints=(Vec2(3.5, 2.5),), speed=0.3),
     ),
     start_pose=(Vec2(0.0, 0.0), 0.0),
     goal=Vec2(8.0, 0.0),
@@ -222,10 +238,6 @@ CONSTRUCTED = ScenarioSpec(
 
 def _obstacle(spec, **changes):
     return replace(spec, obstacles=(replace(spec.obstacles[0], **changes),))
-
-
-def _motion(spec, **changes):
-    return _obstacle(spec, motion=replace(spec.obstacles[0].motion, **changes))
 
 
 def _rig(spec, **changes):
@@ -253,14 +265,12 @@ class TestValidateConstructed:
                      id="center_nan"),
         pytest.param(lambda s: _obstacle(s, radius=math.inf), "scenario.obstacles[0].radius", id="radius_inf"),
         pytest.param(lambda s: _obstacle(s, radius=-0.1), "scenario.obstacles[0].radius", id="radius_negative"),
-        pytest.param(lambda s: _motion(s, waypoints=(Vec2(3.5, math.nan),)),
+        pytest.param(lambda s: _obstacle(s, waypoints=(Vec2(3.5, math.nan),)),
                      "scenario.obstacles[0].motion.waypoints[0].y", id="waypoint_nan"),
-        pytest.param(lambda s: _motion(s, speed=-0.3), "scenario.obstacles[0].motion.speed",
+        pytest.param(lambda s: _obstacle(s, speed=-0.3), "scenario.obstacles[0].motion.speed",
                      id="speed_negative"),
-        pytest.param(lambda s: _motion(s, waypoints=()), "scenario.obstacles[0].motion.waypoints",
+        pytest.param(lambda s: _obstacle(s, waypoints=()), "scenario.obstacles[0].motion.waypoints",
                      id="waypoints_empty"),
-        pytest.param(lambda s: _motion(s, kind="orbit"), "scenario.obstacles[0].motion.type",
-                     id="motion_kind_unknown"),
         pytest.param(lambda s: replace(s, policy=ClearancePolicy({"rock": 1.0}, -1.0)),
                      "scenario.policy.default_d0", id="default_d0_negative"),
         pytest.param(lambda s: replace(s, policy=ClearancePolicy({"rock": 1.0, "cone": -0.5})),
@@ -292,18 +302,21 @@ class TestValidateConstructed:
             load_scenario(serialize_scenario(spec))
         assert str(loaded.value) == str(constructed.value)
 
-    @pytest.mark.parametrize("motion", [
-        MotionSpec("static", (Vec2(3.5, 2.5),), 0.3),
-        MotionSpec("static", (Vec2(3.5, 2.5),)),
-        MotionSpec("static", speed=0.3),
-    ], ids=["waypoints_and_speed", "waypoints", "speed"])
-    def test_static_motion_carries_nothing(self, motion):
-        assert load_scenario(serialize_scenario(CONSTRUCTED)) == CONSTRUCTED
-        spec = _obstacle(CONSTRUCTED, motion=motion)
-        with pytest.raises(ScenarioError, match=re.escape("scenario.obstacles[0].motion.waypoints: ")):
+    @pytest.mark.parametrize("speed, message", [
+        (0.3, "scenario.obstacles[0].motion.waypoints: violates waypoints non-empty"),
+        (-0.3, "scenario.obstacles[0].motion.speed: violates speed >= 0"),
+    ], ids=["speed", "negative_speed"])
+    def test_static_motion_carries_nothing(self, speed, message):
+        spec = _obstacle(CONSTRUCTED, waypoints=(), speed=speed)
+        with pytest.raises(ScenarioError) as constructed:
             validate_scenario(spec)
-        # its document drops what the motion carries, so it loads, as a different spec
-        assert load_scenario(serialize_scenario(spec)) == _obstacle(CONSTRUCTED, motion=MotionSpec())
+        assert str(constructed.value) == message
+        # its document keeps the speed, so it is rejected alike rather than loaded as a static obstacle
+        document = serialize_scenario(spec)
+        assert f"speed: {speed}" in document
+        with pytest.raises(ScenarioError) as loaded:
+            load_scenario(document)
+        assert str(loaded.value) == str(constructed.value)
 
 
 class TestFixtures:
@@ -318,9 +331,9 @@ class TestFixtures:
 
     def test_arch_fish_ignorable_and_moving(self, arch):
         assert arch.policy.entries["fish"] == 0.0
-        moving = [o for o in arch.obstacles if o.motion.kind == "waypoint_loop"]
+        moving = [o for o in arch.obstacles if o.waypoints]
         assert len(moving) == 2
-        assert all(o.class_label == "fish" for o in moving)
+        assert all(o.class_label == "fish" and o.is_moving() for o in moving)
 
     def test_head_on_confuses_rock_with_fish(self, head_on):
         assert head_on.noise.misclassify_prob == 0.5
@@ -339,15 +352,29 @@ class TestRoundTrip:
             spec = load_scenario(path.read_text(encoding="utf-8"))
             assert load_scenario(serialize_scenario(spec)) == spec, path.name
 
+    def test_fixtures_serialize_to_pinned_bytes(self, scenario_dir):
+        # the serializer derives each motion's type; these documents must not change a byte
+        pinned = {
+            "arch": "fa2979a8ff6311e88c8883295f13a63d4fef6a76ef52252e0e45f9896c1469fa",
+            "head_on": "1e8384ba625461ab4374843ee2b775eb5200764ad5b483db3c515b2576bf6cff",
+            "open_field": "a9e74c820a5caf09479d733a4628be2954bc7a0cff620229f5cc887c6cdfc346",
+            "parking_lot": "bec51f6421f1ee9c979b1ca1944000820f41038d1822e8013d7991159f4f71b6",
+            "single_block": "fb72a42543456b033773cb2794250c05fa79f6ee6e6ecac6181f4e4382514cd7",
+            "transparency": "e7c6d3760786402aeb69cd62ec4c524a10208f43a7bb61fd3ac08c90206c5a99",
+        }
+        digests = {
+            path.stem: hashlib.sha256(serialize_scenario(load_scenario_file(str(path))).encode()).hexdigest()
+            for path in sorted(scenario_dir.glob("*.yaml"))
+        }
+        assert digests == pinned
+
     def test_constructed_spec_round_trips(self):
         spec = ScenarioSpec(
             name="constructed",
             obstacles=(
                 ObstacleInstance(1, "rock", Vec2(3.0, 1.03125), 0.4),
-                ObstacleInstance(
-                    4, "fish", Vec2(2.0, -1.5), 0.2,
-                    MotionSpec("waypoint_loop", (Vec2(2.5, -1.0), Vec2(1.5, -1.0)), 0.3),
-                ),
+                ObstacleInstance(4, "fish", Vec2(2.0, -1.5), 0.2,
+                                 waypoints=(Vec2(2.5, -1.0), Vec2(1.5, -1.0)), speed=0.3),
             ),
             start_pose=(Vec2(0.0, 0.0), 0.25),
             goal=Vec2(8.0, 0.5),

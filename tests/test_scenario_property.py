@@ -43,10 +43,8 @@ from soar_sim.sim import (  # noqa: E402
     run_trial,
 )
 from soar_sim.world import (  # noqa: E402
-    MOTION_WAYPOINT_LOOP,
     ClearancePolicy,
     DisturbanceSpec,
-    MotionSpec,
     ObstacleInstance,
     RobotParams,
     Vec2,
@@ -98,16 +96,13 @@ def obstacles(draw, max_count=8):
     result = []
     for obstacle_id in range(1, draw(st.integers(0, max_count)) + 1):
         center = draw(POINT)
-        motion = MotionSpec()
+        waypoints, speed = (), 0.0
         if draw(st.booleans()):
             # loops stay within 2 m of the center, so they rarely sweep the goal
-            motion = MotionSpec(
-                kind=MOTION_WAYPOINT_LOOP,
-                waypoints=tuple(center + offset for offset in draw(st.lists(STEP, min_size=1, max_size=3))),
-                speed=draw(st.floats(0.0, 1.5)),
-            )
+            waypoints = tuple(center + offset for offset in draw(st.lists(STEP, min_size=1, max_size=3)))
+            speed = draw(st.floats(0.0, 1.5))
         result.append(ObstacleInstance(obstacle_id, draw(st.sampled_from(CLASSES)), center,
-                                       draw(st.floats(0.0, 1.0)), motion))
+                                       draw(st.floats(0.0, 1.0)), waypoints, speed))
     return tuple(result)
 
 

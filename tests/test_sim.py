@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import soar_sim.sim
+import soar_sim.world
 from soar_sim.perception import Detection, LabeledObstacleEstimate, PerceptionFrame
 from soar_sim.sim import (
     MODE_NON_SOAR,
@@ -269,3 +270,20 @@ def test_stage_hooks_called_once_per_tick(monkeypatch, parking_lot):
     assert all(isinstance(frame.detections, tuple) for frame in frames)
     assert dropped == [frame.dropped for frame in frames]
     assert sum(dropped) > 0
+
+
+def test_position_at_hook_resolved_per_call(monkeypatch, arch):
+    # perfbench/spans.py times world.position_at by swapping the class attribute
+    calls = []
+    position_at = soar_sim.world.ObstacleInstance.position_at
+
+    def counting_position_at(self, t):
+        calls.append(self.id)
+        return position_at(self, t)
+
+    monkeypatch.setattr(soar_sim.world.ObstacleInstance, "position_at", counting_position_at)
+    ticks = len(run_trial(arch, MODE_SOAR, seed=42).trajectory) - 1
+    moving = sum(obs.is_moving() for obs in arch.obstacles)
+    assert (len(arch.obstacles), moving, ticks) == (30, 2, 327)
+    # every obstacle placed at t=0, then the moving ones once per tick
+    assert len(calls) == 30 + 2 * 327 == 684

@@ -7,7 +7,6 @@ import numpy as np
 from soar_sim.perception import LabeledObstacleEstimate
 from soar_sim.world import (
     ClearancePolicy,
-    MotionSpec,
     ObstacleInstance,
     Vec2,
     effective_d0,
@@ -125,10 +124,7 @@ class TestObstacleMotion:
 
     def test_waypoint_loop_positions(self):
         # loop (0,0) -> (2,0) -> (0,0), total length 4, speed 1
-        obs = ObstacleInstance(
-            1, "fish", Vec2(0.0, 0.0), 0.1,
-            MotionSpec("waypoint_loop", (Vec2(2.0, 0.0),), 1.0),
-        )
+        obs = ObstacleInstance(1, "fish", Vec2(0.0, 0.0), 0.1, waypoints=(Vec2(2.0, 0.0),), speed=1.0)
         assert obs.position_at(0.0) == Vec2(0.0, 0.0)
         assert obs.position_at(1.0) == Vec2(1.0, 0.0)
         assert obs.position_at(2.0) == Vec2(2.0, 0.0)
@@ -137,15 +133,12 @@ class TestObstacleMotion:
         assert obs.position_at(5.0) == Vec2(1.0, 0.0)
 
     def test_zero_speed_stays_at_center(self):
-        obs = ObstacleInstance(
-            1, "fish", Vec2(1.0, 1.0), 0.1,
-            MotionSpec("waypoint_loop", (Vec2(5.0, 5.0),), 0.0),
-        )
+        obs = ObstacleInstance(1, "fish", Vec2(1.0, 1.0), 0.1, waypoints=(Vec2(5.0, 5.0),), speed=0.0)
         assert obs.position_at(10.0) == Vec2(1.0, 1.0)
 
     def test_is_moving_only_when_position_depends_on_time(self):
         def loop(waypoints, speed):
-            return ObstacleInstance(1, "fish", Vec2(1.0, 1.0), 0.1, MotionSpec("waypoint_loop", waypoints, speed))
+            return ObstacleInstance(1, "fish", Vec2(1.0, 1.0), 0.1, waypoints=waypoints, speed=speed)
 
         assert loop((Vec2(5.0, 5.0),), 1.0).is_moving()
         assert not ObstacleInstance(1, "rock", Vec2(2.0, 3.0), 0.5).is_moving()
