@@ -10,7 +10,7 @@ limit, seeded disturbances and a trial harness reproduce the matched
 
 from soar_sim.scenario_io import ScenarioSpec, load_scenario, load_scenario_file, serialize_scenario
 from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, TrialResult, run_trial
-from soar_sim.steering import SteeringDecision, SteeringParams, steering_direction
+from soar_sim.steering import SteeringDecision, steering_direction
 from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, effective_d0
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "ObstacleInstance",
     "ScenarioSpec",
     "SteeringDecision",
-    "SteeringParams",
     "TrialResult",
     "Vec2",
     "effective_d0",

@@ -16,6 +16,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -33,6 +34,8 @@ EXIT_RUNTIME = 2
 
 # --trials cap: the task list is built up front; the same 10^6 that bounds a trial's ticks
 MAX_TRIALS = 1_000_000
+# the end of the trajectory file name _emit_trial writes; group 1 is the mode
+_TRAJECTORY_SUFFIX = re.compile(rf"_({MODE_SOAR}|{MODE_NON_SOAR})_seed\d+\.traj\.csv\Z")
 
 
 def _canonical_mode(mode: str) -> str:
@@ -166,12 +169,9 @@ def _read_trajectory(path: str) -> list[Vec2]:
 
 
 def _label_for(path: str) -> str:
-    name = Path(path).name
-    if MODE_NON_SOAR in name or "non-soar" in name:
-        return MODE_NON_SOAR
-    if MODE_SOAR in name:
-        return MODE_SOAR
-    return Path(path).stem
+    """The mode of a trajectory file named as _emit_trial names it, else the file's stem."""
+    match = _TRAJECTORY_SUFFIX.search(Path(path).name)
+    return match.group(1) if match else Path(path).stem
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
@@ -209,6 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--mode", choices=["soar", "non-soar", "non_soar"], default="soar")
         p.add_argument("--seed", type=int, default=42, help="base seed")
         p.add_argument("--out", default="out", help="artifact output directory")
+
+    def trials(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--trials", type=int, default=10)
         p.add_argument("--format", choices=["table", "delimited", "structured"], default="table")
         p.add_argument("--jobs", type=int, default=1, help="parallel trial workers, at most the CPU count")
 
@@ -218,12 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser("batch", help="run N seeded trials in one mode")
     common(p_batch)
-    p_batch.add_argument("--trials", type=int, default=10)
+    trials(p_batch)
     p_batch.set_defaults(func=cmd_batch)
 
     p_compare = sub.add_parser("compare", help="run both modes on identical seeds")
     common(p_compare, with_mode=False)
-    p_compare.add_argument("--trials", type=int, default=10)
+    trials(p_compare)
     p_compare.set_defaults(func=cmd_compare)
 
     p_plot = sub.add_parser("plot", help="render trajectories over the world as SVG")

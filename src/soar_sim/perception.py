@@ -25,7 +25,12 @@ SAMPLES_PER_DETECTION = 9
 
 @dataclass(frozen=True, slots=True)
 class StereoRig:
-    """Ideal rectified stereo rig; Q is fixed by (f, B, cx, cy)."""
+    """Ideal rectified stereo rig; Q is fixed by (f, B, cx, cy).
+
+    A trial reads only focal_px and baseline_m: cx and cy feed only Q, and
+    width and height nothing. They stay in the document, and acceptance
+    criterion 04 builds Q from them.
+    """
 
     focal_px: float = 400.0
     baseline_m: float = 0.12
@@ -52,11 +57,13 @@ class StereoRig:
 
 @dataclass(frozen=True, slots=True)
 class SensorNoiseSpec:
+    """The sensor's view and noise, named and in units as in the scenario document (fov_deg in degrees)."""
+
+    fov_deg: float = 360.0
+    max_range_m: float = 15.0
     disparity_std: float = 0.0
     misclassify_prob: float = 0.0
     confusion: dict[str, str] = field(default_factory=dict)
-    fov_rad: float = 2.0 * math.pi
-    max_range_m: float = 15.0
 
 
 class Detection(NamedTuple):
@@ -130,7 +137,7 @@ def sense(
     if positions is None:
         positions = [obs.center for obs in obstacles]
     max_range = noise.max_range_m
-    half_fov = noise.fov_rad / 2.0
+    half_fov = math.radians(noise.fov_deg) / 2.0
     full_view = half_fov >= math.pi  # |wrap_angle(...)| <= pi passes the view test
     coord_size = 2.0 * (abs(cx) + abs(cy))
 

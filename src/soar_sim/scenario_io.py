@@ -8,6 +8,9 @@ Each schema decision has one owner:
   boolean as neither). It applies no value bound but one: it alone knows
   the motion types, and a `waypoint_loop` at speed 0 needs a waypoint, or
   it would load as a static obstacle (one without waypoints);
+- the robot, disturbance and sensor sections hold the fields of RobotParams,
+  DisturbanceSpec, StereoRig and SensorNoiseSpec under the same names and
+  units, and are read and written field by field;
 - an absent key takes the default of the dataclass field it fills;
 - validate_scenario holds every value rule: each number finite, then every
   range. load_scenario runs it, and a spec built in code gets the same
@@ -71,7 +74,6 @@ class ScenarioSpec:
 # ---------------------------------------------------------------- reading
 
 _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a list", dict: "a mapping"}
-_SENSOR_NOISE_KEYS = {"fov_deg", "max_range_m", "disparity_std", "misclassify_prob", "confusion"}
 
 
 def _typed(value: Any, path: str, kind: type) -> Any:
@@ -108,13 +110,21 @@ def _names(cls: type) -> set[str]:
     return {f.name for f in fields(cls)}
 
 
-def _from_fields(cls: type, data: dict, path: str) -> Any:
-    """cls from the keys of data named like its fields; absent ones keep cls's defaults."""
+def _from_fields(cls: type, data: dict, path: str, **given: Any) -> Any:
+    """cls from given and the keys of data named like its other fields; absent ones keep cls's defaults."""
     default = cls()
     return cls(**{
         f.name: _get(data, f.name, path, kind=type(getattr(default, f.name)))
-        for f in fields(cls) if f.name in data
-    })
+        for f in fields(cls) if f.name in data and f.name not in given
+    }, **given)
+
+
+def _labels(data: dict, key: str, path: str, kind: type) -> dict:
+    """data[key] as a map from label to a kind value; empty when absent."""
+    return {
+        str(label): _typed(value, f"{path}.{key}.{label}", kind)
+        for label, value in _get(data, key, path, {}, dict).items()
+    }
 
 
 def _point(data: dict, path: str) -> Vec2:
@@ -180,13 +190,11 @@ def load_scenario(text: str) -> ScenarioSpec:
     start = _mapping(_get(data, "start", "scenario", kind=dict), "scenario.start", {"x", "y", "heading"})
     goal = _mapping(_get(data, "goal", "scenario", kind=dict), "scenario.goal", {"x", "y", "radius"})
     robot = _mapping(data.get("robot", {}), "scenario.robot", _names(RobotParams))
-    dpath = "scenario.disturbance"
-    ddata = _mapping(data.get("disturbance", {}), dpath, {"drift_x", "drift_y", "gust_std"})
+    disturbance = _mapping(data.get("disturbance", {}), "scenario.disturbance", _names(DisturbanceSpec))
     ppath = "scenario.policy"
     pdata = _mapping(data.get("policy", {}), ppath, {"default_d0", "classes"})
     spath = "scenario.sensor"
-    sdata = _mapping(data.get("sensor", {}), spath, _names(StereoRig) | _SENSOR_NOISE_KEYS)
-    calm, default_policy, noiseless = DisturbanceSpec(), ClearancePolicy(), SensorNoiseSpec()
+    sdata = _mapping(data.get("sensor", {}), spath, _names(StereoRig) | _names(SensorNoiseSpec))
 
     spec = ScenarioSpec(
         name=_get(data, "name", "scenario", "scenario", str),
@@ -198,33 +206,13 @@ def load_scenario(text: str) -> ScenarioSpec:
         goal=_point(goal, "scenario.goal"),
         goal_radius=_get(goal, "radius", "scenario.goal", DEFAULT_GOAL_RADIUS),
         robot=_from_fields(RobotParams, robot, "scenario.robot"),
-        disturbance=DisturbanceSpec(
-            drift=Vec2(_get(ddata, "drift_x", dpath, calm.drift.x),
-                       _get(ddata, "drift_y", dpath, calm.drift.y)),
-            gust_std=_get(ddata, "gust_std", dpath, calm.gust_std),
-        ),
-        policy=ClearancePolicy(
-            entries={
-                str(label): _typed(d0, f"{ppath}.classes.{label}", float)
-                for label, d0 in _get(pdata, "classes", ppath, default_policy.entries, dict).items()
-            },
-            default_d0=_get(pdata, "default_d0", ppath, default_policy.default_d0),
-        ),
+        disturbance=_from_fields(DisturbanceSpec, disturbance, "scenario.disturbance"),
+        policy=_from_fields(ClearancePolicy, pdata, ppath, entries=_labels(pdata, "classes", ppath, float)),
         uniform_d0=_get(data, "uniform_d0", "scenario", DEFAULT_UNIFORM_D0),
         time_limit=_get(data, "time_limit_s", "scenario", DEFAULT_TIME_LIMIT),
         seed=_get(data, "seed", "scenario", DEFAULT_SEED, int),
         rig=_from_fields(StereoRig, sdata, spath),
-        noise=SensorNoiseSpec(
-            disparity_std=_get(sdata, "disparity_std", spath, noiseless.disparity_std),
-            misclassify_prob=_get(sdata, "misclassify_prob", spath, noiseless.misclassify_prob),
-            confusion={
-                str(true_label): _typed(reported, f"{spath}.confusion.{true_label}", str)
-                for true_label, reported
-                in _get(sdata, "confusion", spath, noiseless.confusion, dict).items()
-            },
-            fov_rad=math.radians(_get(sdata, "fov_deg", spath, _fov_degrees(noiseless.fov_rad))),
-            max_range_m=_get(sdata, "max_range_m", spath, noiseless.max_range_m),
-        ),
+        noise=_from_fields(SensorNoiseSpec, sdata, spath, confusion=_labels(sdata, "confusion", spath, str)),
     )
     validate_scenario(spec)
     return spec
@@ -308,7 +296,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     _check(noise.disparity_std >= 0.0, "scenario.sensor.disparity_std", "disparity_std >= 0")
     _check(0.0 <= noise.misclassify_prob <= 1.0, "scenario.sensor.misclassify_prob",
            "probability in [0, 1]")
-    _check(0.0 < noise.fov_rad <= 2.0 * math.pi + 1e-12, "scenario.sensor.fov_deg", "fov in (0, 360]")
+    _check(0.0 < noise.fov_deg <= 360.0, "scenario.sensor.fov_deg", "fov in (0, 360]")
     _check(noise.max_range_m > 0.0, "scenario.sensor.max_range_m", "max_range_m > 0")
 
     seen_ids: set[int] = set()
@@ -329,25 +317,6 @@ def validate_scenario(spec: ScenarioSpec) -> None:
 
 
 # ---------------------------------------------------------- serialization
-
-def _fov_degrees(fov_rad: float) -> float:
-    """Degrees value whose radians() reproduces fov_rad bit-exactly.
-
-    degrees() alone round-trips only ~95% of doubles; a few-ulp search
-    keeps load_scenario(serialize_scenario(s)) an exact identity.
-    """
-    deg = math.degrees(fov_rad)
-    if math.radians(deg) == fov_rad:
-        return deg
-    for steps in range(1, 5):
-        for direction in (math.inf, -math.inf):
-            candidate = deg
-            for _ in range(steps):
-                candidate = math.nextafter(candidate, direction)
-            if math.radians(candidate) == fov_rad:
-                return candidate
-    return deg
-
 
 def _obstacle_document(obs: ObstacleInstance) -> dict[str, Any]:
     entry: dict[str, Any] = {
@@ -377,21 +346,14 @@ def _document(spec: ScenarioSpec) -> dict[str, Any]:
         "start": {"x": spec.start_pose[0].x, "y": spec.start_pose[0].y, "heading": spec.start_pose[1]},
         "goal": {"x": spec.goal.x, "y": spec.goal.y, "radius": spec.goal_radius},
         "robot": asdict(spec.robot),
-        "disturbance": {
-            "drift_x": spec.disturbance.drift.x,
-            "drift_y": spec.disturbance.drift.y,
-            "gust_std": spec.disturbance.gust_std,
-        },
+        "disturbance": asdict(spec.disturbance),
         "policy": {
             "default_d0": spec.policy.default_d0,
             "classes": dict(sorted(spec.policy.entries.items())),
         },
         "sensor": {
             **asdict(spec.rig),
-            "fov_deg": _fov_degrees(spec.noise.fov_rad),
-            "max_range_m": spec.noise.max_range_m,
-            "disparity_std": spec.noise.disparity_std,
-            "misclassify_prob": spec.noise.misclassify_prob,
+            **asdict(spec.noise),
             "confusion": dict(sorted(spec.noise.confusion.items())),
         },
         "obstacles": [_obstacle_document(obs) for obs in spec.obstacles],

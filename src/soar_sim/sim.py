@@ -20,12 +20,7 @@ import numpy as np
 
 from soar_sim.perception import fuse, sense
 from soar_sim.scenario_io import ScenarioSpec
-from soar_sim.steering import (
-    ActiveObstacle,
-    SteeringDecision,
-    SteeringParams,
-    steering_direction,
-)
+from soar_sim.steering import ActiveObstacle, SteeringDecision, steering_direction
 from soar_sim.world import (
     ClearancePolicy,
     RobotParams,
@@ -50,9 +45,6 @@ OUTCOME_COLLISION = "collision"
 STUCK_WINDOW_S = 5.0
 STUCK_EPSILON_M = 0.05
 WRONG_DIR_FACTOR = 1.5
-
-# the steering gains every trial uses
-STEERING_PARAMS = SteeringParams()
 
 # rng sub-stream tags, so toggling one noise source never shifts the other
 _STREAM_PERCEPTION = 1
@@ -216,9 +208,10 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
     trajectory = [Tick(0.0, start_pos, start_heading, 0.0, None, update_clearance(start_pos))]
     outcome = detect_termination(trajectory, spec)
     max_ticks = math.ceil(spec.time_limit / dt) + 1
-    drift, gust_std = spec.disturbance.drift, spec.disturbance.gust_std
-    # without gusts the disturbance is fixed for the trial; adding Vec2(0.0, 0.0) maps a -0.0 drift to 0.0
-    disturbance = drift + Vec2(0.0, 0.0)
+    drift_x, drift_y = spec.disturbance.drift_x, spec.disturbance.drift_y
+    gust_std = spec.disturbance.gust_std
+    # without gusts the disturbance is fixed for the trial; adding 0.0 maps a -0.0 drift to 0.0
+    disturbance = Vec2(drift_x + 0.0, drift_y + 0.0)
     gusts: list[list[float]] = []  # the drawn block's unused pairs, next one last
 
     for tick in range(1, max_ticks + 1):
@@ -239,13 +232,13 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
         if selected is not None:
             est, d0 = selected
             active = ActiveObstacle(est.position, est.surface_distance, d0, est.source_instance)
-        decision = steering_direction(state.position, spec.goal, active, STEERING_PARAMS)
+        decision = steering_direction(state.position, spec.goal, active)
 
         if gust_std > 0.0:
             if not gusts:
                 gusts = rng_gust.normal(0.0, gust_std, (min(GUST_BLOCK, max_ticks + 1 - tick), 2)).tolist()[::-1]
             gx, gy = gusts.pop()
-            disturbance = drift + Vec2(gx, gy)
+            disturbance = Vec2(drift_x + gx, drift_y + gy)
 
         state = step(state, decision.v_hat, spec.robot, spec.goal, disturbance, dt)
         path_length += trajectory[-1].position.dist(state.position)

@@ -4,33 +4,23 @@ The commanded direction is the goal unit vector while no obstacle is
 within its clearance distance. Once one is, a repulsive unit vector toward
 the obstacle is added, scaled by c1 (removes the goal component parallel
 to the obstacle direction, leaving motion tangent at the clearance
-boundary) and c2 (a linear intrusion gain in [1, b] that pushes harder the
-deeper the robot sits inside the clearance ring). The classic repulsive
+boundary) and c2 (a linear intrusion gain in [1, B_MAX] that pushes harder
+the deeper the robot sits inside the clearance ring). The classic repulsive
 potential is kept only for acceptance criterion 03; it does not drive
 motion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import sqrt
 from typing import NamedTuple, Optional
 
 from soar_sim.world import Vec2
 
+# c2 at contact: the largest repulsive gain b of the steering law (> 1)
+B_MAX = 3.0
 # below this norm the gained sum counts as the head-on singularity
 TIE_EPS = 1e-9
-
-
-@dataclass(frozen=True, slots=True)
-class SteeringParams:
-    """b: max repulsive gain (> 1)."""
-
-    b: float = 3.0
-
-    def __post_init__(self) -> None:
-        if self.b <= 1.0:
-            raise ValueError(f"b must be > 1, got {self.b}")
 
 
 class ActiveObstacle(NamedTuple):
@@ -81,7 +71,6 @@ def steering_direction(
     robot_pos: Vec2,
     goal: Vec2,
     active: Optional[ActiveObstacle],
-    params: SteeringParams,
 ) -> SteeringDecision:
     """Commanded unit direction for one tick.
 
@@ -111,7 +100,7 @@ def steering_direction(
         return SteeringDecision(a_hat, None, 0.0, 0.0, a_hat, None, False)
     r_hat = Vec2(dxo / rn, dyo / rn)
     k1 = c1(a_hat, r_hat)
-    k2 = c2(active.surface_distance, active.d0, params.b)
+    k2 = c2(active.surface_distance, active.d0, B_MAX)
     sx = a_hat.x + k1 * k2 * r_hat.x
     sy = a_hat.y + k1 * k2 * r_hat.y
     sn = sqrt(sx * sx + sy * sy)

@@ -105,7 +105,8 @@ class RobotParams:
 
 @dataclass(frozen=True, slots=True)
 class DisturbanceSpec:
-    drift: Vec2 = field(default_factory=lambda: Vec2(0.0, 0.0))
+    drift_x: float = 0.0
+    drift_y: float = 0.0
     gust_std: float = 0.0
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import shlex
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -11,7 +12,8 @@ from soar_sim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from soar_sim.report import TrialRow
 from soar_sim.scenario_io import load_scenario_file
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+REPO = Path(__file__).resolve().parent.parent
+SCENARIOS = REPO / "scenarios"
 OPEN_FIELD = str(SCENARIOS / "open_field.yaml")
 TRANSPARENCY = str(SCENARIOS / "transparency.yaml")
 PARKING_LOT = str(SCENARIOS / "parking_lot.yaml")
@@ -87,6 +89,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("ERROR: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option", [["--format", "delimited"], ["--jobs", "2"]])
+    def test_batch_options_are_usage_errors(self, tmp_path, capsys, option):
+        # one trial has no summary to format and nothing to run in parallel
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--scenario", OPEN_FIELD, *option, "--out", str(tmp_path)])
+        assert exc.value.code == EXIT_RUNTIME
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestBatch:
@@ -255,9 +266,9 @@ def test_large_batch_submits_few_chunks(tmp_path, monkeypatch):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("command", ["run", "batch", "compare"])
 def test_negative_seed_is_one_error_line(tmp_path, capsys, command, jobs):
-    # numpy's SeedSequence rejects negative seeds with a traceback
-    rc = main([command, "--scenario", OPEN_FIELD, "--seed", "-1", "--jobs", jobs,
-               "--out", str(tmp_path)])
+    # numpy's SeedSequence rejects negative seeds with a traceback; run takes no --jobs
+    jobs_option = [] if command == "run" else ["--jobs", jobs]
+    rc = main([command, "--scenario", OPEN_FIELD, "--seed", "-1", *jobs_option, "--out", str(tmp_path)])
     assert rc == EXIT_RUNTIME
     assert capsys.readouterr().err == "ERROR: --seed must be >= 0\n"
     assert not any(tmp_path.iterdir())
@@ -315,6 +326,32 @@ class TestPlot:
         assert ">soar</text>" in svg
         assert ">non_soar</text>" in svg
 
+    def test_mode_label_read_from_the_file_name_suffix(self, tmp_path):
+        # a scenario name holding a mode word must not give both lines one label and colour
+        doc = (SCENARIOS / "transparency.yaml").read_text()
+        scenario = tmp_path / "lab.yaml"
+        scenario.write_text(doc.replace("name: transparency", "name: non_soar_lab"))
+        for mode in ("soar", "non_soar"):
+            rc = main(["run", "--scenario", str(scenario), "--mode", mode, "--out", str(tmp_path)])
+            assert rc == EXIT_OK
+        out = tmp_path / "lab.svg"
+        rc = main(["plot", "--scenario", str(scenario), "--out", str(out),
+                   str(tmp_path / "non_soar_lab_soar_seed42.traj.csv"),
+                   str(tmp_path / "non_soar_lab_non_soar_seed42.traj.csv")])
+        assert rc == EXIT_OK
+        svg = out.read_text()
+        assert ">soar</text>" in svg
+        assert ">non_soar</text>" in svg
+
+    @pytest.mark.parametrize("path, label", [
+        ("out/non_soar_lab_soar_seed42.traj.csv", "soar"),
+        ("out/soar_lab_non_soar_seed0.traj.csv", "non_soar"),
+        ("out/non-soar_run.traj.csv", "non-soar_run.traj"),
+        ("out/lab_soar_seed.traj.csv", "lab_soar_seed.traj"),
+    ])
+    def test_label_for(self, path, label):
+        assert cli._label_for(path) == label
+
     def test_markup_in_names_gives_well_formed_svg(self, tmp_path):
         traj = self.make_traj(tmp_path)
         odd = tmp_path / "a<b&c\x01.traj.csv"  # the trajectory label is the file's stem
@@ -331,3 +368,22 @@ class TestPlot:
         assert "rock & <roll>\ufffd#1" in texts
         assert "a<b&c\ufffd.traj" in texts
 
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the soar-sim commands in README.md's "Command line" block."""
+    section = (REPO / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line) for line in lines if line.strip()]
+    assert commands and all(command[0] == "soar-sim" for command in commands)
+    return [command[1:] for command in commands]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # a flag the README shows but the parser lost would exit 2 here
+    (tmp_path / "scenarios").symlink_to(SCENARIOS)
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [command[0] for command in commands] == ["validate", "run", "batch", "compare", "plot"]
+    for argv in commands:
+        assert main(argv) == EXIT_OK, argv

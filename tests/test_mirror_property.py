@@ -65,7 +65,7 @@ def mirror(spec: ScenarioSpec) -> ScenarioSpec:
         ),
         start_pose=(flip(spec.start_pose[0]), -spec.start_pose[1]),
         goal=flip(spec.goal),
-        disturbance=replace(spec.disturbance, drift=flip(spec.disturbance.drift)),
+        disturbance=replace(spec.disturbance, drift_y=-spec.disturbance.drift_y),
     )
 
 
@@ -118,7 +118,7 @@ def test_shipped_scenarios_mirror(scenario_dir, fov_deg):
     for path in sorted(scenario_dir.glob("*.yaml")):
         spec = load_scenario_file(str(path))
         spec = replace(spec, disturbance=replace(spec.disturbance, gust_std=0.0),
-                       noise=replace(spec.noise, fov_rad=math.radians(fov_deg)))
+                       noise=replace(spec.noise, fov_deg=fov_deg))
         for mode in MODES:
             if not mirrors(spec, mode, 42):
                 broken.add((spec.name, mode))
@@ -161,7 +161,7 @@ def y_distinct_scenarios(draw):
             collision_radius=draw(st.floats(0.0, 0.4)),
             dt=draw(st.sampled_from([0.02, 0.05, 0.1])),
         ),
-        disturbance=DisturbanceSpec(drift=Vec2(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3)))),
+        disturbance=DisturbanceSpec(drift_x=draw(st.floats(-0.3, 0.3)), drift_y=draw(st.floats(-0.3, 0.3))),
         policy=ClearancePolicy(
             entries={label: draw(st.sampled_from([0.0, 0.5, 1.0])) for label in CLASSES[:2]},
             default_d0=draw(st.sampled_from([0.0, 1.0])),
@@ -173,7 +173,7 @@ def y_distinct_scenarios(draw):
             disparity_std=draw(st.sampled_from([0.0, 0.3])),
             misclassify_prob=draw(st.sampled_from([0.0, 0.3])),
             confusion={"rock": "sports_ball"},
-            fov_rad=draw(st.sampled_from([2.0 * math.pi, math.radians(90.0)])),
+            fov_deg=draw(st.sampled_from([360.0, 90.0])),
             max_range_m=draw(st.sampled_from([4.0, 15.0])),
         ),
     )

@@ -140,7 +140,7 @@ class TestSense:
         assert frame.detections == ()
 
     def test_fov_filter(self):
-        noise = SensorNoiseSpec(fov_rad=math.pi, max_range_m=15.0)  # forward half-plane
+        noise = SensorNoiseSpec(fov_deg=180.0, max_range_m=15.0)  # forward half-plane
         behind = [ObstacleInstance(1, "rock", Vec2(-3.0, 0.1), 0.5)]
         frame = sense(behind, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(0))
         assert frame.detections == ()
@@ -177,7 +177,7 @@ class TestSense:
                 assert 2 in detected_ids
 
     def test_occluder_outside_fov_still_blocks(self):
-        noise = SensorNoiseSpec(fov_rad=math.radians(10.0), max_range_m=15.0)
+        noise = SensorNoiseSpec(fov_deg=10.0, max_range_m=15.0)
         target = ObstacleInstance(2, "rock", Vec2(6.0, 0.0), 0.3)
         # blocker center well outside the 10 deg cone, disc still crossing the ray
         blocker = ObstacleInstance(1, "rock", Vec2(2.0, 0.6), 0.7)
@@ -334,7 +334,7 @@ class TestSenseFuseRoundTrip:
             ObstacleInstance(2, "car", Vec2(-2.0, 3.0), 0.8),
         ]
         pose = (Vec2(0.5, -0.25), 0.35)
-        noise = SensorNoiseSpec(fov_rad=2.0 * math.pi, max_range_m=20.0)
+        noise = SensorNoiseSpec(fov_deg=360.0, max_range_m=20.0)
         frame = sense(obstacles, pose, RIG, noise, KEEP_ALL, np.random.default_rng(0))
         estimates, dropped = fuse(frame, RIG)
         assert dropped == 0

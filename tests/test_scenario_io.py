@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from soar_sim.perception import StereoRig
+from soar_sim.perception import SensorNoiseSpec, StereoRig
 from soar_sim.scenario_io import (
     ScenarioError,
     ScenarioSpec,
@@ -259,7 +259,7 @@ class TestValidateConstructed:
         pytest.param(lambda s: replace(s, time_limit=math.nan), "scenario.time_limit_s", id="time_limit_nan"),
         pytest.param(lambda s: replace(s, uniform_d0=math.inf), "scenario.uniform_d0", id="uniform_d0_inf"),
         pytest.param(lambda s: replace(s, robot=RobotParams(dt=math.nan)), "scenario.robot.dt", id="dt_nan"),
-        pytest.param(lambda s: replace(s, disturbance=DisturbanceSpec(Vec2(-math.inf, 0.0))),
+        pytest.param(lambda s: replace(s, disturbance=DisturbanceSpec(drift_x=-math.inf)),
                      "scenario.disturbance.drift_x", id="drift_inf"),
         pytest.param(lambda s: _obstacle(s, center=Vec2(math.nan, 2.0)), "scenario.obstacles[0].x",
                      id="center_nan"),
@@ -288,7 +288,7 @@ class TestValidateConstructed:
                      id="misclassify_above_1"),
         pytest.param(lambda s: with_noise(s, misclassify_prob=-0.1), "scenario.sensor.misclassify_prob",
                      id="misclassify_below_0"),
-        pytest.param(lambda s: with_noise(s, fov_rad=0.0), "scenario.sensor.fov_deg", id="fov_zero"),
+        pytest.param(lambda s: with_noise(s, fov_deg=0.0), "scenario.sensor.fov_deg", id="fov_zero"),
         pytest.param(lambda s: with_noise(s, max_range_m=-1.0), "scenario.sensor.max_range_m",
                      id="max_range_negative"),
         pytest.param(lambda s: with_noise(s, max_range_m=math.nan), "scenario.sensor.max_range_m",
@@ -301,6 +301,18 @@ class TestValidateConstructed:
         with pytest.raises(ScenarioError) as loaded:
             load_scenario(serialize_scenario(spec))
         assert str(loaded.value) == str(constructed.value)
+
+    def test_fov_bound_is_exact(self):
+        # 360 is the whole view; the next float above it is rejected, loaded or constructed
+        assert load_scenario(MINIMAL + "sensor: {fov_deg: 360.0}\n").noise.fov_deg == 360.0
+        above = math.nextafter(360.0, math.inf)
+        message = "scenario.sensor.fov_deg: violates fov in (0, 360]"
+        with pytest.raises(ScenarioError) as loaded:
+            load_scenario(MINIMAL + f"sensor: {{fov_deg: {above!r}}}\n")
+        assert str(loaded.value) == message
+        with pytest.raises(ScenarioError) as constructed:
+            validate_scenario(replace(CONSTRUCTED, noise=SensorNoiseSpec(fov_deg=above)))
+        assert str(constructed.value) == message
 
     @pytest.mark.parametrize("speed, message", [
         (0.3, "scenario.obstacles[0].motion.waypoints: violates waypoints non-empty"),
@@ -394,7 +406,7 @@ class TestRoundTrip:
     def test_fov_survives_awkward_values(self):
         base = load_scenario(MINIMAL)
         for fov_deg in (120.5, 87.3, 359.999, 33.333333):
-            spec = with_noise(base, fov_rad=math.radians(fov_deg))
+            spec = with_noise(base, fov_deg=fov_deg)
             assert load_scenario(serialize_scenario(spec)) == spec
 
     def test_with_noise_helper(self, head_on):

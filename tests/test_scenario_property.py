@@ -63,7 +63,7 @@ NOISES = st.builds(
     disparity_std=st.sampled_from([0.0, 0.3]),
     misclassify_prob=st.sampled_from([0.0, 0.3]),
     confusion=st.just({"rock": "sports_ball"}),
-    fov_rad=st.sampled_from([2.0 * math.pi, math.radians(90.0)]),
+    fov_deg=st.sampled_from([360.0, 90.0]),
     max_range_m=st.sampled_from([4.0, 15.0]),
 )
 # each field drawn from in-range and out-of-range values
@@ -73,7 +73,7 @@ ANY_NOISES = st.builds(
     disparity_std=st.sampled_from([-0.1, 0.0, 0.3]),
     misclassify_prob=st.sampled_from([0.3, 1.5, -0.1]),
     confusion=st.just({"rock": "sports_ball"}),
-    fov_rad=st.sampled_from([2.0 * math.pi, 0.0, math.radians(90.0)]),
+    fov_deg=st.sampled_from([360.0, 0.0, 90.0]),
     max_range_m=st.sampled_from([-1.0, 4.0, 15.0]),
 )
 NAN = math.nan
@@ -83,7 +83,7 @@ NAN_EDITS = [
     lambda s: replace(s, goal=Vec2(NAN, s.goal.y)),
     lambda s: replace(s, start_pose=(s.start_pose[0], NAN)),
     lambda s: replace(s, uniform_d0=NAN),
-    lambda s: replace(s, disturbance=replace(s.disturbance, drift=Vec2(s.disturbance.drift.x, NAN))),
+    lambda s: replace(s, disturbance=replace(s.disturbance, drift_y=NAN)),
     lambda s: replace(s, policy=replace(s.policy, default_d0=NAN)),
     lambda s: replace(s, rig=replace(s.rig, cx=NAN)),
     lambda s: replace(s, noise=replace(s.noise, max_range_m=NAN)),
@@ -123,7 +123,8 @@ def scenarios(draw, obstacle_strategy=obstacles(), rigs=RIGS, noises=NOISES):
             dt=draw(st.sampled_from([0.02, 0.05, 0.1, 0.12])),
         ),
         disturbance=DisturbanceSpec(
-            drift=Vec2(draw(st.floats(-0.3, 0.3)), draw(st.floats(-0.3, 0.3))),
+            drift_x=draw(st.floats(-0.3, 0.3)),
+            drift_y=draw(st.floats(-0.3, 0.3)),
             gust_std=draw(st.sampled_from([0.0, 0.05])),
         ),
         policy=ClearancePolicy(

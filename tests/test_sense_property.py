@@ -77,7 +77,7 @@ def reference_sense(obstacles, pose, rig, noise, rng, positions):
         if rng_m > noise.max_range_m:
             continue
         bearing = wrap_angle(math.atan2(obs_pos.y - cam_pos.y, obs_pos.x - cam_pos.x) - heading)
-        if abs(bearing) > noise.fov_rad / 2.0:
+        if abs(bearing) > math.radians(noise.fov_deg) / 2.0:
             continue
         candidates.append((obs, obs_pos, rng_m, bearing))
     visible = [
@@ -147,8 +147,8 @@ COORD = st.one_of(
     st.sampled_from([0.0, 1e-170, -1e-170, 5e-324]),
 )
 RADIUS = st.one_of(st.sampled_from([0.5, 1.0, 1.5]), st.floats(0.01, 3.0))
-# just below 2 pi, a view still cuts out the bearing pi straight behind
-FOV = st.sampled_from([2.0 * math.pi, math.nextafter(2.0 * math.pi, 0.0), math.pi, math.radians(50.0)])
+# just below 360 degrees, a view still cuts out the bearing pi straight behind
+FOV = st.sampled_from([360.0, math.nextafter(360.0, 0.0), 180.0, 50.0])
 
 
 @st.composite
@@ -157,7 +157,7 @@ def noise_specs(draw):
         disparity_std=draw(st.sampled_from([0.0, 0.3, 40.0])),
         misclassify_prob=draw(st.sampled_from([0.0, 0.5])),
         confusion={"rock": "fish"},
-        fov_rad=draw(FOV),
+        fov_deg=draw(FOV),
         max_range_m=draw(st.sampled_from([15.0, 4.0])),
     )
 
@@ -284,10 +284,10 @@ class TestSenseMatchesPerPairReference:
         ),
         0, KEEP_ALL,
     ))
-    # straight behind is bearing pi, just outside a view of nextafter(2 pi, 0)
+    # straight behind is bearing pi, just outside a view of nextafter(360, 0) degrees
     @example(case=(
         world_of([ObstacleInstance(1, "rock", Vec2(2.0, 0.0), 0.5)], heading=math.pi,
-                 noise=SensorNoiseSpec(fov_rad=math.nextafter(2.0 * math.pi, 0.0))),
+                 noise=SensorNoiseSpec(fov_deg=math.nextafter(360.0, 0.0))),
         0, KEEP_ALL,
     ))
     # both noise sources on: all label draws come before the disparity draws

@@ -7,7 +7,7 @@ import pytest
 
 from soar_sim.steering import (
     ActiveObstacle,
-    SteeringParams,
+    B_MAX,
     c1,
     c2,
     repulsive_potential,
@@ -94,17 +94,9 @@ class TestC2:
             c2(-0.1, 1.0, 3.0)
 
 
-class TestSteeringParams:
-    def test_b_must_exceed_one(self):
-        with pytest.raises(ValueError):
-            SteeringParams(b=1.0)
-
-
 class TestSteeringDirection:
-    PARAMS = SteeringParams()
-
     def test_pure_attraction(self):
-        decision = steering_direction(Vec2(0.0, 0.0), Vec2(0.0, 5.0), None, self.PARAMS)
+        decision = steering_direction(Vec2(0.0, 0.0), Vec2(0.0, 5.0), None)
         assert decision.v_hat == Vec2(0.0, 1.0)
         assert decision.r_hat is None
         assert decision.active_obstacle_id is None
@@ -114,7 +106,7 @@ class TestSteeringDirection:
         # a_hat=(1,0), r_hat=(sqrt2/2, sqrt2/2), dist=d0 so c2=1:
         # unnormalized sum (0.5, -0.5), v_hat (sqrt2/2, -sqrt2/2), v.r == 0
         active = ActiveObstacle(position=Vec2(SQ2, SQ2), surface_distance=1.0, d0=1.0, obstacle_id=4)
-        decision = steering_direction(Vec2(0.0, 0.0), Vec2(10.0, 0.0), active, self.PARAMS)
+        decision = steering_direction(Vec2(0.0, 0.0), Vec2(10.0, 0.0), active)
         assert decision.c2 == 1.0
         assert decision.v_hat.x == pytest.approx(SQ2, abs=1e-12)
         assert decision.v_hat.y == pytest.approx(-SQ2, abs=1e-12)
@@ -124,15 +116,15 @@ class TestSteeringDirection:
 
     def test_head_on_tie_break(self):
         active = ActiveObstacle(position=Vec2(2.0, 0.0), surface_distance=1.0, d0=1.0, obstacle_id=9)
-        decision = steering_direction(Vec2(0.0, 0.0), Vec2(10.0, 0.0), active, self.PARAMS)
+        decision = steering_direction(Vec2(0.0, 0.0), Vec2(10.0, 0.0), active)
         assert decision.tie_break_applied
         assert decision.v_hat == Vec2(0.0, 1.0)  # left perpendicular of r_hat=(1,0)
 
     def test_c1_matches_decision_vectors(self):
         active = ActiveObstacle(position=Vec2(1.0, 2.0), surface_distance=0.4, d0=1.0, obstacle_id=1)
-        decision = steering_direction(Vec2(0.0, 0.0), Vec2(5.0, -1.0), active, self.PARAMS)
+        decision = steering_direction(Vec2(0.0, 0.0), Vec2(5.0, -1.0), active)
         assert decision.c1 == pytest.approx(c1(decision.a_hat, decision.r_hat), abs=1e-12)
-        assert 1.0 <= decision.c2 <= self.PARAMS.b
+        assert 1.0 <= decision.c2 <= B_MAX
 
     def test_unit_outputs(self):
         rng = np.random.default_rng(5)
@@ -148,7 +140,7 @@ class TestSteeringDirection:
             obstacle = Vec2(robot.x + center_range * math.cos(direction),
                             robot.y + center_range * math.sin(direction))
             active = ActiveObstacle(obstacle, dist, d0, obstacle_id=1)
-            decision = steering_direction(robot, goal, active, self.PARAMS)
+            decision = steering_direction(robot, goal, active)
             assert math.hypot(decision.v_hat.x, decision.v_hat.y) == pytest.approx(1.0, abs=1e-9)
             assert math.hypot(decision.a_hat.x, decision.a_hat.y) == pytest.approx(1.0, abs=1e-9)
             assert math.hypot(decision.r_hat.x, decision.r_hat.y) == pytest.approx(1.0, abs=1e-9)
@@ -163,7 +155,7 @@ class TestSteeringDirection:
             robot = Vec2(0.0, 0.0)
             goal = Vec2(10.0 * math.cos(ta), 10.0 * math.sin(ta))
             obstacle = Vec2((dist + 0.2) * math.cos(tr), (dist + 0.2) * math.sin(tr))
-            decision = steering_direction(robot, goal, ActiveObstacle(obstacle, dist, d0, 1), self.PARAMS)
+            decision = steering_direction(robot, goal, ActiveObstacle(obstacle, dist, d0, 1))
             if decision.tie_break_applied:
                 continue
             sx = decision.a_hat.x + decision.c1 * decision.c2 * decision.r_hat.x
@@ -181,7 +173,7 @@ class TestSteeringDirection:
         for dist in np.linspace(d0, 0.0, 40):
             center_range = float(dist) + 0.3
             center = Vec2(obstacle_dir.x * center_range, obstacle_dir.y * center_range)
-            decision = steering_direction(robot, goal, ActiveObstacle(center, float(dist), d0, 1), self.PARAMS)
+            decision = steering_direction(robot, goal, ActiveObstacle(center, float(dist), d0, 1))
             angles.append(math.acos(max(-1.0, min(1.0,
                 decision.v_hat.x * decision.a_hat.x + decision.v_hat.y * decision.a_hat.y))))
         for earlier, later in zip(angles, angles[1:]):
@@ -189,21 +181,19 @@ class TestSteeringDirection:
 
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
-            steering_direction(Vec2(1.0, 1.0), Vec2(1.0, 1.0), None, self.PARAMS)
+            steering_direction(Vec2(1.0, 1.0), Vec2(1.0, 1.0), None)
         bad = ActiveObstacle(Vec2(1.0, 0.0), surface_distance=2.0, d0=1.0, obstacle_id=1)
         with pytest.raises(ValueError):
-            steering_direction(Vec2(0.0, 0.0), Vec2(5.0, 0.0), bad, self.PARAMS)
+            steering_direction(Vec2(0.0, 0.0), Vec2(5.0, 0.0), bad)
         zero_d0 = ActiveObstacle(Vec2(1.0, 0.0), surface_distance=0.0, d0=0.0, obstacle_id=1)
         with pytest.raises(ValueError):
-            steering_direction(Vec2(0.0, 0.0), Vec2(5.0, 0.0), zero_d0, self.PARAMS)
+            steering_direction(Vec2(0.0, 0.0), Vec2(5.0, 0.0), zero_d0)
 
     def test_obstacle_at_robot_position_is_ignored(self):
         # fuse places an obstacle a subnormal range away exactly on the camera
         robot, goal = Vec2(5.0, 5.0), Vec2(9.0, 5.0)
         on_robot = ActiveObstacle(robot, surface_distance=0.0, d0=1.0, obstacle_id=1)
-        assert steering_direction(robot, goal, on_robot, self.PARAMS) == steering_direction(
-            robot, goal, None, self.PARAMS
-        )
+        assert steering_direction(robot, goal, on_robot) == steering_direction(robot, goal, None)
 
     def test_perpendicularity_identity_includes_head_on(self):
         # (a + c1 r) . r == 0 even when the sum itself is the zero vector
