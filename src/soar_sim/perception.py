@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,25 @@ from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, wrap_angle
 
 # samples drawn per detection; odd so the median is a single sample when all are positive
 SAMPLES_PER_DETECTION = 9
+
+
+class Draws:
+    """take(n) gives the next n items of a random stream, as one draw(n) per take would.
+
+    draw(m) must continue the stream, draw(a) + draw(b) == draw(a + b). A refill draws
+    max(n, block) items after the leftover ones, so with block 0 each take is one draw.
+    """
+
+    def __init__(self, draw: Callable[[int], list], block: int) -> None:
+        self._draw, self._block, self._items, self._next = draw, block, [], 0
+
+    def take(self, n: int) -> list:
+        start, end = self._next, self._next + n
+        if end > len(self._items):
+            self._items = self._items[start:] + self._draw(max(n, self._block))
+            start, end = 0, n
+        self._next = end
+        return self._items[start:end]
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,28 +123,39 @@ def depth_from_disparity(disparity: float, rig: StereoRig) -> float:
     return rig.focal_px / (disparity * (1.0 / rig.baseline_m))
 
 
+def noise_draws(rng: np.random.Generator, noise: SensorNoiseSpec, block: int) -> tuple[Draws, Draws]:
+    """sense's (label flips, row-sorted disparity offsets), drawn from rng at least block items at a time.
+
+    Whatever the block, a frame's takes are the stream of rng.random(k), then rng.normal(0,
+    disparity_std, (k, 9)). With both sources on they share rng, so each take is one draw (block 0).
+    """
+    std = noise.disparity_std
+    block = 0 if noise.misclassify_prob > 0.0 and std > 0.0 else block
+    return (
+        Draws(lambda n: rng.random(n).tolist(), block),
+        Draws(lambda n: np.sort(rng.normal(0.0, std, (n, SAMPLES_PER_DETECTION)), axis=1).tolist(), block),
+    )
+
+
 def sense(
     obstacles: Sequence[ObstacleInstance],
     pose: tuple[Vec2, float],
     rig: StereoRig,
     noise: SensorNoiseSpec,
     policy: ClearancePolicy,
-    rng: np.random.Generator,
+    draws: tuple[Draws, Draws],
     positions: Optional[Sequence[Vec2]] = None,
 ) -> PerceptionFrame:
     """Observe the world from pose, emitting the detections steering can select.
 
     Visible means within the field of view and max range and not occluded by
-    a nearer obstacle along the center ray. Noise is drawn after occlusion,
-    in one block per source for the k visible obstacles in id order: first
-    rng.random(k) when misclassify_prob > 0 (element j decides visible
-    obstacle j's label), then rng.normal(0, disparity_std, (k, 9)) when
-    disparity_std > 0 (row j offsets its samples). With one source on this
-    is the same stream as per-obstacle draws; with both on, all of a frame's
-    label draws come before its disparity draws. No draw is consumed when a
-    noise parameter is zero, so noise-free sensing leaves the rng untouched.
-    Non-positive samples are discarded and the rest's median kept; a visible
-    obstacle with no positive sample is counted in frame.dropped.
+    a nearer obstacle along the center ray. Noise is taken after occlusion
+    from draws = noise_draws(rng, noise, block) for the k visible obstacles
+    in id order: flips.take(k) when misclassify_prob > 0 (element j decides
+    visible obstacle j's label), then rows.take(k), the 9 sorted offsets of
+    each, when disparity_std > 0. Nothing is taken when a noise parameter
+    is zero. Non-positive samples are discarded and the rest's median kept;
+    a visible obstacle with no positive sample is counted in frame.dropped.
 
     Then the rule nearest_effective_obstacle applies: d0 is looked up by the
     reported class, a class with d0 <= 0 is skipped, and so is a detection
@@ -204,11 +234,8 @@ def sense(
     visible.sort(key=lambda v: v[0].id)
 
     k = len(visible)
-    flips = rng.random(k).tolist() if noise.misclassify_prob > 0.0 else None
-    draws = (
-        np.sort(rng.normal(0.0, noise.disparity_std, (k, SAMPLES_PER_DETECTION)), axis=1).tolist()
-        if noise.disparity_std > 0.0 else None
-    )
+    flips = draws[0].take(k) if noise.misclassify_prob > 0.0 else None
+    rows = draws[1].take(k) if noise.disparity_std > 0.0 else None
     no_noise = (0.0,) * SAMPLES_PER_DETECTION
     focal_baseline = rig.focal_px * rig.baseline_m
     focal, inv_baseline = rig.focal_px, 1.0 / rig.baseline_m
@@ -221,7 +248,7 @@ def sense(
             reported = noise.confusion.get(obs.class_label, obs.class_label)
         true_disparity = focal_baseline / rng_m
         # fl(t + d) is monotone in d: a sorted row gives the samples sorted, positive ones last
-        row = draws[j] if draws is not None else no_noise
+        row = rows[j] if rows is not None else no_noise
         if not true_disparity + row[-1] > 0.0:  # no positive sample; inf + -inf included
             dropped += 1
             continue

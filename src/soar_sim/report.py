@@ -6,8 +6,7 @@ stable ordering by seed. Identical inputs produce byte-identical text.
 
 from __future__ import annotations
 
-import csv
-import io
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -112,50 +111,32 @@ def render_comparison_table(report: ComparisonReport) -> str:
 
 
 def render_mode_csv(summary: ModeSummary) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["seed", "mode", "travel_time_s", "outcome"])
-    for row in summary.rows:
-        writer.writerow([row.seed, summary.mode, f"{row.travel_time:.6f}", row.outcome])
-    return buf.getvalue()
+    rows = [f"{row.seed},{summary.mode},{row.travel_time:.6f},{row.outcome}\n" for row in summary.rows]
+    return "".join(["seed,mode,travel_time_s,outcome\n", *rows])
 
 
 def render_comparison_csv(report: ComparisonReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["seed", "soar_travel_time_s", "soar_outcome", "non_soar_travel_time_s", "non_soar_outcome"]
-    )
-    for s_row, n_row in zip(report.soar.rows, report.non_soar.rows):
-        writer.writerow(
-            [s_row.seed, f"{s_row.travel_time:.6f}", s_row.outcome,
-             f"{n_row.travel_time:.6f}", n_row.outcome]
-        )
-    return buf.getvalue()
+    rows = [
+        f"{s.seed},{s.travel_time:.6f},{s.outcome},{n.travel_time:.6f},{n.outcome}\n"
+        for s, n in zip(report.soar.rows, report.non_soar.rows)
+    ]
+    return "".join(["seed,soar_travel_time_s,soar_outcome,non_soar_travel_time_s,non_soar_outcome\n", *rows])
 
 
 def render_trajectory_csv(result: TrialResult) -> str:
     """One row per tick; the t=0 row has no steering decision, so its last four cells are empty."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["time_s", "x", "y", "heading", "speed", "active_obstacle_id", "c1", "c2", "min_clearance"]
-    )
-    for tick in result.trajectory:
-        row = [f"{tick.time:.6f}", repr(tick.position.x), repr(tick.position.y), repr(tick.heading),
-               repr(tick.speed)]
-        decision = tick.decision
+    # no cell holds a comma, quote or line break, so csv.writer quoted none: a row is one f-string
+    lines = ["time_s,x,y,heading,speed,active_obstacle_id,c1,c2,min_clearance\n"]
+    for time, position, heading, speed, decision, clearance in result.trajectory:
         if decision is None:
-            row += ["", "", "", ""]
-        else:
-            active = decision.active_obstacle_id
-            row += [
-                "" if active is None else active,
-                repr(decision.c1), repr(decision.c2),
-                "" if tick.min_clearance == float("inf") else repr(tick.min_clearance),
-            ]
-        writer.writerow(row)
-    return buf.getvalue()
+            lines.append(f"{time:.6f},{position.x!r},{position.y!r},{heading!r},{speed!r},,,,\n")
+            continue
+        active = "" if decision.active_obstacle_id is None else decision.active_obstacle_id
+        lines.append(
+            f"{time:.6f},{position.x!r},{position.y!r},{heading!r},{speed!r},{active},"
+            f"{decision.c1!r},{decision.c2!r},{'' if clearance == math.inf else repr(clearance)}\n"
+        )
+    return "".join(lines)
 
 
 def _mode_doc(summary: ModeSummary) -> dict:

@@ -23,10 +23,12 @@ scenario files usable as regression anchors.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Iterable, Iterator
 
 import yaml
+from yaml.composer import Composer
 
 from soar_sim.perception import SensorNoiseSpec, StereoRig
 from soar_sim.world import (
@@ -48,6 +50,17 @@ DEFAULT_SEED = 0
 MAX_TICKS = 1_000_000
 _STATIC = "static"  # the document's motion types
 _WAYPOINT_LOOP = "waypoint_loop"
+
+
+# libyaml's scanner and parser (~6x faster) under PyYAML's composer, constructor and resolver:
+# the documents are equal, and a too deeply nested one is a RecursionError, not a C stack overflow
+if yaml.__with_libyaml__:
+    class _Loader(Composer, yaml.CSafeLoader):
+        def __init__(self, stream: str | bytes) -> None:
+            yaml.CSafeLoader.__init__(self, stream)
+            Composer.__init__(self)
+else:
+    _Loader = yaml.SafeLoader
 
 
 class ScenarioError(ValueError):
@@ -79,7 +92,7 @@ _KIND_NAMES = {float: "a number", int: "an integer", str: "a string", list: "a l
 def _typed(value: Any, path: str, kind: type) -> Any:
     """value after a type check; an int counts as a float, a bool as neither."""
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ScenarioError(f"{path}: expected {_KIND_NAMES[kind]}, got {value!r:.60}")
+        raise ScenarioError(f"{path}: expected {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
     if kind is not float:
         return value
     try:
@@ -169,14 +182,18 @@ def _parse_obstacle(entry: Any, path: str) -> ObstacleInstance:
     )
 
 
-def load_scenario(text: str) -> ScenarioSpec:
-    """Read one scenario document, then validate it."""
+def load_scenario(text: str | bytes) -> ScenarioSpec:
+    """Read one scenario document, then validate it; bytes are decoded by the parser."""
     try:
-        data = yaml.safe_load(text)
-    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4,300 digits, a bad date
+        data = yaml.load(text, Loader=_Loader)
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past 4,300 digits, a bad date, a surrogate
+        # the parser's own text spans lines and differs between parsers: keep its mark and problem
         mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ScenarioError(f"scenario: malformed document{where}: {exc}") from exc
+        where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark is not None else ""
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise ScenarioError(f"scenario: malformed document{where}: {problem}") from exc
+    except RecursionError:
+        raise ScenarioError("scenario: malformed document: nested too deeply") from None
     data = _mapping(
         data,
         "scenario",
@@ -219,7 +236,7 @@ def load_scenario(text: str) -> ScenarioSpec:
 
 
 def load_scenario_file(path: str) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # the parser decodes, so a file that is not UTF-8 is a malformed document
         return load_scenario(fh.read())
 
 

@@ -3,7 +3,8 @@
 One trial runs the perceive -> fuse -> steer -> move loop until a
 termination condition fires. Trials are pure functions of
 (scenario, mode, seed): perception noise and disturbance gusts come from
-separate seeded streams, moving obstacles advance before the robot each
+separate seeded streams, drawn in blocks that are the same streams as
+draws made tick by tick. Moving obstacles advance before the robot each
 tick. Each recorded state is one Tick: the robot's pose and speed, the
 steering decision that moved it there and its smallest gap to an avoidable
 obstacle. Termination, export and plotting all read that one list.
@@ -18,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from soar_sim.perception import fuse, sense
+from soar_sim.perception import Draws, fuse, noise_draws, sense
 from soar_sim.scenario_io import ScenarioSpec
 from soar_sim.steering import ActiveObstacle, SteeringDecision, steering_direction
 from soar_sim.world import (
@@ -50,8 +51,9 @@ WRONG_DIR_FACTOR = 1.5
 _STREAM_PERCEPTION = 1
 _STREAM_DISTURBANCE = 2
 
-# gust pairs per rng call: a block is the same stream as one size-2 normal draw per tick
-GUST_BLOCK = 256
+# items per rng call of a trial's noise streams (gust pairs, label flips, disparity rows); a
+# block is the same stream as one draw per tick, and drawing past the trial's end is unseen
+DRAW_BLOCK = 256
 
 
 class RobotState(NamedTuple):
@@ -212,7 +214,8 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
     gust_std = spec.disturbance.gust_std
     # without gusts the disturbance is fixed for the trial; adding 0.0 maps a -0.0 drift to 0.0
     disturbance = Vec2(drift_x + 0.0, drift_y + 0.0)
-    gusts: list[list[float]] = []  # the drawn block's unused pairs, next one last
+    gusts = Draws(lambda n: rng_gust.normal(0.0, gust_std, (n, 2)).tolist(), DRAW_BLOCK)
+    draws = noise_draws(rng_perception, spec.noise, DRAW_BLOCK)
 
     for tick in range(1, max_ticks + 1):
         if outcome is not None:
@@ -224,7 +227,7 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
 
         frame = sense(
             obstacles, (state.position, state.heading), spec.rig, spec.noise, lookup_policy,
-            rng_perception, positions=positions,
+            draws, positions=positions,
         )
         estimates, _ = fuse(frame, spec.rig)
         selected = nearest_effective_obstacle(estimates, lookup_policy)
@@ -235,9 +238,7 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
         decision = steering_direction(state.position, spec.goal, active)
 
         if gust_std > 0.0:
-            if not gusts:
-                gusts = rng_gust.normal(0.0, gust_std, (min(GUST_BLOCK, max_ticks + 1 - tick), 2)).tolist()[::-1]
-            gx, gy = gusts.pop()
+            [(gx, gy)] = gusts.take(1)
             disturbance = Vec2(drift_x + gx, drift_y + gy)
 
         state = step(state, decision.v_hat, spec.robot, spec.goal, disturbance, dt)

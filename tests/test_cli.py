@@ -45,6 +45,22 @@ class TestValidate:
     def test_unreadable_path(self, capsys):
         assert main(["validate", "--scenario", "/nonexistent/nope.yaml"]) == EXIT_RUNTIME
 
+    @pytest.mark.parametrize("document, message", [
+        (b"format_version: 1\nstart:\n\t- 1\n", "malformed document at line 3, column 1: "),
+        (b"format_version: [1, 2\n", "malformed document at line 2, column 1: "),
+        (b"format_version: 1\nname: a\0b\n", "malformed document: unacceptable character #x0000: "),
+        (b"format_version: 1\nname: \xed\xa0\x80\n", "malformed document: unacceptable character #x"),
+        (b"[" * 10**4 + b"]" * 10**4, "malformed document: nested too deeply"),
+    ], ids=["tab", "unclosed_bracket", "nul", "lone_surrogate", "depth_1e4"])
+    def test_malformed_document_is_one_line(self, tmp_path, capsys, document, message):
+        # the parser's own text spans up to five lines; only its position and problem are kept
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(document)
+        assert main(["validate", "--scenario", str(bad)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith(f"INVALID: scenario: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
 
 class TestRunRejectsUnboundedScenario:
     @pytest.mark.parametrize(
@@ -264,11 +280,17 @@ def test_large_batch_submits_few_chunks(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("command", ["run", "batch", "compare"])
+@pytest.mark.parametrize("command", ["batch", "compare"])
 def test_negative_seed_is_one_error_line(tmp_path, capsys, command, jobs):
-    # numpy's SeedSequence rejects negative seeds with a traceback; run takes no --jobs
-    jobs_option = [] if command == "run" else ["--jobs", jobs]
-    rc = main([command, "--scenario", OPEN_FIELD, "--seed", "-1", *jobs_option, "--out", str(tmp_path)])
+    # numpy's SeedSequence rejects negative seeds with a traceback
+    rc = main([command, "--scenario", OPEN_FIELD, "--seed", "-1", "--jobs", jobs, "--out", str(tmp_path)])
+    assert rc == EXIT_RUNTIME
+    assert capsys.readouterr().err == "ERROR: --seed must be >= 0\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_negative_seed_is_one_error_line(tmp_path, capsys):
+    rc = main(["run", "--scenario", OPEN_FIELD, "--seed", "-1", "--out", str(tmp_path)])
     assert rc == EXIT_RUNTIME
     assert capsys.readouterr().err == "ERROR: --seed must be >= 0\n"
     assert not any(tmp_path.iterdir())

@@ -8,11 +8,13 @@ import pytest
 
 from soar_sim.perception import (
     Detection,
+    Draws,
     PerceptionFrame,
     SensorNoiseSpec,
     StereoRig,
     depth_from_disparity,
     fuse,
+    noise_draws,
     sense,
 )
 from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2
@@ -23,14 +25,16 @@ QUIET = SensorNoiseSpec(max_range_m=15.0)
 KEEP_ALL = ClearancePolicy({}, default_d0=math.inf)
 
 
-class FixedDraws:
-    """rng stand-in for sense: normal() returns the given disparity offsets, one row per detection."""
+def fixed_rows(*rows):
+    """sense draws without label flips whose disparity offsets are the given rows, one per detection."""
+    def draw(n):
+        return np.sort(np.array(rows, dtype=float).reshape(n, -1), axis=1).tolist()
+    return Draws(None, 0), Draws(draw, 0)
 
-    def __init__(self, *rows):
-        self.rows = rows
 
-    def normal(self, loc, scale, size):
-        return np.array(self.rows, dtype=float).reshape(size)
+def per_frame(noise, seed=0):
+    """sense's draws from a fresh rng, one rng call per take."""
+    return noise_draws(np.random.default_rng(seed), noise, 0)
 
 
 def sensed_disparity(offsets, true_disparity=10.0):
@@ -38,7 +42,7 @@ def sensed_disparity(offsets, true_disparity=10.0):
     rig = rig_for(100.0, 0.1)  # focal * baseline = 10, so the range is 10 / true_disparity
     noise = SensorNoiseSpec(disparity_std=1.0, max_range_m=1e3)
     obstacles = [ObstacleInstance(1, "rock", Vec2(10.0 / true_disparity, 0.0), 0.0)]
-    frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL, FixedDraws(list(offsets)))
+    frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL, fixed_rows(list(offsets)))
     return frame.detections[0].disparity
 
 
@@ -109,8 +113,7 @@ class TestDepthFromDisparity:
 
 class TestSense:
     def test_empty_world(self):
-        rng = np.random.default_rng(0)
-        frame = sense([], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, rng)
+        frame = sense([], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
         assert frame.detections == ()
 
     def test_noise_free_identity(self):
@@ -118,8 +121,7 @@ class TestSense:
             ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5),
             ObstacleInstance(2, "fish", Vec2(2.0, -1.0), 0.2),
         ]
-        rng = np.random.default_rng(0)
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, rng)
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
         assert [d.instance_id for d in frame.detections] == [1, 2]
         for det, obs in zip(frame.detections, obstacles):
             assert det.reported_class == obs.class_label
@@ -131,24 +133,24 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5)]
         rng = np.random.default_rng(123)
         state_before = rng.bit_generator.state
-        sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, rng)
+        sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, noise_draws(rng, QUIET, 0))
         assert rng.bit_generator.state == state_before
 
     def test_max_range_filter(self):
         obstacles = [ObstacleInstance(1, "rock", Vec2(20.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0))
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
         assert frame.detections == ()
 
     def test_fov_filter(self):
         noise = SensorNoiseSpec(fov_deg=180.0, max_range_m=15.0)  # forward half-plane
         behind = [ObstacleInstance(1, "rock", Vec2(-3.0, 0.1), 0.5)]
-        frame = sense(behind, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(0))
+        frame = sense(behind, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
         assert frame.detections == ()
 
     def test_occlusion_drops_far_obstacle(self):
         near = ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)
         far = ObstacleInstance(2, "rock", Vec2(8.0, 0.0), 0.5)
-        frame = sense([near, far], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0))
+        frame = sense([near, far], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
         assert [d.instance_id for d in frame.detections] == [1]
 
     def test_occlusion_matches_brute_force_ray_test(self):
@@ -164,7 +166,7 @@ class TestSense:
                 ObstacleInstance(1, "rock", blocker_center, radius),
                 ObstacleInstance(2, "rock", target, 0.2),
             ]
-            frame = sense(obstacles, (cam, 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0))
+            frame = sense(obstacles, (cam, 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
             detected_ids = {d.instance_id for d in frame.detections}
             # brute force: sample the center ray densely
             blocked = any(
@@ -182,13 +184,13 @@ class TestSense:
         # blocker center well outside the 10 deg cone, disc still crossing the ray
         blocker = ObstacleInstance(1, "rock", Vec2(2.0, 0.6), 0.7)
         frame = sense([blocker, target], (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL,
-                      np.random.default_rng(0))
+                      per_frame(noise))
         assert frame.detections == ()
 
     def test_misclassification_uses_confusion_map(self):
         noise = SensorNoiseSpec(misclassify_prob=1.0, confusion={"rock": "fish"}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(0))
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
         det = frame.detections[0]
         assert det.reported_class == "fish"
         assert det.true_class == "rock"
@@ -196,7 +198,7 @@ class TestSense:
     def test_misclassification_without_mapping_keeps_class(self):
         noise = SensorNoiseSpec(misclassify_prob=1.0, confusion={}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(0))
+        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
         assert frame.detections[0].reported_class == "rock"
 
     def test_same_seed_same_frame(self):
@@ -207,7 +209,7 @@ class TestSense:
         noise = SensorNoiseSpec(disparity_std=0.4, misclassify_prob=0.3,
                                 confusion={"rock": "fish"}, max_range_m=15.0)
         frames = [
-            sense(obstacles, (Vec2(0.0, 0.0), 0.1), RIG, noise, KEEP_ALL, np.random.default_rng(77))
+            sense(obstacles, (Vec2(0.0, 0.0), 0.1), RIG, noise, KEEP_ALL, per_frame(noise, 77))
             for _ in range(2)
         ]
         assert frames[0] == frames[1]
@@ -216,14 +218,14 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)]
         noise = SensorNoiseSpec(disparity_std=50.0, max_range_m=15.0)
         for seed in range(20):
-            frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, np.random.default_rng(seed))
+            frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise, seed))
             for det in frame.detections:
                 assert det.disparity > 0.0
 
     def test_moving_obstacle_uses_supplied_positions(self):
         obs = ObstacleInstance(1, "fish", Vec2(5.0, 0.0), 0.2, waypoints=(Vec2(5.0, 2.0),), speed=1.0)
         moved = obs.position_at(1.0)
-        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, np.random.default_rng(0),
+        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET),
                       positions=[moved])
         det = frame.detections[0]
         expected_range = math.hypot(moved.x, moved.y)
@@ -319,7 +321,7 @@ class TestFuse:
                      ObstacleInstance(2, "rock", Vec2(0.0, 1.0), 0.1)]
         no_positive = [-10.0, -12.0] * 4 + [-10.5]
         frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL,
-                      FixedDraws(no_positive, [0.0] * 9))
+                      fixed_rows(no_positive, [0.0] * 9))
         assert frame.dropped == 1
         assert [det.instance_id for det in frame.detections] == [2]
         estimates, dropped = fuse(frame, rig)
@@ -335,7 +337,7 @@ class TestSenseFuseRoundTrip:
         ]
         pose = (Vec2(0.5, -0.25), 0.35)
         noise = SensorNoiseSpec(fov_deg=360.0, max_range_m=20.0)
-        frame = sense(obstacles, pose, RIG, noise, KEEP_ALL, np.random.default_rng(0))
+        frame = sense(obstacles, pose, RIG, noise, KEEP_ALL, per_frame(noise))
         estimates, dropped = fuse(frame, RIG)
         assert dropped == 0
         by_id = {e.source_instance: e for e in estimates}

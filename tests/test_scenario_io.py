@@ -7,7 +7,9 @@ import re
 from dataclasses import replace
 
 import pytest
+import yaml
 
+from soar_sim import scenario_io
 from soar_sim.perception import SensorNoiseSpec, StereoRig
 from soar_sim.scenario_io import (
     ScenarioError,
@@ -379,6 +381,14 @@ class TestRoundTrip:
             for path in sorted(scenario_dir.glob("*.yaml"))
         }
         assert digests == pinned
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_parses_fixtures_as_pyyaml_does(self, scenario_dir):
+        for path in sorted(scenario_dir.glob("*.yaml")):
+            text = path.read_text(encoding="utf-8")
+            expected = yaml.load(text, Loader=yaml.SafeLoader)
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == expected, path.name
+            assert yaml.load(text, Loader=scenario_io._Loader) == expected, path.name
 
     def test_constructed_spec_round_trips(self):
         spec = ScenarioSpec(

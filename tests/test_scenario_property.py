@@ -24,6 +24,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import yaml  # noqa: E402
+from soar_sim import scenario_io  # noqa: E402
 from soar_sim.perception import SensorNoiseSpec, StereoRig  # noqa: E402
 from soar_sim.scenario_io import (  # noqa: E402
     ScenarioError,
@@ -181,6 +183,16 @@ class TestRandomScenarios:
             result = run_trial(spec, mode)
             assert result.outcome in OUTCOMES
             assert result.travel_time <= spec.time_limit + spec.robot.dt
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    @settings(max_examples=40, deadline=None)
+    @given(spec=scenarios())
+    def test_libyaml_parses_documents_as_pyyaml_does(self, spec):
+        text = serialize_scenario(spec)
+        # repr, so that a NaN field compares equal to itself
+        expected = repr(yaml.load(text, Loader=yaml.SafeLoader))
+        assert repr(yaml.load(text, Loader=yaml.CSafeLoader)) == expected
+        assert repr(yaml.load(text, Loader=scenario_io._Loader)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(spec=odd_scenarios())

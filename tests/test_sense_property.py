@@ -6,9 +6,10 @@ positive samples and keeps every visible obstacle, with disparity None
 when no sample is positive. A reference fuse then ranges and places every
 detection that has a positive sample. Filtered by the rule of
 nearest_effective_obstacle, that must give exactly what sense emits, what
-fuse places and the dropped count, with the rng left in the same state. So
-this checks sense's occlusion prefilter, its block draws, its median from
-sorted rows and its early clearance rule.
+fuse places and the dropped count, with the rng left in the same state when
+sense takes its noise through noise_draws(rng, noise, 0). So this checks
+sense's occlusion prefilter, its per-frame draws, its median from sorted
+rows and its early clearance rule.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from soar_sim.perception import (  # noqa: E402
     StereoRig,
     depth_from_disparity,
     fuse,
+    noise_draws,
     sense,
 )
 from soar_sim.world import (  # noqa: E402
@@ -345,7 +347,7 @@ class TestSenseMatchesPerPairReference:
         world, seed, policy = case
         obstacles, positions, pose, noise = world
         rng = np.random.default_rng(seed)
-        frame = sense(obstacles, pose, RIG, noise, policy, rng, positions=positions)
+        frame = sense(obstacles, pose, RIG, noise, policy, noise_draws(rng, noise, 0), positions=positions)
         placed, dropped, rng_ref = reference(world, seed)
         kept = [(det, est) for det, est in placed if nearest_effective_obstacle([est], policy) is not None]
         assert frame.detections == tuple(det for det, _ in kept)

@@ -5,10 +5,19 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soar_sim.sim
 import soar_sim.world
-from soar_sim.perception import Detection, LabeledObstacleEstimate, PerceptionFrame
+from soar_sim.perception import (
+    Detection,
+    Draws,
+    LabeledObstacleEstimate,
+    PerceptionFrame,
+    SensorNoiseSpec,
+    noise_draws,
+)
 from soar_sim.sim import (
     MODE_NON_SOAR,
     MODE_SOAR,
@@ -51,15 +60,41 @@ def test_per_tick_records_are_immutable(name):
     assert getattr(record, field_name) is not None
 
 
+GUST_STD = 0.3
+NOISE_SOURCES = {
+    "flips": SensorNoiseSpec(misclassify_prob=0.5),
+    "rows": SensorNoiseSpec(disparity_std=0.4),
+    "both": SensorNoiseSpec(disparity_std=0.4, misclassify_prob=0.5),
+}
+
+
 @pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
-def test_gust_block_is_the_per_tick_stream(seed):
-    # run_trial draws gusts GUST_BLOCK pairs at a time; the goldens were recorded with one
-    # normal(0, s, 2) call per tick, so a numpy that fills a block differently fails here first
-    std = 0.3
-    blocks = np.random.default_rng(seed)
-    drawn = blocks.normal(0.0, std, (37, 2)).tolist() + blocks.normal(0.0, std, (5, 2)).tolist()
-    rng = np.random.default_rng(seed)
-    assert drawn == [rng.normal(0.0, std, 2).tolist() for _ in range(42)]
+@settings(max_examples=40, deadline=None)
+@given(source=st.sampled_from(["gusts", *NOISE_SOURCES]), block=st.integers(0, 40),
+       ks=st.lists(st.integers(0, 12), max_size=25))
+def test_gust_block_is_the_per_tick_stream(seed, source, block, ks):
+    # run_trial takes its noise from blocks of DRAW_BLOCK items; the goldens were recorded with
+    # one rng call per source and tick, so a numpy that fills a block differently fails here first
+    blocked, per_tick = np.random.default_rng(seed), np.random.default_rng(seed)
+    if source == "gusts":
+        gusts = Draws(lambda n: blocked.normal(0.0, GUST_STD, (n, 2)).tolist(), block)
+        taken = [gusts.take(k) for k in ks]
+        expected = [[per_tick.normal(0.0, GUST_STD, 2).tolist() for _ in range(k)] for k in ks]
+    else:
+        # sense's order: a frame's k label draws, then its k disparity rows; with both sources
+        # on they share one stream, which stays the per-frame one whatever the block asked for
+        noise = NOISE_SOURCES[source]
+        flips, rows = noise_draws(blocked, noise, block)
+        flips_on, rows_on = noise.misclassify_prob > 0.0, noise.disparity_std > 0.0
+        taken = [(flips.take(k) if flips_on else None, rows.take(k) if rows_on else None) for k in ks]
+        expected = [
+            (per_tick.random(k).tolist() if flips_on else None,
+             np.sort(per_tick.normal(0.0, noise.disparity_std, (k, 9)), axis=1).tolist() if rows_on else None)
+            for k in ks
+        ]
+        if flips_on and rows_on:
+            assert blocked.bit_generator.state == per_tick.bit_generator.state
+    assert taken == expected
 
 
 class TestStep:
