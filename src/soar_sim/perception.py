@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, wrap_angle
+from soar_sim.world import ClearancePolicy, ObstacleEstimate, ObstacleInstance, Vec2, wrap_angle
 
 # samples drawn per detection; odd so the median is a single sample when all are positive
 SAMPLES_PER_DETECTION = 9
@@ -88,9 +88,10 @@ class SensorNoiseSpec:
 class Detection(NamedTuple):
     """One segmented instance: label pair and median of the positive disparity samples.
 
-    bearing_rad is the azimuth of the mask centroid ray in the camera frame;
-    known_radius_m is the oracle segmenter's instance radius, used by fusion
-    to convert range to surface distance.
+    bearing_rad is the azimuth of the mask centroid ray in the camera frame.
+    d0 is the reported class's clearance, and gap the surface distance
+    ranged from the median with the oracle segmenter's instance radius,
+    clamped at 0.
     """
 
     instance_id: int
@@ -98,7 +99,8 @@ class Detection(NamedTuple):
     true_class: str
     disparity: float
     bearing_rad: float
-    known_radius_m: float
+    d0: float
+    gap: float
 
 
 class PerceptionFrame(NamedTuple):
@@ -107,13 +109,6 @@ class PerceptionFrame(NamedTuple):
     detections: tuple[Detection, ...]
     camera_pose: tuple[Vec2, float]
     dropped: int
-
-
-class LabeledObstacleEstimate(NamedTuple):
-    class_label: str
-    position: Vec2
-    surface_distance: float
-    source_instance: int
 
 
 def depth_from_disparity(disparity: float, rig: StereoRig) -> float:
@@ -160,7 +155,8 @@ def sense(
     Then the rule nearest_effective_obstacle applies: d0 is looked up by the
     reported class, a class with d0 <= 0 is skipped, and so is a detection
     whose clamped surface distance, ranged through the Q reprojection,
-    exceeds d0. Only the rest get a bearing and a Detection, in id order.
+    exceeds d0. Only the rest get a bearing and a Detection, in id order,
+    which carries that d0 and gap.
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
@@ -268,25 +264,24 @@ def sense(
             continue
         if bearing is None:
             bearing = wrap_angle(math.atan2(aby, abx) - heading)
-        detections.append(Detection(obs.id, reported, obs.class_label, disparity, bearing, obs.radius))
+        detections.append(Detection(obs.id, reported, obs.class_label, disparity, bearing, d0, gap))
     return PerceptionFrame(tuple(detections), (cam_pos, heading), dropped)
 
 
-def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[LabeledObstacleEstimate], int]:
+def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[ObstacleEstimate], int]:
     """Place each detection in the world frame, for steering to act on.
 
     The range is recovered from the median disparity through the Q
-    reprojection and placed along the centroid bearing ray. sense has
-    already applied the clearance rule, so every estimate qualifies for
+    reprojection and placed along the centroid bearing ray; the d0 and gap
+    sense computed pass on unchanged, so every estimate qualifies for
     nearest_effective_obstacle. Returns (estimates, frame.dropped).
     """
     cam_pos, heading = frame.camera_pose
     estimates = []
     for det in frame.detections:
         rng_m = depth_from_disparity(det.disparity, rig)
-        gap = rng_m - det.known_radius_m
-        gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
         ray = heading + det.bearing_rad
         position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
-        estimates.append(LabeledObstacleEstimate(det.reported_class, position, gap, det.instance_id))
+        estimates.append(ObstacleEstimate(det.instance_id, det.reported_class, det.true_class, det.d0, position,
+                                          det.gap))
     return estimates, frame.dropped

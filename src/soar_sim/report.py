@@ -131,7 +131,7 @@ def render_trajectory_csv(result: TrialResult) -> str:
         if decision is None:
             lines.append(f"{time:.6f},{position.x!r},{position.y!r},{heading!r},{speed!r},,,,\n")
             continue
-        active = "" if decision.active_obstacle_id is None else decision.active_obstacle_id
+        active = "" if decision.active is None else decision.active.id
         lines.append(
             f"{time:.6f},{position.x!r},{position.y!r},{heading!r},{speed!r},{active},"
             f"{decision.c1!r},{decision.c2!r},{'' if clearance == math.inf else repr(clearance)}\n"

@@ -279,8 +279,10 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     """
     for path in _non_finite(_document(spec), "scenario"):
         raise ScenarioError(f"{path}: must be finite")
-    # the name is the stem of every artifact file: no NUL, no way out of --out
-    _check(not any(c in spec.name for c in "/\\\0"), "scenario.name", "no '/', '\\' or NUL in name")
+    # the name is the stem of every artifact file: no NUL, no way out of --out, and it must encode
+    # as UTF-8, which a surrogate code point does not (a YAML escape such as "\ud800" can give one)
+    _check(not any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in spec.name), "scenario.name",
+           "no '/', '\\', NUL or surrogate in name")
     _check(spec.time_limit > 0.0, "scenario.time_limit_s", "time_limit > 0")
     _check(spec.goal_radius > 0.0, "scenario.goal.radius", "goal_radius > 0")
     _check(spec.seed >= 0, "scenario.seed", "seed >= 0")

@@ -21,7 +21,7 @@ import numpy as np
 
 from soar_sim.perception import Draws, fuse, noise_draws, sense
 from soar_sim.scenario_io import ScenarioSpec
-from soar_sim.steering import ActiveObstacle, SteeringDecision, steering_direction
+from soar_sim.steering import SteeringDecision, steering_direction
 from soar_sim.world import (
     ClearancePolicy,
     RobotParams,
@@ -163,9 +163,10 @@ def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Option
 def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> TrialResult:
     """Run one trial; bit-identical for identical (spec, mode, seed).
 
-    soar mode looks labels up in the scenario's per-class policy, in sense
-    and in the selection. non_soar mode withholds the semantic information:
-    every label gets the uniform clearance spec.uniform_d0.
+    soar mode looks labels up in the scenario's per-class policy, once per
+    detection in sense, whose d0 the selection and steering read. non_soar
+    mode withholds the semantic information: every label gets the uniform
+    clearance spec.uniform_d0.
     """
     if mode not in (MODE_SOAR, MODE_NON_SOAR):
         raise ValueError(f"mode must be '{MODE_SOAR}' or '{MODE_NON_SOAR}', got {mode!r}")
@@ -230,12 +231,7 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
             draws, positions=positions,
         )
         estimates, _ = fuse(frame, spec.rig)
-        selected = nearest_effective_obstacle(estimates, lookup_policy)
-        active = None
-        if selected is not None:
-            est, d0 = selected
-            active = ActiveObstacle(est.position, est.surface_distance, d0, est.source_instance)
-        decision = steering_direction(state.position, spec.goal, active)
+        decision = steering_direction(state.position, spec.goal, nearest_effective_obstacle(estimates))
 
         if gust_std > 0.0:
             [(gx, gy)] = gusts.take(1)

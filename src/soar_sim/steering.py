@@ -15,21 +15,12 @@ from __future__ import annotations
 from math import sqrt
 from typing import NamedTuple, Optional
 
-from soar_sim.world import Vec2
+from soar_sim.world import ObstacleEstimate, Vec2
 
 # c2 at contact: the largest repulsive gain b of the steering law (> 1)
 B_MAX = 3.0
 # below this norm the gained sum counts as the head-on singularity
 TIE_EPS = 1e-9
-
-
-class ActiveObstacle(NamedTuple):
-    """The obstacle the steering law reacts to this tick."""
-
-    position: Vec2
-    surface_distance: float
-    d0: float
-    obstacle_id: int
 
 
 class SteeringDecision(NamedTuple):
@@ -38,7 +29,7 @@ class SteeringDecision(NamedTuple):
     c1: float
     c2: float
     v_hat: Vec2
-    active_obstacle_id: Optional[int]
+    active: Optional[ObstacleEstimate]  # the obstacle the law reacted to
     tie_break_applied: bool
 
 
@@ -70,7 +61,7 @@ def c2(dist: float, d0: float, b: float) -> float:
 def steering_direction(
     robot_pos: Vec2,
     goal: Vec2,
-    active: Optional[ActiveObstacle],
+    active: Optional[ObstacleEstimate],
 ) -> SteeringDecision:
     """Commanded unit direction for one tick.
 
@@ -82,7 +73,7 @@ def steering_direction(
     step turns it left, as wrap_angle maps that +-pi error to +pi. An
     obstacle estimated at the robot's own position gives no direction to
     steer away from, so it is treated as no active obstacle. An active
-    obstacle outside 0 < d0 and 0 <= dist <= d0 is rejected by c2.
+    obstacle outside 0 < d0 and 0 <= gap <= d0 is rejected by c2.
     """
     # sqrt(dx*dx + dy*dy), not hypot: the golden digests pin these floats
     dxg = goal.x - robot_pos.x
@@ -100,10 +91,10 @@ def steering_direction(
         return SteeringDecision(a_hat, None, 0.0, 0.0, a_hat, None, False)
     r_hat = Vec2(dxo / rn, dyo / rn)
     k1 = c1(a_hat, r_hat)
-    k2 = c2(active.surface_distance, active.d0, B_MAX)
+    k2 = c2(active.gap, active.d0, B_MAX)
     sx = a_hat.x + k1 * k2 * r_hat.x
     sy = a_hat.y + k1 * k2 * r_hat.y
     sn = sqrt(sx * sx + sy * sy)
     if sn < TIE_EPS:
-        return SteeringDecision(a_hat, r_hat, k1, k2, Vec2(-r_hat.y, r_hat.x), active.obstacle_id, True)
-    return SteeringDecision(a_hat, r_hat, k1, k2, Vec2(sx / sn, sy / sn), active.obstacle_id, False)
+        return SteeringDecision(a_hat, r_hat, k1, k2, Vec2(-r_hat.y, r_hat.x), active, True)
+    return SteeringDecision(a_hat, r_hat, k1, k2, Vec2(sx / sn, sy / sn), active, False)

@@ -3,18 +3,15 @@ and disturbance parameters, plus the nearest-effective-obstacle selection
 rule used by the steering loop.
 
 All values here are immutable after construction and safe to share between
-concurrently running trials: Vec2, built many times per tick, is a NamedTuple;
-the obstacle, policy and parameter types are frozen dataclasses.
+concurrently running trials: Vec2 and ObstacleEstimate, built every tick, are
+NamedTuples; the obstacle, policy and parameter types are frozen dataclasses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
-
-if TYPE_CHECKING:
-    from soar_sim.perception import LabeledObstacleEstimate
+from typing import NamedTuple, Optional, Sequence
 
 
 class Vec2(NamedTuple):
@@ -119,26 +116,38 @@ def wrap_angle(a: float) -> float:
     return a
 
 
-def nearest_effective_obstacle(
-    estimates: Sequence["LabeledObstacleEstimate"],
-    policy: ClearancePolicy,
-) -> Optional[tuple["LabeledObstacleEstimate", float]]:
-    """Pick the estimate the steering law should react to.
+class ObstacleEstimate(NamedTuple):
+    """One obstacle as perception reports it, the record that selection and steering act on.
 
-    Qualifying estimates have d0 > 0 for their class and surface distance
-    within that d0; among them the one with the deepest intrusion
-    (d0 - surface distance) wins. Ties break by smaller distance, then by
-    smaller source obstacle id. Returns (estimate, d0) or None. sense applies
-    the same d0 rule first, so in a trial every estimate it gets qualifies.
+    sense looked d0 up by the reported class and ranged the gap (the surface
+    distance, clamped at 0); fuse placed the position. true_class is the
+    ground truth, kept for the record.
+    """
+
+    id: int
+    reported_class: str
+    true_class: str
+    d0: float
+    position: Vec2
+    gap: float
+
+
+def nearest_effective_obstacle(estimates: Sequence[ObstacleEstimate]) -> Optional[ObstacleEstimate]:
+    """Pick the estimate the steering law should react to, or None.
+
+    Qualifying estimates have d0 > 0 and a gap within that d0; among them
+    the one with the deepest intrusion (d0 - gap) wins. Ties break by
+    smaller gap, then by smaller obstacle id. sense applies the same rule
+    first, so in a trial every estimate it gets qualifies.
     """
     best = None
     best_key = None
     for est in estimates:
-        d0 = effective_d0(policy, est.class_label)
-        if d0 <= 0.0 or est.surface_distance > d0:
+        d0, gap = est.d0, est.gap
+        if d0 <= 0.0 or gap > d0:
             continue
-        key = (-(d0 - est.surface_distance), est.surface_distance, est.source_instance)
+        key = (-(d0 - gap), gap, est.id)
         if best_key is None or key < best_key:
-            best = (est, d0)
+            best = est
             best_key = key
     return best

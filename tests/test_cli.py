@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import importlib
+import inspect
 import math
+import re
 import shlex
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -409,3 +412,24 @@ def test_readme_command_line_block_runs(tmp_path, monkeypatch):
     assert [command[0] for command in commands] == ["validate", "run", "batch", "compare", "plot"]
     for argv in commands:
         assert main(argv) == EXIT_OK, argv
+
+
+def readme_library_rows() -> list[tuple[list[str], str]]:
+    """(module names, contents) of each row of README.md's "Library surface" table."""
+    section = (REPO / "README.md").read_text().split("## Library surface", 1)[1]
+    rows = [line.split(" | ", 1) for line in section.split("\n\n", 2)[1].splitlines()[2:]]
+    return [(re.findall(r"`([\w.]+)`", modules), contents) for modules, contents in rows]
+
+
+def test_readme_library_surface_matches_signatures():
+    # each `name(params)` the table shows must be its row module's signature: names, order, defaults
+    checked = []
+    for module_names, contents in readme_library_rows():
+        modules = [importlib.import_module(name) for name in module_names]
+        for name, params in re.findall(r"`(\w+)\(([^`]*)\)`", contents):
+            [owner] = [module for module in modules if hasattr(module, name)]
+            signature = inspect.signature(getattr(owner, name)).parameters.values()
+            actual = ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in signature)
+            assert params == actual, name
+            checked.append(name)
+    assert {"ObstacleInstance", "nearest_effective_obstacle", "steering_direction", "sense", "fuse"} <= set(checked)

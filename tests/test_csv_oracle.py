@@ -62,9 +62,9 @@ def oracle_trajectory_csv(result):
         if decision is None:
             row += ["", "", "", ""]
         else:
-            active = decision.active_obstacle_id
+            active = decision.active
             row += [
-                "" if active is None else active,
+                "" if active is None else active.id,
                 repr(decision.c1), repr(decision.c2),
                 "" if tick.min_clearance == float("inf") else repr(tick.min_clearance),
             ]

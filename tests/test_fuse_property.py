@@ -1,12 +1,13 @@
 """fuse against a reference that places every detection, on random frames.
 
 sense emits only the detections that pass the rule nearest_effective_obstacle
-applies; fuse then ranges and places each one, and passes frame.dropped on.
-The reference places every detection of a raw frame, whatever its class.
-On the raw frame fuse must give the reference's estimates; on the frame
-filtered by the rule, as sense emits it, fuse must keep exactly the
-reference estimates the rule admits, each of which qualifies, and steering
-must pick the same estimate as from everything.
+applies, each with its reported class's d0 and its clamped gap; fuse then
+ranges and places each one, carries d0 and gap over, and passes
+frame.dropped on. The reference places every detection of a raw frame,
+whatever its d0. On the raw frame fuse must give the reference's estimates;
+on the frame filtered by the rule, as sense emits it, fuse must keep
+exactly the reference estimates the rule admits, each of which qualifies,
+and steering must pick the same estimate as from everything.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 from soar_sim.perception import (  # noqa: E402
     Detection,
-    LabeledObstacleEstimate,
     PerceptionFrame,
     StereoRig,
     depth_from_disparity,
     fuse,
 )
-from soar_sim.world import ClearancePolicy, Vec2, nearest_effective_obstacle  # noqa: E402
+from soar_sim.world import ObstacleEstimate, Vec2, nearest_effective_obstacle  # noqa: E402
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
 CLASSES = ("rock", "fish", "car", "ball")
@@ -43,15 +43,22 @@ def reference_fuse(frame, rig):
         rng_m = depth_from_disparity(det.disparity, rig)
         ray = heading + det.bearing_rad
         position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
-        gap = rng_m - det.known_radius_m
-        gap = gap if gap > 0.0 else 0.0
-        estimates.append(LabeledObstacleEstimate(det.reported_class, position, gap, det.instance_id))
+        estimates.append(ObstacleEstimate(det.instance_id, det.reported_class, det.true_class, det.d0, position,
+                                          det.gap))
     return estimates
+
+
+def sensed_gap(disparity, radius):
+    """The gap sense ranges from a disparity: the surface distance, clamped at 0."""
+    return max(0.0, depth_from_disparity(disparity, RIG) - radius)
 
 
 @st.composite
 def frames(draw):
-    """0-12 detections with unique ids, labels confused at random, and a dropped count."""
+    """0-12 detections with unique ids, labels confused at random, and a dropped count.
+
+    Each d0 is drawn from 0, the detection's own gap, its float neighbours and random values.
+    """
     fields = draw(st.lists(
         st.tuples(
             st.sampled_from(CLASSES),  # reported
@@ -63,51 +70,43 @@ def frames(draw):
         max_size=12,
     ))
     ids = draw(st.lists(st.integers(0, 99), min_size=len(fields), max_size=len(fields), unique=True))
-    detections = tuple(Detection(i, *f) for i, f in zip(sorted(ids), fields))
+    detections = []
+    for i, (reported, true, disparity, bearing, radius) in zip(sorted(ids), fields):
+        gap = sensed_gap(disparity, radius)
+        edges = [0.0, gap, math.nextafter(gap, math.inf), math.nextafter(gap, 0.0)]
+        d0 = draw(st.one_of(st.sampled_from(edges), st.floats(0.0, 10.0)))
+        detections.append(Detection(i, reported, true, disparity, bearing, d0, gap))
     position = Vec2(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
-    return PerceptionFrame(detections, (position, draw(st.floats(-math.pi, math.pi))),
+    return PerceptionFrame(tuple(detections), (position, draw(st.floats(-math.pi, math.pi))),
                            draw(st.integers(0, 5)))
-
-
-@st.composite
-def frames_and_policies(draw):
-    """A frame, and d0s drawn from 0, the frame's own gaps, their float neighbours and random values."""
-    frame = draw(frames())
-    gaps = [est.surface_distance for est in reference_fuse(frame, RIG)]
-    edges = [0.0, *gaps, *(math.nextafter(g, math.inf) for g in gaps),
-             *(math.nextafter(g, 0.0) for g in gaps)]
-    d0s = st.one_of(st.sampled_from(edges), st.floats(0.0, 10.0))
-    entries = draw(st.dictionaries(st.sampled_from(CLASSES), d0s))
-    return frame, ClearancePolicy(entries, default_d0=draw(d0s))
 
 
 def one(det):
     return PerceptionFrame((det,), POSE, 0)
 
 
-ROCK = Detection(1, "rock", "rock", 10.0, 0.3, 0.5)  # range 4.8, gap 4.3
-ROCK_GAP = reference_fuse(one(ROCK), RIG)[0].surface_distance
-BALL_AT_CONTACT = Detection(2, "ball", "ball", 400.0, 0.0, 1.0)  # range 0.12, gap 0
-ROCK_SEEN_AS_FISH = Detection(3, "fish", "rock", 10.0, -0.2, 0.5)
+ROCK_GAP = sensed_gap(10.0, 0.5)  # range 4.8, gap 4.3
+ROCK = Detection(1, "rock", "rock", 10.0, 0.3, 1.0, ROCK_GAP)
+BALL_AT_CONTACT = Detection(2, "ball", "ball", 400.0, 0.0, 0.0, sensed_gap(400.0, 1.0))  # range 0.12, gap 0
+ROCK_SEEN_AS_FISH = Detection(3, "fish", "rock", 10.0, -0.2, 5.0, ROCK_GAP)
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=frames_and_policies())
+@given(frame=frames())
 # gap == d0 exactly: the estimate qualifies, with zero intrusion
-@example(case=(one(ROCK), ClearancePolicy({"rock": ROCK_GAP}, default_d0=0.0)))
+@example(frame=one(ROCK._replace(d0=ROCK_GAP)))
 # a d0 = 0 class is never an estimate, not even at contact
-@example(case=(one(BALL_AT_CONTACT), ClearancePolicy({"ball": 0.0}, default_d0=1.0)))
-# the reported class decides, not the true one
-@example(case=(one(ROCK_SEEN_AS_FISH), ClearancePolicy({"fish": 5.0, "rock": 0.0})))
-def test_fuse_keeps_what_the_selection_rule_admits(case):
-    frame, policy = case
+@example(frame=one(BALL_AT_CONTACT))
+# the reported class's d0 decides; the true class passes through
+@example(frame=one(ROCK_SEEN_AS_FISH))
+def test_fuse_keeps_what_the_selection_rule_admits(frame):
     every = reference_fuse(frame, RIG)
     assert fuse(frame, RIG) == (every, frame.dropped)
     # the frame sense would emit: only the detections whose estimate the rule admits
-    admitted = [nearest_effective_obstacle([est], policy) is not None for est in every]
+    admitted = [nearest_effective_obstacle([est]) is not None for est in every]
     emitted = frame._replace(detections=tuple(det for det, ok in zip(frame.detections, admitted) if ok))
     estimates, dropped = fuse(emitted, RIG)
     assert dropped == frame.dropped
     assert estimates == [est for est, ok in zip(every, admitted) if ok]
-    assert all(nearest_effective_obstacle([est], policy) is not None for est in estimates)
-    assert nearest_effective_obstacle(estimates, policy) == nearest_effective_obstacle(every, policy)
+    assert all(nearest_effective_obstacle([est]) is not None for est in estimates)
+    assert nearest_effective_obstacle(estimates) == nearest_effective_obstacle(every)

@@ -84,6 +84,10 @@ def first_broken_tick(spec: ScenarioSpec, trajectory) -> int:
     return len(trajectory)
 
 
+def active_id(decision):
+    return None if decision.active is None else decision.active.id
+
+
 def tick_mirrors(t, m) -> bool:
     """Whether tick m is tick t reflected about the x-axis."""
     if (m.time, m.position, m.heading, m.speed, m.min_clearance) != (
@@ -93,7 +97,7 @@ def tick_mirrors(t, m) -> bool:
     if t.decision is None:
         return m.decision is None
     d, e = t.decision, m.decision
-    return (e.v_hat, e.c1, e.c2, e.active_obstacle_id) == (flip(d.v_hat), d.c1, d.c2, d.active_obstacle_id)
+    return (e.v_hat, e.c1, e.c2, active_id(e)) == (flip(d.v_hat), d.c1, d.c2, active_id(d))
 
 
 def mirrors(spec: ScenarioSpec, mode: str, seed: int) -> bool:

@@ -37,13 +37,13 @@ def per_frame(noise, seed=0):
     return noise_draws(np.random.default_rng(seed), noise, 0)
 
 
-def sensed_disparity(offsets, true_disparity=10.0):
-    """Detection.disparity that sense gives for one obstacle and the 9 given noise offsets."""
+def sensed(offsets, true_disparity=10.0):
+    """The Detection sense gives for one obstacle of radius 0 and the 9 given noise offsets."""
     rig = rig_for(100.0, 0.1)  # focal * baseline = 10, so the range is 10 / true_disparity
     noise = SensorNoiseSpec(disparity_std=1.0, max_range_m=1e3)
     obstacles = [ObstacleInstance(1, "rock", Vec2(10.0 / true_disparity, 0.0), 0.0)]
     frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL, fixed_rows(list(offsets)))
-    return frame.detections[0].disparity
+    return frame.detections[0]
 
 
 def q_reprojection_oracle(u: float, v: float, d: float, rig: StereoRig) -> float:
@@ -233,16 +233,16 @@ class TestSense:
 
 
 class TestFuse:
-    def make_detection(self, disparity, bearing=0.0, radius=0.5, label="rock"):
+    def make_detection(self, disparity, bearing=0.0, gap=0.5, label="rock"):
         return Detection(
             instance_id=1, reported_class=label, true_class=label,
-            disparity=disparity, bearing_rad=bearing, known_radius_m=radius,
+            disparity=disparity, bearing_rad=bearing, d0=1.0, gap=gap,
         )
 
     def test_single_detection_straight_ahead(self):
         rig = rig_for(100.0, 0.1)
         frame = PerceptionFrame(
-            detections=(self.make_detection(10.0, radius=0.0),),
+            detections=(self.make_detection(10.0, gap=1.0),),
             camera_pose=(Vec2(0.0, 0.0), 0.0),
             dropped=0,
         )
@@ -251,13 +251,13 @@ class TestFuse:
         est = estimates[0]
         assert est.position.x == pytest.approx(1.0, rel=1e-12)
         assert est.position.y == pytest.approx(0.0, abs=1e-12)
-        assert est.surface_distance == pytest.approx(1.0, rel=1e-12)
+        assert (est.d0, est.gap) == (1.0, 1.0)
 
     # sense now takes the median, so these cases feed it fixed noise offsets
     def test_median_rejects_outlier(self):
-        clean = sensed_disparity([0.0] * 9)
-        assert sensed_disparity([0.0] * 8 + [990.0]) == clean
-        assert sensed_disparity([-9.5] + [0.0] * 8) == clean  # the low outlier survives as 0.5
+        clean = sensed([0.0] * 9).disparity
+        assert sensed([0.0] * 8 + [990.0]).disparity == clean
+        assert sensed([-9.5] + [0.0] * 8).disparity == clean  # the low outlier survives as 0.5
 
     @pytest.mark.parametrize(
         "samples",
@@ -271,19 +271,17 @@ class TestFuse:
     def test_median_is_statistics_median(self, samples):
         positive = [s for d in samples if (s := 10.0 + d) > 0.0]
         assert len(positive) in (9, 2, 5, 6)
-        disparity = sensed_disparity(samples)
-        assert disparity == statistics.median(positive)
-        rig = rig_for(100.0, 0.1)
-        frame = PerceptionFrame((self.make_detection(disparity, radius=0.0),), (Vec2(0.0, 0.0), 0.0), 0)
-        estimates, _ = fuse(frame, rig)
-        assert estimates[0].surface_distance == depth_from_disparity(statistics.median(positive), rig)
+        det = sensed(samples)
+        assert det.disparity == statistics.median(positive)
+        # the gap is ranged from the median, less the radius 0
+        assert det.gap == depth_from_disparity(statistics.median(positive), rig_for(100.0, 0.1))
 
     def test_bearing_and_pose_compose(self):
         rig = rig_for(100.0, 0.1)
         heading = 0.7
         bearing = -0.3
         frame = PerceptionFrame(
-            detections=(self.make_detection(5.0, bearing=bearing, radius=0.25),),
+            detections=(self.make_detection(5.0, bearing=bearing, gap=1.75),),
             camera_pose=(Vec2(2.0, -1.0), heading),
             dropped=0,
         )
@@ -292,27 +290,26 @@ class TestFuse:
         rng_m = 100.0 * 0.1 / 5.0
         assert est.position.x == pytest.approx(2.0 + rng_m * math.cos(heading + bearing), rel=1e-12)
         assert est.position.y == pytest.approx(-1.0 + rng_m * math.sin(heading + bearing), rel=1e-12)
-        assert est.surface_distance == pytest.approx(rng_m - 0.25, rel=1e-12)
+        assert est.gap == 1.75
 
     def test_surface_distance_clamped(self):
+        # sense clamps the gap, and fuse passes it on
         rig = rig_for(100.0, 0.1)
-        frame = PerceptionFrame(
-            detections=(self.make_detection(50.0, radius=1.0),),  # range 0.2, radius 1.0
-            camera_pose=(Vec2(0.0, 0.0), 0.0),
-            dropped=0,
-        )
+        rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 1.0)  # range 0.2, radius 1.0
+        frame = sense([rock], (Vec2(0.0, 0.0), 0.0), rig, QUIET, KEEP_ALL, per_frame(QUIET))
+        assert frame.detections[0].gap == 0.0
         estimates, _ = fuse(frame, rig)
-        assert estimates[0].surface_distance == 0.0
+        assert estimates[0].gap == 0.0
 
     def test_label_passthrough(self):
         rig = rig_for(100.0, 0.1)
         det = Detection(
             instance_id=3, reported_class="robot", true_class="fish",
-            disparity=10.0, bearing_rad=0.0, known_radius_m=0.2,
+            disparity=10.0, bearing_rad=0.0, d0=1.5, gap=0.8,
         )
         estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0), 0), rig)
-        assert estimates[0].class_label == "robot"
-        assert estimates[0].source_instance == 3
+        est = estimates[0]
+        assert (est.id, est.reported_class, est.true_class, est.d0, est.gap) == (3, "robot", "fish", 1.5, 0.8)
 
     def test_empty_sample_detection_dropped_with_counter(self):
         rig = rig_for(100.0, 0.1)
@@ -326,7 +323,7 @@ class TestFuse:
         assert [det.instance_id for det in frame.detections] == [2]
         estimates, dropped = fuse(frame, rig)
         assert dropped == 1
-        assert [est.source_instance for est in estimates] == [2]
+        assert [est.id for est in estimates] == [2]
 
 
 class TestSenseFuseRoundTrip:
@@ -340,10 +337,10 @@ class TestSenseFuseRoundTrip:
         frame = sense(obstacles, pose, RIG, noise, KEEP_ALL, per_frame(noise))
         estimates, dropped = fuse(frame, RIG)
         assert dropped == 0
-        by_id = {e.source_instance: e for e in estimates}
+        by_id = {e.id: e for e in estimates}
         for obs in obstacles:
             est = by_id[obs.id]
             assert est.position.x == pytest.approx(obs.center.x, abs=1e-9)
             assert est.position.y == pytest.approx(obs.center.y, abs=1e-9)
             truth = pose[0].dist(obs.center) - obs.radius
-            assert est.surface_distance == pytest.approx(truth, abs=1e-9)
+            assert est.gap == pytest.approx(truth, abs=1e-9)

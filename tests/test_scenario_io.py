@@ -304,6 +304,15 @@ class TestValidateConstructed:
             load_scenario(serialize_scenario(spec))
         assert str(loaded.value) == str(constructed.value)
 
+    def test_name_must_encode_as_utf8(self):
+        # a surrogate code point passed validation, then writing the trial's artifacts raised
+        # UnicodeEncodeError; libyaml rejects the document's escape, PyYAML's own scanner does not
+        spec = replace(CONSTRUCTED, name="h\ud800")
+        with pytest.raises(ScenarioError, match=r"scenario\.name: "):
+            validate_scenario(spec)
+        with pytest.raises(ScenarioError):
+            load_scenario(serialize_scenario(spec))
+
     def test_fov_bound_is_exact(self):
         # 360 is the whole view; the next float above it is rejected, loaded or constructed
         assert load_scenario(MINIMAL + "sensor: {fov_deg: 360.0}\n").noise.fov_deg == 360.0

@@ -1,21 +1,21 @@
 """sense() against a per-pair reference sense and a place-everything fuse, on random obstacle fields.
 
-The reference tests every pair exactly, draws noise per detection in
-sense's documented order, takes statistics.median of each detection's
-positive samples and keeps every visible obstacle, with disparity None
-when no sample is positive. A reference fuse then ranges and places every
-detection that has a positive sample. Filtered by the rule of
-nearest_effective_obstacle, that must give exactly what sense emits, what
-fuse places and the dropped count, with the rng left in the same state when
-sense takes its noise through noise_draws(rng, noise, 0). So this checks
-sense's occlusion prefilter, its per-frame draws, its median from sorted
-rows and its early clearance rule.
+The reference (tests/reference.py) tests every pair exactly, draws noise
+per detection in sense's documented order, takes statistics.median of each
+detection's positive samples and keeps every visible obstacle, with
+disparity None when no sample is positive. A reference fuse then ranges
+and places every detection that has a positive sample, with its reported
+class's d0. Filtered by the clearance rule, that must give exactly what
+sense emits, what fuse places and the dropped count, with the rng left in
+the same state when sense takes its noise through noise_draws(rng, noise,
+0), and nearest_effective_obstacle must pick what the reference selection
+picks from everything. So this checks sense's occlusion prefilter, its
+per-frame draws, its median from sorted rows and its early clearance rule.
 """
 
 from __future__ import annotations
 
 import math
-import statistics
 
 import numpy as np
 import pytest
@@ -25,24 +25,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from reference import estimate, qualifies, reference_fuse, reference_select, reference_sense  # noqa: E402
 from soar_sim.perception import (  # noqa: E402
-    SAMPLES_PER_DETECTION,
     Detection,
-    LabeledObstacleEstimate,
     SensorNoiseSpec,
     StereoRig,
-    depth_from_disparity,
     fuse,
     noise_draws,
     sense,
 )
-from soar_sim.world import (  # noqa: E402
-    ClearancePolicy,
-    ObstacleInstance,
-    Vec2,
-    nearest_effective_obstacle,
-    wrap_angle,
-)
+from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, nearest_effective_obstacle  # noqa: E402
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
 QUIET = SensorNoiseSpec(max_range_m=15.0)
@@ -50,93 +42,18 @@ KEEP_ALL = ClearancePolicy({}, default_d0=math.inf)
 CLASSES = ("rock", "fish")
 
 
-def segment_hits_disc(a: Vec2, b: Vec2, center: Vec2, radius: float) -> bool:
-    """Whether segment a-b passes within radius of center (per-pair oracle)."""
-    abx, aby = b.x - a.x, b.y - a.y
-    seg_len2 = abx * abx + aby * aby
-    if seg_len2 == 0.0:
-        return a.dist(center) <= radius
-    t = ((center.x - a.x) * abx + (center.y - a.y) * aby) / seg_len2
-    t = min(1.0, max(0.0, t))
-    closest = Vec2(a.x + abx * t, a.y + aby * t)
-    return closest.dist(center) <= radius
+def detection(p):
+    """The Detection sense emits for a reference record that passes the clearance rule."""
+    s = p.seen
+    return Detection(s.id, s.reported_class, s.true_class, s.disparity, s.bearing, p.d0, p.gap)
 
 
-def reference_sense(obstacles, pose, rig, noise, rng, positions):
-    """sense() before its clearance rule, as a per-pair loop: one detection per visible obstacle.
-
-    Every obstacle tests every other one exactly; disparity is None when no sample is positive.
-    """
-    cam_pos, heading = pose
-    ordered = sorted(range(len(obstacles)), key=lambda i: obstacles[i].id)
-    geo, candidates = [], []
-    for i in ordered:
-        obs, obs_pos = obstacles[i], positions[i]
-        rng_m = cam_pos.dist(obs_pos)
-        if rng_m <= 0.0:
-            continue
-        geo.append((obs, obs_pos, rng_m))
-        if rng_m > noise.max_range_m:
-            continue
-        bearing = wrap_angle(math.atan2(obs_pos.y - cam_pos.y, obs_pos.x - cam_pos.x) - heading)
-        if abs(bearing) > math.radians(noise.fov_deg) / 2.0:
-            continue
-        candidates.append((obs, obs_pos, rng_m, bearing))
-    visible = [
-        (obs, obs_pos, rng_m, bearing)
-        for obs, obs_pos, rng_m, bearing in candidates
-        if not any(
-            other_rng < rng_m and segment_hits_disc(cam_pos, obs_pos, other_pos, other.radius)
-            for other, other_pos, other_rng in geo
-            if other.id != obs.id
-        )
-    ]
-    # one label draw per visible obstacle, all before the disparity draws
-    labels = []
-    for obs, _, _, _ in visible:
-        reported = obs.class_label
-        if noise.misclassify_prob > 0.0 and rng.random() < noise.misclassify_prob:
-            reported = noise.confusion.get(obs.class_label, obs.class_label)
-        labels.append(reported)
-    detections = []
-    for (obs, obs_pos, rng_m, bearing), reported in zip(visible, labels):
-        true_disparity = rig.focal_px * rig.baseline_m / rng_m
-        if noise.disparity_std > 0.0:
-            draws = true_disparity + rng.normal(0.0, noise.disparity_std, SAMPLES_PER_DETECTION)
-            positive = [float(d) for d in draws if d > 0.0]
-            disparity = statistics.median(positive) if positive else None
-        else:
-            disparity = true_disparity
-        detections.append(Detection(obs.id, reported, obs.class_label, disparity, bearing, obs.radius))
-    return detections
-
-
-def reference_fuse(detections, pose, rig):
-    """fuse without a clearance rule: every detection with a positive sample is ranged and placed.
-
-    Returns ([(detection, estimate)], dropped).
-    """
-    cam_pos, heading = pose
-    placed = []
-    dropped = 0
-    for det in detections:
-        if det.disparity is None:
-            dropped += 1
-            continue
-        rng_m = depth_from_disparity(det.disparity, rig)
-        ray = heading + det.bearing_rad
-        position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
-        gap = rng_m - det.known_radius_m
-        gap = gap if gap > 0.0 else 0.0
-        placed.append((det, LabeledObstacleEstimate(det.reported_class, position, gap, det.instance_id)))
-    return placed, dropped
-
-
-def reference(world, seed):
-    """The reference pipeline's ([(detection, estimate)], dropped, rng) for one world and seed."""
+def reference(world, seed, policy):
+    """The reference pipeline's (placed, dropped, rng) for one world, seed and policy."""
     obstacles, positions, pose, noise = world
     rng = np.random.default_rng(seed)
-    placed, dropped = reference_fuse(reference_sense(obstacles, pose, RIG, noise, rng, positions), pose, RIG)
+    placed, dropped = reference_fuse(reference_sense(obstacles, pose, RIG, noise, rng, positions), pose, RIG,
+                                     policy)
     return placed, dropped, rng
 
 
@@ -213,7 +130,7 @@ def near_tangent_fields(draw):
 @st.composite
 def policies(draw, world, seed):
     """d0s drawn from 0, inf, the reference's own gaps, their float neighbours and random values."""
-    gaps = [est.surface_distance for _, est in reference(world, seed)[0]]
+    gaps = [p.gap for p in reference(world, seed, KEEP_ALL)[0]]
     edges = [0.0, math.inf, *gaps, *(math.nextafter(g, math.inf) for g in gaps),
              *(math.nextafter(g, 0.0) for g in gaps)]
     d0s = st.one_of(st.sampled_from(edges), st.floats(0.0, 20.0))
@@ -238,7 +155,7 @@ def world_of(obstacles, cam=ORIGIN, heading=0.0, noise=QUIET):
 
 
 ROCK_AHEAD = world_of([ObstacleInstance(1, "rock", Vec2(5.0, 0.3), 0.5)])
-ROCK_GAP = reference(ROCK_AHEAD, 0)[0][0][1].surface_distance
+ROCK_GAP = reference(ROCK_AHEAD, 0, KEEP_ALL)[0][0].gap
 
 
 class TestSenseMatchesPerPairReference:
@@ -348,14 +265,14 @@ class TestSenseMatchesPerPairReference:
         obstacles, positions, pose, noise = world
         rng = np.random.default_rng(seed)
         frame = sense(obstacles, pose, RIG, noise, policy, noise_draws(rng, noise, 0), positions=positions)
-        placed, dropped, rng_ref = reference(world, seed)
-        kept = [(det, est) for det, est in placed if nearest_effective_obstacle([est], policy) is not None]
-        assert frame.detections == tuple(det for det, _ in kept)
+        placed, dropped, rng_ref = reference(world, seed, policy)
+        kept = [p for p in placed if qualifies(p)]
+        assert frame.detections == tuple(detection(p) for p in kept)
         assert frame.dropped == dropped
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-        # fuse places every emitted detection, and steering picks what it would from everything
+        # fuse places every emitted detection, and steering picks what the rule picks from everything
         estimates, fused_dropped = fuse(frame, RIG)
-        assert estimates == [est for _, est in kept]
+        assert estimates == [estimate(p) for p in kept]
         assert fused_dropped == dropped
-        assert nearest_effective_obstacle(estimates, policy) == \
-            nearest_effective_obstacle([est for _, est in placed], policy)
+        best = reference_select(placed)
+        assert nearest_effective_obstacle(estimates) == (None if best is None else estimate(best))

@@ -13,9 +13,10 @@ import soar_sim.world
 from soar_sim.perception import (
     Detection,
     Draws,
-    LabeledObstacleEstimate,
     PerceptionFrame,
     SensorNoiseSpec,
+    StereoRig,
+    fuse,
     noise_draws,
 )
 from soar_sim.sim import (
@@ -32,8 +33,8 @@ from soar_sim.sim import (
     run_trial,
     step,
 )
-from soar_sim.steering import ActiveObstacle, SteeringDecision
-from soar_sim.world import RobotParams, Vec2
+from soar_sim.steering import SteeringDecision
+from soar_sim.world import RobotParams, Vec2, nearest_effective_obstacle
 
 PARAMS = RobotParams(cruise_speed=1.0, max_turn_rate=2.0, slowdown_radius=1.0,
                      collision_radius=0.2, dt=0.05)
@@ -44,12 +45,15 @@ PER_TICK_RECORDS = {
     "Vec2": (ORIGIN, "x"),
     "RobotState": (RobotState(ORIGIN, 0.0, 1.0), "position"),
     "Tick": (Tick(0.0, ORIGIN, 0.0, 0.0, None, math.inf), "min_clearance"),
-    "ActiveObstacle": (ActiveObstacle(ORIGIN, 0.5, 1.0, 3), "d0"),
     "SteeringDecision": (SteeringDecision(ORIGIN, None, 0.0, 0.0, ORIGIN, None, False), "v_hat"),
-    "Detection": (Detection(3, "rock", "rock", 1.0, 0.0, 0.5), "disparity"),
+    "Detection": (Detection(3, "rock", "rock", 1.0, 0.0, 1.0, 0.5), "disparity"),
     "PerceptionFrame": (PerceptionFrame((), (ORIGIN, 0.0), 0), "detections"),
-    "LabeledObstacleEstimate": (LabeledObstacleEstimate("rock", ORIGIN, 0.5, 3), "surface_distance"),
 }
+# fuse's output and the obstacle steering acts on are both world.ObstacleEstimate records; these two
+# keys name those roles, checked on the records the pipeline really hands on
+FUSED, _ = fuse(PerceptionFrame((PER_TICK_RECORDS["Detection"][0],), (ORIGIN, 0.0), 0), StereoRig())
+PER_TICK_RECORDS["LabeledObstacleEstimate"] = (FUSED[0], "position")
+PER_TICK_RECORDS["ActiveObstacle"] = (nearest_effective_obstacle(FUSED), "d0")
 
 
 @pytest.mark.parametrize("name", sorted(PER_TICK_RECORDS))

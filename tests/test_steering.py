@@ -6,16 +6,20 @@ import numpy as np
 import pytest
 
 from soar_sim.steering import (
-    ActiveObstacle,
     B_MAX,
     c1,
     c2,
     repulsive_potential,
     steering_direction,
 )
-from soar_sim.world import Vec2
+from soar_sim.world import ObstacleEstimate, Vec2
 
 SQ2 = math.sqrt(2.0) / 2.0
+
+
+def estimate(position: Vec2, gap: float, d0: float, obstacle_id: int = 1) -> ObstacleEstimate:
+    """A rock estimated at position, gap from the robot, with clearance d0."""
+    return ObstacleEstimate(obstacle_id, "rock", "rock", d0, position, gap)
 
 
 class TestRepulsivePotential:
@@ -99,29 +103,29 @@ class TestSteeringDirection:
         decision = steering_direction(Vec2(0.0, 0.0), Vec2(0.0, 5.0), None)
         assert decision.v_hat == Vec2(0.0, 1.0)
         assert decision.r_hat is None
-        assert decision.active_obstacle_id is None
+        assert decision.active is None
         assert not decision.tie_break_applied
 
     def test_perpendicular_at_boundary(self):
         # a_hat=(1,0), r_hat=(sqrt2/2, sqrt2/2), dist=d0 so c2=1:
         # unnormalized sum (0.5, -0.5), v_hat (sqrt2/2, -sqrt2/2), v.r == 0
-        active = ActiveObstacle(position=Vec2(SQ2, SQ2), surface_distance=1.0, d0=1.0, obstacle_id=4)
+        active = estimate(position=Vec2(SQ2, SQ2), gap=1.0, d0=1.0, obstacle_id=4)
         decision = steering_direction(Vec2(0.0, 0.0), Vec2(10.0, 0.0), active)
         assert decision.c2 == 1.0
         assert decision.v_hat.x == pytest.approx(SQ2, abs=1e-12)
         assert decision.v_hat.y == pytest.approx(-SQ2, abs=1e-12)
         dot = decision.v_hat.x * decision.r_hat.x + decision.v_hat.y * decision.r_hat.y
         assert abs(dot) <= 1e-9
-        assert decision.active_obstacle_id == 4
+        assert decision.active == active
 
     def test_head_on_tie_break(self):
-        active = ActiveObstacle(position=Vec2(2.0, 0.0), surface_distance=1.0, d0=1.0, obstacle_id=9)
+        active = estimate(position=Vec2(2.0, 0.0), gap=1.0, d0=1.0, obstacle_id=9)
         decision = steering_direction(Vec2(0.0, 0.0), Vec2(10.0, 0.0), active)
         assert decision.tie_break_applied
         assert decision.v_hat == Vec2(0.0, 1.0)  # left perpendicular of r_hat=(1,0)
 
     def test_c1_matches_decision_vectors(self):
-        active = ActiveObstacle(position=Vec2(1.0, 2.0), surface_distance=0.4, d0=1.0, obstacle_id=1)
+        active = estimate(position=Vec2(1.0, 2.0), gap=0.4, d0=1.0, obstacle_id=1)
         decision = steering_direction(Vec2(0.0, 0.0), Vec2(5.0, -1.0), active)
         assert decision.c1 == pytest.approx(c1(decision.a_hat, decision.r_hat), abs=1e-12)
         assert 1.0 <= decision.c2 <= B_MAX
@@ -139,7 +143,7 @@ class TestSteeringDirection:
             center_range = dist + 0.1
             obstacle = Vec2(robot.x + center_range * math.cos(direction),
                             robot.y + center_range * math.sin(direction))
-            active = ActiveObstacle(obstacle, dist, d0, obstacle_id=1)
+            active = estimate(obstacle, dist, d0, obstacle_id=1)
             decision = steering_direction(robot, goal, active)
             assert math.hypot(decision.v_hat.x, decision.v_hat.y) == pytest.approx(1.0, abs=1e-9)
             assert math.hypot(decision.a_hat.x, decision.a_hat.y) == pytest.approx(1.0, abs=1e-9)
@@ -155,7 +159,7 @@ class TestSteeringDirection:
             robot = Vec2(0.0, 0.0)
             goal = Vec2(10.0 * math.cos(ta), 10.0 * math.sin(ta))
             obstacle = Vec2((dist + 0.2) * math.cos(tr), (dist + 0.2) * math.sin(tr))
-            decision = steering_direction(robot, goal, ActiveObstacle(obstacle, dist, d0, 1))
+            decision = steering_direction(robot, goal, estimate(obstacle, dist, d0, 1))
             if decision.tie_break_applied:
                 continue
             sx = decision.a_hat.x + decision.c1 * decision.c2 * decision.r_hat.x
@@ -173,7 +177,7 @@ class TestSteeringDirection:
         for dist in np.linspace(d0, 0.0, 40):
             center_range = float(dist) + 0.3
             center = Vec2(obstacle_dir.x * center_range, obstacle_dir.y * center_range)
-            decision = steering_direction(robot, goal, ActiveObstacle(center, float(dist), d0, 1))
+            decision = steering_direction(robot, goal, estimate(center, float(dist), d0, 1))
             angles.append(math.acos(max(-1.0, min(1.0,
                 decision.v_hat.x * decision.a_hat.x + decision.v_hat.y * decision.a_hat.y))))
         for earlier, later in zip(angles, angles[1:]):
@@ -182,17 +186,17 @@ class TestSteeringDirection:
     def test_degenerate_inputs_rejected(self):
         with pytest.raises(ValueError):
             steering_direction(Vec2(1.0, 1.0), Vec2(1.0, 1.0), None)
-        bad = ActiveObstacle(Vec2(1.0, 0.0), surface_distance=2.0, d0=1.0, obstacle_id=1)
+        bad = estimate(Vec2(1.0, 0.0), gap=2.0, d0=1.0, obstacle_id=1)
         with pytest.raises(ValueError):
             steering_direction(Vec2(0.0, 0.0), Vec2(5.0, 0.0), bad)
-        zero_d0 = ActiveObstacle(Vec2(1.0, 0.0), surface_distance=0.0, d0=0.0, obstacle_id=1)
+        zero_d0 = estimate(Vec2(1.0, 0.0), gap=0.0, d0=0.0, obstacle_id=1)
         with pytest.raises(ValueError):
             steering_direction(Vec2(0.0, 0.0), Vec2(5.0, 0.0), zero_d0)
 
     def test_obstacle_at_robot_position_is_ignored(self):
         # fuse places an obstacle a subnormal range away exactly on the camera
         robot, goal = Vec2(5.0, 5.0), Vec2(9.0, 5.0)
-        on_robot = ActiveObstacle(robot, surface_distance=0.0, d0=1.0, obstacle_id=1)
+        on_robot = estimate(robot, gap=0.0, d0=1.0, obstacle_id=1)
         assert steering_direction(robot, goal, on_robot) == steering_direction(robot, goal, None)
 
     def test_perpendicularity_identity_includes_head_on(self):

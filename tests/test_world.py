@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 
-from soar_sim.perception import LabeledObstacleEstimate
 from soar_sim.world import (
     ClearancePolicy,
+    ObstacleEstimate,
     ObstacleInstance,
     Vec2,
     effective_d0,
@@ -15,9 +15,10 @@ from soar_sim.world import (
 )
 
 
-def est(label: str, dist: float, source: int = 1, pos: Vec2 = Vec2(0.0, 0.0)) -> LabeledObstacleEstimate:
-    return LabeledObstacleEstimate(class_label=label, position=pos,
-                                   surface_distance=dist, source_instance=source)
+def est(label: str, dist: float, policy: ClearancePolicy, source: int = 1) -> ObstacleEstimate:
+    """An estimate carrying its label's d0 under policy, as sense looks it up."""
+    return ObstacleEstimate(id=source, reported_class=label, true_class=label, d0=effective_d0(policy, label),
+                            position=Vec2(0.0, 0.0), gap=dist)
 
 
 class TestVec2:
@@ -64,55 +65,48 @@ class TestWrapAngle:
 class TestNearestEffectiveObstacle:
     def test_none_within_d0(self):
         policy = ClearancePolicy({}, default_d0=1.0)
-        assert nearest_effective_obstacle([est("car", 2.0)], policy) is None
+        assert nearest_effective_obstacle([est("car", 2.0, policy)]) is None
 
     def test_zero_d0_class_never_qualifies(self):
         policy = ClearancePolicy({"sports_ball": 0.0, "car": 1.0}, default_d0=1.0)
-        picked = nearest_effective_obstacle(
-            [est("sports_ball", 0.1, source=1), est("car", 0.8, source=2)],
-            policy,
+        chosen = nearest_effective_obstacle(
+            [est("sports_ball", 0.1, policy, source=1), est("car", 0.8, policy, source=2)]
         )
-        assert picked is not None
-        chosen, d0 = picked
-        assert chosen.class_label == "car"
-        assert d0 == 1.0
+        assert chosen is not None
+        assert chosen.reported_class == "car"
+        assert chosen.d0 == 1.0
 
     def test_zero_d0_excluded_even_at_contact(self):
         policy = ClearancePolicy({"sports_ball": 0.0}, default_d0=1.0)
         for dist in (0.0, 0.01, 0.5):
-            assert nearest_effective_obstacle([est("sports_ball", dist)], policy) is None
+            assert nearest_effective_obstacle([est("sports_ball", dist, policy)]) is None
 
     def test_max_intrusion_wins(self):
         # two cars with d0=1 at 0.9 m and 0.5 m: intrusions 0.1 vs 0.5
         policy = ClearancePolicy({"car": 1.0}, default_d0=1.0)
-        picked = nearest_effective_obstacle(
-            [est("car", 0.9, source=1), est("car", 0.5, source=2)], policy
-        )
+        picked = nearest_effective_obstacle([est("car", 0.9, policy, source=1), est("car", 0.5, policy, source=2)])
         assert picked is not None
-        assert picked[0].source_instance == 2
+        assert picked.id == 2
 
     def test_intrusion_tie_breaks_by_distance(self):
         # equal intrusion 0.5: car at 0.5 (d0 1.0) vs bus at 0.7 (d0 1.2)
         policy = ClearancePolicy({"car": 1.0, "bus": 1.2}, default_d0=1.0)
-        picked = nearest_effective_obstacle(
-            [est("bus", 0.7, source=1), est("car", 0.5, source=2)], policy
-        )
+        picked = nearest_effective_obstacle([est("bus", 0.7, policy, source=1), est("car", 0.5, policy, source=2)])
         assert picked is not None
-        assert picked[0].class_label == "car"
+        assert picked.reported_class == "car"
 
     def test_full_tie_breaks_by_id(self):
         policy = ClearancePolicy({"car": 1.0}, default_d0=1.0)
-        picked = nearest_effective_obstacle(
-            [est("car", 0.5, source=7), est("car", 0.5, source=3)], policy
-        )
+        picked = nearest_effective_obstacle([est("car", 0.5, policy, source=7), est("car", 0.5, policy, source=3)])
         assert picked is not None
-        assert picked[0].source_instance == 3
+        assert picked.id == 3
 
     def test_selection_is_order_independent(self):
         policy = ClearancePolicy({"car": 1.0}, default_d0=1.0)
-        estimates = [est("car", 0.9, source=1), est("car", 0.5, source=2), est("car", 0.7, source=3)]
-        forward = nearest_effective_obstacle(estimates, policy)
-        backward = nearest_effective_obstacle(list(reversed(estimates)), policy)
+        estimates = [est("car", 0.9, policy, source=1), est("car", 0.5, policy, source=2),
+                     est("car", 0.7, policy, source=3)]
+        forward = nearest_effective_obstacle(estimates)
+        backward = nearest_effective_obstacle(list(reversed(estimates)))
         assert forward == backward
 
 
