@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from soar_sim.world import ClearancePolicy, ObstacleEstimate, ObstacleInstance, Vec2, wrap_angle
 
@@ -64,6 +65,7 @@ class StereoRig:
 
         Reprojecting (u, v, d, 1) yields W = d/B and Z = f*B/d.
         """
+        import numpy as np
         return np.array(
             [
                 [1.0, 0.0, 0.0, -self.cx],
@@ -126,10 +128,12 @@ def noise_draws(rng: np.random.Generator, noise: SensorNoiseSpec, block: int) ->
     """
     std = noise.disparity_std
     block = 0 if noise.misclassify_prob > 0.0 and std > 0.0 else block
-    return (
-        Draws(lambda n: rng.random(n).tolist(), block),
-        Draws(lambda n: np.sort(rng.normal(0.0, std, (n, SAMPLES_PER_DETECTION)), axis=1).tolist(), block),
-    )
+
+    def sorted_rows(n: int) -> list:
+        rows = rng.normal(0.0, std, (n, SAMPLES_PER_DETECTION))
+        rows.sort(axis=1)
+        return rows.tolist()
+    return Draws(lambda n: rng.random(n).tolist(), block), Draws(sorted_rows, block)
 
 
 def sense(

@@ -8,6 +8,8 @@ draws made tick by tick. Moving obstacles advance before the robot each
 tick. Each recorded state is one Tick: the robot's pose and speed, the
 steering decision that moved it there and its smallest gap to an avoidable
 obstacle. Termination, export and plotting all read that one list.
+numpy is imported by run_trial, which seeds those streams, so importing the
+package, validating a scenario or plotting a trajectory never loads it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ import math
 from dataclasses import dataclass
 from math import atan2, cos, hypot, sin, sqrt
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from soar_sim.perception import Draws, fuse, noise_draws, sense
 from soar_sim.scenario_io import ScenarioSpec
@@ -173,6 +173,7 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
     if seed is None:
         seed = spec.seed
 
+    import numpy as np
     rng_perception = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_PERCEPTION]))
     rng_gust = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_DISTURBANCE]))
 

@@ -1,0 +1,96 @@
+"""What a new interpreter loads, and what its pool workers write.
+
+numpy is imported by run_trial, so importing the package or its command
+line, reading, checking and writing scenario documents, validate, plot and
+usage errors never load it; a process pays for it with its first trial.
+This test process has numpy loaded already, so each test runs its code in
+a new interpreter that imports soar_sim from where this one did.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import soar_sim
+
+SRC = Path(soar_sim.__file__).resolve().parent.parent
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+STARTUP = """
+import json, sys
+from pathlib import Path
+
+import soar_sim
+from soar_sim import cli
+from soar_sim.scenario_io import load_scenario_file, serialize_scenario, validate_scenario
+
+scenarios, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+documents = sorted(scenarios.glob("*.yaml"))
+for path in documents:
+    spec = load_scenario_file(str(path))
+    validate_scenario(spec)
+    serialize_scenario(spec)
+open_field = str(scenarios / "open_field.yaml")
+trajectory = tmp / "hand.traj.csv"
+trajectory.write_text("x,y\\n0.0,0.0\\n1.0,0.5\\n")
+codes = [
+    cli.main(["validate", "--scenario", open_field]),
+    cli.main(["plot", "--scenario", open_field, "--out", str(tmp / "plot.svg"), str(trajectory)]),
+    cli.main(["compare", "--scenario", open_field, "--trials", "0"]),
+]
+try:
+    cli.main(["run"])
+except SystemExit as exc:
+    codes.append(exc.code)
+numpy_before = sorted(name for name in sys.modules if name.partition(".")[0] == "numpy")
+result = soar_sim.run_trial(load_scenario_file(open_field), "soar")
+print(json.dumps({
+    "documents": len(documents), "codes": codes, "numpy_before_trial": numpy_before[:3],
+    "numpy_after_trial": "numpy" in sys.modules, "outcome": result.outcome, "ticks": len(result.trajectory),
+}))
+"""
+
+# pool workers started by a forkserver import soar_sim.cli fresh, as every pool on Python 3.14's Linux
+FORKSERVER_COMPARE = """
+import multiprocessing, sys
+from soar_sim.cli import main
+
+multiprocessing.set_start_method("forkserver")
+scenario, out = sys.argv[1], sys.argv[2]
+for jobs in ("1", "2"):
+    argv = ["compare", "--scenario", scenario, "--trials", "2", "--jobs", jobs, "--out", f"{out}/jobs{jobs}"]
+    if main(argv) != 0:
+        sys.exit(f"compare --jobs {jobs} failed")
+"""
+
+
+def run_python(code: str, *args: str) -> str:
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_numpy_loads_with_the_first_trial(tmp_path):
+    report = json.loads(run_python(STARTUP, str(SCENARIOS), str(tmp_path)).splitlines()[-1])
+    assert report["documents"] == 6
+    assert report["codes"] == [0, 0, 2, 2]
+    assert report["numpy_before_trial"] == []
+    assert report["numpy_after_trial"]
+    assert (report["outcome"], report["ticks"]) == ("goal_reached", 245)
+
+
+def test_forkserver_workers_match_serial(tmp_path):
+    run_python(FORKSERVER_COMPARE, str(SCENARIOS / "head_on.yaml"), str(tmp_path))
+    serial, pooled = tree(tmp_path / "jobs1"), tree(tmp_path / "jobs2")
+    assert len(serial) == 2 * 2 * 2 + 2  # a .traj.csv and a .result.yaml per trial, and the report pair
+    assert pooled == serial

@@ -21,7 +21,14 @@ from hypothesis import example, given, settings  # noqa: E402
 
 from reference import reference_trial  # noqa: E402
 from soar_sim.scenario_io import ScenarioSpec  # noqa: E402
-from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, run_trial  # noqa: E402
+from soar_sim.sim import (  # noqa: E402
+    MODE_NON_SOAR,
+    MODE_SOAR,
+    OUTCOME_STUCK,
+    OUTCOME_TIMEOUT,
+    OUTCOME_WRONG_DIRECTION,
+    run_trial,
+)
 from soar_sim.world import ClearancePolicy, DisturbanceSpec, ObstacleInstance, RobotParams, Vec2  # noqa: E402
 from test_scenario_property import scenarios  # noqa: E402
 
@@ -42,6 +49,16 @@ OPEN_ROAD = ScenarioSpec(
     time_limit=TIME_CAP_S,
     seed=0,
 )
+
+# drift cancels all of the cruise speed: stuck once the 5 s window has passed
+STANDSTILL = replace(OPEN_ROAD, robot=replace(OPEN_ROAD.robot, cruise_speed=0.2),
+                     disturbance=DisturbanceSpec(drift_x=-0.2))
+# drift cancels all but 0.0101 m/s of the cruise speed: 0.0505 m over the 5 s stuck window, not
+# stuck, but 0.049995 m over a window one tick short
+CREEP = replace(OPEN_ROAD, robot=replace(OPEN_ROAD.robot, cruise_speed=0.2),
+                disturbance=DisturbanceSpec(drift_x=-0.1899))
+# drift 2.5 times the cruise speed carries the robot away from the goal
+BLOWN_BACK = replace(OPEN_ROAD, disturbance=DisturbanceSpec(drift_x=-2.5))
 
 
 def active_id(decision):
@@ -68,10 +85,9 @@ def tick_view(tick):
     policy=ClearancePolicy({"rock": 1.5, "sports_ball": 0.0}),
     disturbance=DisturbanceSpec(gust_std=0.05),
 ))
-# drift cancels all but 0.0101 m/s of the cruise speed: 0.0505 m over the 5 s stuck window, not
-# stuck, but 0.049995 m over a window one tick short
-@example(spec=replace(OPEN_ROAD, robot=replace(OPEN_ROAD.robot, cruise_speed=0.2),
-                      disturbance=DisturbanceSpec(drift_x=-0.1899)))
+@example(spec=STANDSTILL)
+@example(spec=CREEP)
+@example(spec=BLOWN_BACK)
 def test_run_trial_is_the_reference_loop(spec):
     spec = replace(spec, time_limit=min(spec.time_limit, TIME_CAP_S))
     for mode in (MODE_SOAR, MODE_NON_SOAR):
@@ -82,3 +98,15 @@ def test_run_trial_is_the_reference_loop(spec):
         assert len(result.trajectory) == len(ref.ticks)
         for tick, ref_tick in zip(result.trajectory, ref.ticks):
             assert repr(tick_view(tick)) == repr(tick_view(ref_tick)), tick.time
+
+
+@pytest.mark.parametrize("spec, outcome, ticks", [
+    (STANDSTILL, OUTCOME_STUCK, 101),
+    (CREEP, OUTCOME_TIMEOUT, 121),
+    (BLOWN_BACK, OUTCOME_WRONG_DIRECTION, 68),
+], ids=["standstill", "creep", "blown_back"])
+def test_example_scene_ends_as_intended(spec, outcome, ticks):
+    # each named scene still ends as its comment says, so its @example checks the oracle there
+    for mode in (MODE_SOAR, MODE_NON_SOAR):
+        result = run_trial(spec, mode, spec.seed)
+        assert (result.outcome, len(result.trajectory)) == (outcome, ticks)
