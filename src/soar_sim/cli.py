@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_start_method
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -62,6 +63,8 @@ def _run_batch(
         # map yields in task order, which is seed order within each mode; it submits every
         # chunk at once, so at most 64 chunks per worker keep a 10^6-trial batch's futures few
         chunksize = math.ceil(len(tasks) / (64 * workers))
+        if get_start_method() == "fork":  # forked workers inherit numpy imported once here; others import it anew
+            import numpy  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, tasks, chunksize=chunksize))
     return [rows[k * trials:(k + 1) * trials] for k in range(len(modes))]

@@ -3,10 +3,12 @@
 An ideal rectified rig (zero distortion, identity rotation between
 cameras) observes disc obstacles. Disparities are synthesized analytically
 from ground-truth distance plus seeded Gaussian pixel noise, then run back
-through the rig's 4x4 disparity-to-depth matrix Q (in closed form) when
-fused, so the geometric data path matches a real stereo pipeline. An
-oracle segmenter provides instance labels, optionally corrupted by one
-seeded misclassification draw per obstacle per frame.
+through the rig's 4x4 disparity-to-depth matrix Q (in closed form), so the
+geometric data path matches a real stereo pipeline. An oracle segmenter
+provides instance labels, optionally corrupted by one seeded
+misclassification draw per obstacle per frame. sense owns the clearance
+rule and the range: it classifies, ranges each detection once and emits
+only those steering may act on; fuse only places them.
 """
 
 from __future__ import annotations
@@ -88,18 +90,18 @@ class SensorNoiseSpec:
 
 
 class Detection(NamedTuple):
-    """One segmented instance: label pair and median of the positive disparity samples.
+    """One segmented instance: label pair and the range of its median positive disparity sample.
 
-    bearing_rad is the azimuth of the mask centroid ray in the camera frame.
-    d0 is the reported class's clearance, and gap the surface distance
-    ranged from the median with the oracle segmenter's instance radius,
-    clamped at 0.
+    range_m is that median ranged through the Q reprojection, and
+    bearing_rad the azimuth of the mask centroid ray in the camera frame.
+    d0 is the reported class's clearance, and gap range_m less the oracle
+    segmenter's instance radius, clamped at 0.
     """
 
     instance_id: int
     reported_class: str
     true_class: str
-    disparity: float
+    range_m: float
     bearing_rad: float
     d0: float
     gap: float
@@ -156,11 +158,11 @@ def sense(
     is zero. Non-positive samples are discarded and the rest's median kept;
     a visible obstacle with no positive sample is counted in frame.dropped.
 
-    Then the rule nearest_effective_obstacle applies: d0 is looked up by the
+    Then the clearance rule, whose one owner this is: d0 is looked up by the
     reported class, a class with d0 <= 0 is skipped, and so is a detection
     whose clamped surface distance, ranged through the Q reprojection,
     exceeds d0. Only the rest get a bearing and a Detection, in id order,
-    which carries that d0 and gap.
+    which carries that range, d0 and gap.
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
@@ -262,29 +264,27 @@ def sense(
             half = len(kept) // 2
             # the middle sample, or the mean of the middle two: the standard library median's arithmetic
             disparity = kept[half] if len(kept) % 2 else (kept[half - 1] + kept[half]) / 2
-        gap = focal / (disparity * inv_baseline) - obs.radius  # depth_from_disparity, inlined
+        range_m = focal / (disparity * inv_baseline)  # depth_from_disparity, inlined
+        gap = range_m - obs.radius
         gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
         if gap > d0:
             continue
         if bearing is None:
             bearing = wrap_angle(math.atan2(aby, abx) - heading)
-        detections.append(Detection(obs.id, reported, obs.class_label, disparity, bearing, d0, gap))
+        detections.append(Detection(obs.id, reported, obs.class_label, range_m, bearing, d0, gap))
     return PerceptionFrame(tuple(detections), (cam_pos, heading), dropped)
 
 
-def fuse(frame: PerceptionFrame, rig: StereoRig) -> tuple[list[ObstacleEstimate], int]:
+def fuse(frame: PerceptionFrame) -> tuple[list[ObstacleEstimate], int]:
     """Place each detection in the world frame, for steering to act on.
 
-    The range is recovered from the median disparity through the Q
-    reprojection and placed along the centroid bearing ray; the d0 and gap
-    sense computed pass on unchanged, so every estimate qualifies for
-    nearest_effective_obstacle. Returns (estimates, frame.dropped).
+    Each goes at the range sense measured along its centroid bearing ray; the
+    d0 and gap pass on unchanged. Returns (estimates, frame.dropped).
     """
     cam_pos, heading = frame.camera_pose
     estimates = []
     for det in frame.detections:
-        rng_m = depth_from_disparity(det.disparity, rig)
-        ray = heading + det.bearing_rad
+        rng_m, ray = det.range_m, heading + det.bearing_rad
         position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
         estimates.append(ObstacleEstimate(det.instance_id, det.reported_class, det.true_class, det.d0, position,
                                           det.gap))

@@ -1,13 +1,15 @@
 """Deterministic fixed-step simulation.
 
-One trial runs the perceive -> fuse -> steer -> move loop until a
-termination condition fires. Trials are pure functions of
+One trial runs the perceive -> fuse -> select -> steer -> move loop until
+a termination condition fires (sense owns the clearance rule and the range,
+fuse places, selection ranks). Trials are pure functions of
 (scenario, mode, seed): perception noise and disturbance gusts come from
 separate seeded streams, drawn in blocks that are the same streams as
 draws made tick by tick. Moving obstacles advance before the robot each
 tick. Each recorded state is one Tick: the robot's pose and speed, the
 steering decision that moved it there and its smallest gap to an avoidable
-obstacle. Termination, export and plotting all read that one list.
+obstacle. The loop reads the pose from the newest Tick, and termination,
+export and plotting all read that one list.
 numpy is imported by run_trial, which seeds those streams, so importing the
 package, validating a scenario or plotting a trajectory never loads it.
 """
@@ -56,12 +58,6 @@ _STREAM_DISTURBANCE = 2
 DRAW_BLOCK = 256
 
 
-class RobotState(NamedTuple):
-    position: Vec2
-    heading: float
-    speed: float
-
-
 class Tick(NamedTuple):
     """One recorded state: the robot after a tick and what steering acted on.
 
@@ -93,14 +89,15 @@ class TrialResult:
 
 
 def step(
-    state: RobotState,
+    position: Vec2,
+    heading: float,
     v_hat: Vec2,
     params: RobotParams,
     goal: Vec2,
     disturbance: Vec2,
     dt: float,
-) -> RobotState:
-    """Advance the robot one tick toward v_hat.
+) -> tuple[Vec2, float, float]:
+    """Advance the robot one tick toward v_hat; returns its (position, heading, speed).
 
     Heading turns toward v_hat rate-limited by max_turn_rate; an error of
     exactly +-pi turns left by wrap_angle's (-pi, pi], not by a tie-break.
@@ -109,14 +106,14 @@ def step(
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    x, y = state.position.x, state.position.y
-    err = wrap_angle(atan2(v_hat.y, v_hat.x) - state.heading)
+    x, y = position.x, position.y
+    err = wrap_angle(atan2(v_hat.y, v_hat.x) - heading)
     max_delta = params.max_turn_rate * dt
     if err > max_delta:
         err = max_delta
     elif err < -max_delta:
         err = -max_delta
-    heading = wrap_angle(state.heading + err)
+    heading = wrap_angle(heading + err)
     # sqrt(dx*dx + dy*dy), not hypot: the golden digests pin these floats
     dxg = goal.x - x
     dyg = goal.y - y
@@ -127,7 +124,7 @@ def step(
         speed = params.cruise_speed * (goal_dist / params.slowdown_radius)
     x = x + speed * dt * cos(heading) + disturbance.x * dt
     y = y + speed * dt * sin(heading) + disturbance.y * dt
-    return RobotState(position=Vec2(x, y), heading=heading, speed=speed)
+    return Vec2(x, y), heading, speed
 
 
 def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Optional[str]:
@@ -185,7 +182,6 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
     dt = spec.robot.dt
     obstacles = spec.obstacles
     start_pos, start_heading = spec.start_pose
-    state = RobotState(position=start_pos, heading=start_heading, speed=0.0)
 
     path_length = 0.0
     labels = [obs.class_label for obs in obstacles]
@@ -227,23 +223,22 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
         for i in moving:
             positions[i] = obstacles[i].position_at(t_next)
 
+        now = trajectory[-1]
         frame = sense(
-            obstacles, (state.position, state.heading), spec.rig, spec.noise, lookup_policy,
+            obstacles, (now.position, now.heading), spec.rig, spec.noise, lookup_policy,
             draws, positions=positions,
         )
-        estimates, _ = fuse(frame, spec.rig)
-        decision = steering_direction(state.position, spec.goal, nearest_effective_obstacle(estimates))
+        estimates, _ = fuse(frame)
+        decision = steering_direction(now.position, spec.goal, nearest_effective_obstacle(estimates))
 
         if gust_std > 0.0:
             [(gx, gy)] = gusts.take(1)
             disturbance = Vec2(drift_x + gx, drift_y + gy)
 
-        state = step(state, decision.v_hat, spec.robot, spec.goal, disturbance, dt)
-        path_length += trajectory[-1].position.dist(state.position)
-        trajectory.append(
-            Tick(t_next, state.position, state.heading, state.speed, decision,
-                 update_clearance(state.position))
-        )
+        position, heading, speed = step(now.position, now.heading, decision.v_hat, spec.robot, spec.goal,
+                                        disturbance, dt)
+        path_length += now.position.dist(position)
+        trajectory.append(Tick(t_next, position, heading, speed, decision, update_clearance(position)))
         outcome = detect_termination(trajectory, spec)
 
     if outcome is None:

@@ -24,8 +24,6 @@ TIE_EPS = 1e-9
 
 
 class SteeringDecision(NamedTuple):
-    a_hat: Vec2
-    r_hat: Optional[Vec2]
     c1: float
     c2: float
     v_hat: Vec2
@@ -83,12 +81,12 @@ def steering_direction(
         raise ValueError("robot position coincides with the goal; direction undefined")
     a_hat = Vec2(dxg / an, dyg / an)
     if active is None:
-        return SteeringDecision(a_hat, None, 0.0, 0.0, a_hat, None, False)
+        return SteeringDecision(0.0, 0.0, a_hat, None, False)
     dxo = active.position.x - robot_pos.x
     dyo = active.position.y - robot_pos.y
     rn = sqrt(dxo * dxo + dyo * dyo)
     if rn == 0.0:
-        return SteeringDecision(a_hat, None, 0.0, 0.0, a_hat, None, False)
+        return SteeringDecision(0.0, 0.0, a_hat, None, False)
     r_hat = Vec2(dxo / rn, dyo / rn)
     k1 = c1(a_hat, r_hat)
     k2 = c2(active.gap, active.d0, B_MAX)
@@ -96,5 +94,5 @@ def steering_direction(
     sy = a_hat.y + k1 * k2 * r_hat.y
     sn = sqrt(sx * sx + sy * sy)
     if sn < TIE_EPS:
-        return SteeringDecision(a_hat, r_hat, k1, k2, Vec2(-r_hat.y, r_hat.x), active, True)
-    return SteeringDecision(a_hat, r_hat, k1, k2, Vec2(sx / sn, sy / sn), active, False)
+        return SteeringDecision(k1, k2, Vec2(-r_hat.y, r_hat.x), active, True)
+    return SteeringDecision(k1, k2, Vec2(sx / sn, sy / sn), active, False)

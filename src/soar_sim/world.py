@@ -1,6 +1,7 @@
 """World-model domain types: vectors, obstacles, clearance policies, robot
-and disturbance parameters, plus the nearest-effective-obstacle selection
-rule used by the steering loop.
+and disturbance parameters, plus the nearest-effective-obstacle ranking
+used by the steering loop. perception.sense owns the clearance rule and the
+range; the ranking only orders what sense let through.
 
 All values here are immutable after construction and safe to share between
 concurrently running trials: Vec2 and ObstacleEstimate, built every tick, are
@@ -120,8 +121,8 @@ class ObstacleEstimate(NamedTuple):
     """One obstacle as perception reports it, the record that selection and steering act on.
 
     sense looked d0 up by the reported class and ranged the gap (the surface
-    distance, clamped at 0); fuse placed the position. true_class is the
-    ground truth, kept for the record.
+    distance, clamped at 0); fuse placed the position at the range sense
+    measured. true_class is the ground truth, kept for the record.
     """
 
     id: int
@@ -133,21 +134,9 @@ class ObstacleEstimate(NamedTuple):
 
 
 def nearest_effective_obstacle(estimates: Sequence[ObstacleEstimate]) -> Optional[ObstacleEstimate]:
-    """Pick the estimate the steering law should react to, or None.
+    """The estimate the steering law should react to, or None when there is none.
 
-    Qualifying estimates have d0 > 0 and a gap within that d0; among them
-    the one with the deepest intrusion (d0 - gap) wins. Ties break by
-    smaller gap, then by smaller obstacle id. sense applies the same rule
-    first, so in a trial every estimate it gets qualifies.
+    The deepest intrusion d0 - gap wins; ties break by smaller gap, then by
+    smaller obstacle id. It only ranks: sense applied the clearance rule.
     """
-    best = None
-    best_key = None
-    for est in estimates:
-        d0, gap = est.d0, est.gap
-        if d0 <= 0.0 or gap > d0:
-            continue
-        key = (-(d0 - gap), gap, est.id)
-        if best_key is None or key < best_key:
-            best = est
-            best_key = key
-    return best
+    return min(estimates, key=lambda est: (-(est.d0 - est.gap), est.gap, est.id), default=None)

@@ -29,7 +29,6 @@ from soar_sim.sim import (
     STUCK_EPSILON_M,
     STUCK_WINDOW_S,
     WRONG_DIR_FACTOR,
-    RobotState,
     step,
 )
 from soar_sim.steering import steering_direction
@@ -209,34 +208,34 @@ def reference_trial(spec, mode: str, seed: int) -> RefTrial:
     avoidable = [spec.policy.entries.get(o.class_label, spec.policy.default_d0) > 0.0 for o in obstacles]
     gaps_per_tick = []
 
-    def record(t: float, state: RobotState, decision, positions) -> RefTick:
-        pos = state.position
+    def record(t: float, pos: Vec2, heading: float, speed: float, decision, positions) -> RefTick:
         gaps = [max(0.0, math.hypot(pos.x - c.x, pos.y - c.y) - o.radius) for o, c in zip(obstacles, positions)]
         gaps_per_tick.append(gaps)
         nearest = min((g for g, avoid in zip(gaps, avoidable) if avoid), default=math.inf)
-        return RefTick(t, pos, state.heading, state.speed, decision, nearest)
+        return RefTick(t, pos, heading, speed, decision, nearest)
 
-    start, heading = spec.start_pose
-    state = RobotState(start, heading, 0.0)
-    ticks = [record(0.0, state, None, [o.position_at(0.0) for o in obstacles])]
+    pos, heading = spec.start_pose
+    ticks = [record(0.0, pos, heading, 0.0, None, [o.position_at(0.0) for o in obstacles])]
     n = 0
     while (outcome := reference_outcome(spec, ticks)) is None:
         n += 1
         t = n * dt
         positions = [o.position_at(t) for o in obstacles]
-        pose = (state.position, state.heading)
+        pose = (pos, heading)
         placed, _ = reference_fuse(reference_sense(obstacles, pose, spec.rig, spec.noise, rng, positions),
                                    pose, spec.rig, policy)
         best = reference_select(placed)
-        decision = steering_direction(state.position, spec.goal, None if best is None else estimate(best))
+        decision = steering_direction(pos, spec.goal, None if best is None else estimate(best))
         if decision.tie_break_applied:  # the paper's tie-break: the left perpendicular of r_hat
-            decision = decision._replace(v_hat=Vec2(-decision.r_hat.y, decision.r_hat.x))
+            rx, ry = best.position.x - pos.x, best.position.y - pos.y
+            rn = math.sqrt(rx * rx + ry * ry)  # as steering_direction normalizes r
+            decision = decision._replace(v_hat=Vec2(-ry / rn, rx / rn))
         gx, gy = 0.0, 0.0
         if spec.disturbance.gust_std > 0.0:
             gx, gy = gust_rng.normal(0.0, spec.disturbance.gust_std, 2).tolist()
         disturbance = Vec2(spec.disturbance.drift_x + gx, spec.disturbance.drift_y + gy)
-        state = step(state, decision.v_hat, spec.robot, spec.goal, disturbance, dt)
-        ticks.append(record(t, state, decision, positions))
+        pos, heading, speed = step(pos, heading, decision.v_hat, spec.robot, spec.goal, disturbance, dt)
+        ticks.append(record(t, pos, heading, speed, decision, positions))
 
     path_length = sum((a.position.dist(b.position) for a, b in zip(ticks, ticks[1:])), 0.0)
     by_class = {}

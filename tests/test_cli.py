@@ -432,4 +432,5 @@ def test_readme_library_surface_matches_signatures():
             actual = ", ".join(p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in signature)
             assert params == actual, name
             checked.append(name)
-    assert {"ObstacleInstance", "nearest_effective_obstacle", "steering_direction", "sense", "fuse"} <= set(checked)
+    assert {"ObstacleInstance", "nearest_effective_obstacle", "steering_direction", "SteeringDecision", "sense",
+            "fuse", "step"} <= set(checked)

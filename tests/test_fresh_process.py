@@ -2,7 +2,8 @@
 
 numpy is imported by run_trial, so importing the package or its command
 line, reading, checking and writing scenario documents, validate, plot and
-usage errors never load it; a process pays for it with its first trial.
+usage errors never load it; a process pays for it with its first trial,
+or, when it forks a pool, once in the parent before the workers start.
 This test process has numpy loaded already, so each test runs its code in
 a new interpreter that imports soar_sim from where this one did.
 """
@@ -14,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import soar_sim
 
@@ -68,6 +71,29 @@ for jobs in ("1", "2"):
 """
 
 
+# before it builds a fork pool the parent imports numpy, which the workers inherit; workers of any
+# other start method import it afresh, so then the parent does not
+POOL_AFTER_NUMPY = """
+import json, multiprocessing, os, sys
+from soar_sim import cli
+
+multiprocessing.set_start_method(sys.argv[3])
+os.cpu_count = lambda: 2  # a pool of two even on a one-CPU host
+built = []
+
+
+class RecordingPool(cli.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        built.append("numpy" in sys.modules)
+        super().__init__(*args, **kwargs)
+
+
+cli.ProcessPoolExecutor = RecordingPool
+code = cli.main(["compare", "--scenario", sys.argv[1], "--trials", "2", "--jobs", "2", "--out", sys.argv[2]])
+print(json.dumps({"code": code, "numpy_when_pool_built": built}))
+"""
+
+
 def run_python(code: str, *args: str) -> str:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
@@ -94,3 +120,10 @@ def test_forkserver_workers_match_serial(tmp_path):
     serial, pooled = tree(tmp_path / "jobs1"), tree(tmp_path / "jobs2")
     assert len(serial) == 2 * 2 * 2 + 2  # a .traj.csv and a .result.yaml per trial, and the report pair
     assert pooled == serial
+
+
+@pytest.mark.parametrize("method", ["fork", "forkserver"])
+def test_numpy_loads_in_the_parent_before_a_fork_pool(tmp_path, method):
+    output = run_python(POOL_AFTER_NUMPY, str(SCENARIOS / "open_field.yaml"), str(tmp_path), method)
+    report = json.loads(output.splitlines()[-1])
+    assert report == {"code": 0, "numpy_when_pool_built": [method == "fork"]}

@@ -1,13 +1,13 @@
 """fuse against a reference that places every detection, on random frames.
 
-sense emits only the detections that pass the rule nearest_effective_obstacle
-applies, each with its reported class's d0 and its clamped gap; fuse then
-ranges and places each one, carries d0 and gap over, and passes
+sense emits only the detections that pass its clearance rule, each with
+its measured range, its reported class's d0 and its clamped gap; fuse then
+places each one at its range, carries d0 and gap over, and passes
 frame.dropped on. The reference places every detection of a raw frame,
 whatever its d0. On the raw frame fuse must give the reference's estimates;
 on the frame filtered by the rule, as sense emits it, fuse must keep
-exactly the reference estimates the rule admits, each of which qualifies,
-and steering must pick the same estimate as from everything.
+exactly the reference estimates the rule admits, and the ranking must pick
+one that no other admitted estimate outranks.
 """
 
 from __future__ import annotations
@@ -35,22 +35,32 @@ CLASSES = ("rock", "fish", "car", "ball")
 POSE = (Vec2(1.5, -2.0), 0.4)
 
 
-def reference_fuse(frame, rig):
-    """fuse written out per detection: every detection is ranged and placed."""
+def reference_fuse(frame):
+    """fuse written out per detection: every detection is placed at its range."""
     cam_pos, heading = frame.camera_pose
     estimates = []
     for det in frame.detections:
-        rng_m = depth_from_disparity(det.disparity, rig)
         ray = heading + det.bearing_rad
-        position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
+        position = Vec2(cam_pos.x + det.range_m * math.cos(ray), cam_pos.y + det.range_m * math.sin(ray))
         estimates.append(ObstacleEstimate(det.instance_id, det.reported_class, det.true_class, det.d0, position,
                                           det.gap))
     return estimates
 
 
-def sensed_gap(disparity, radius):
-    """The gap sense ranges from a disparity: the surface distance, clamped at 0."""
-    return max(0.0, depth_from_disparity(disparity, RIG) - radius)
+def sensed(disparity, radius):
+    """The (range, gap) sense measures from a disparity: the gap is the surface distance, clamped at 0."""
+    rng_m = depth_from_disparity(disparity, RIG)
+    return rng_m, max(0.0, rng_m - radius)
+
+
+def admits(est):
+    """sense's clearance rule: a positive d0, and a gap within it."""
+    return est.d0 > 0.0 and est.gap <= est.d0
+
+
+def outranks(a, b):
+    """Whether a wins the ranking over b: a deeper intrusion d0 - gap, then a smaller gap, then a smaller id."""
+    return a.d0 - a.gap > b.d0 - b.gap or (a.d0 - a.gap == b.d0 - b.gap and (a.gap, a.id) < (b.gap, b.id))
 
 
 @st.composite
@@ -72,10 +82,10 @@ def frames(draw):
     ids = draw(st.lists(st.integers(0, 99), min_size=len(fields), max_size=len(fields), unique=True))
     detections = []
     for i, (reported, true, disparity, bearing, radius) in zip(sorted(ids), fields):
-        gap = sensed_gap(disparity, radius)
+        rng_m, gap = sensed(disparity, radius)
         edges = [0.0, gap, math.nextafter(gap, math.inf), math.nextafter(gap, 0.0)]
         d0 = draw(st.one_of(st.sampled_from(edges), st.floats(0.0, 10.0)))
-        detections.append(Detection(i, reported, true, disparity, bearing, d0, gap))
+        detections.append(Detection(i, reported, true, rng_m, bearing, d0, gap))
     position = Vec2(draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
     return PerceptionFrame(tuple(detections), (position, draw(st.floats(-math.pi, math.pi))),
                            draw(st.integers(0, 5)))
@@ -85,10 +95,11 @@ def one(det):
     return PerceptionFrame((det,), POSE, 0)
 
 
-ROCK_GAP = sensed_gap(10.0, 0.5)  # range 4.8, gap 4.3
-ROCK = Detection(1, "rock", "rock", 10.0, 0.3, 1.0, ROCK_GAP)
-BALL_AT_CONTACT = Detection(2, "ball", "ball", 400.0, 0.0, 0.0, sensed_gap(400.0, 1.0))  # range 0.12, gap 0
-ROCK_SEEN_AS_FISH = Detection(3, "fish", "rock", 10.0, -0.2, 5.0, ROCK_GAP)
+ROCK_RANGE, ROCK_GAP = sensed(10.0, 0.5)  # range 4.8, gap 4.3
+ROCK = Detection(1, "rock", "rock", ROCK_RANGE, 0.3, 1.0, ROCK_GAP)
+BALL_RANGE, BALL_GAP = sensed(400.0, 1.0)  # range 0.12, gap 0
+BALL_AT_CONTACT = Detection(2, "ball", "ball", BALL_RANGE, 0.0, 0.0, BALL_GAP)
+ROCK_SEEN_AS_FISH = Detection(3, "fish", "rock", ROCK_RANGE, -0.2, 5.0, ROCK_GAP)
 
 
 @settings(max_examples=200, deadline=None)
@@ -100,13 +111,15 @@ ROCK_SEEN_AS_FISH = Detection(3, "fish", "rock", 10.0, -0.2, 5.0, ROCK_GAP)
 # the reported class's d0 decides; the true class passes through
 @example(frame=one(ROCK_SEEN_AS_FISH))
 def test_fuse_keeps_what_the_selection_rule_admits(frame):
-    every = reference_fuse(frame, RIG)
-    assert fuse(frame, RIG) == (every, frame.dropped)
+    every = reference_fuse(frame)
+    assert fuse(frame) == (every, frame.dropped)
     # the frame sense would emit: only the detections whose estimate the rule admits
-    admitted = [nearest_effective_obstacle([est]) is not None for est in every]
+    admitted = [admits(est) for est in every]
     emitted = frame._replace(detections=tuple(det for det, ok in zip(frame.detections, admitted) if ok))
-    estimates, dropped = fuse(emitted, RIG)
+    estimates, dropped = fuse(emitted)
     assert dropped == frame.dropped
     assert estimates == [est for est, ok in zip(every, admitted) if ok]
-    assert all(nearest_effective_obstacle([est]) is not None for est in estimates)
-    assert nearest_effective_obstacle(estimates) == nearest_effective_obstacle(every)
+    # selection on the filtered frame: the pick is an admitted estimate that none outranks
+    best = nearest_effective_obstacle(estimates)
+    assert (best is None) == (not estimates)
+    assert best is None or not any(outranks(est, best) for est in estimates)

@@ -127,7 +127,7 @@ class TestSense:
             assert det.reported_class == obs.class_label
             assert det.true_class == obs.class_label
             expected_range = math.hypot(obs.center.x, obs.center.y)
-            assert depth_from_disparity(det.disparity, RIG) == pytest.approx(expected_range, rel=1e-12)
+            assert det.range_m == pytest.approx(expected_range, rel=1e-12)
 
     def test_noise_free_consumes_no_randomness(self):
         obstacles = [ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5)]
@@ -220,7 +220,7 @@ class TestSense:
         for seed in range(20):
             frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise, seed))
             for det in frame.detections:
-                assert det.disparity > 0.0
+                assert 0.0 < det.range_m < math.inf  # ranged from a positive median disparity
 
     def test_moving_obstacle_uses_supplied_positions(self):
         obs = ObstacleInstance(1, "fish", Vec2(5.0, 0.0), 0.2, waypoints=(Vec2(5.0, 2.0),), speed=1.0)
@@ -229,24 +229,43 @@ class TestSense:
                       positions=[moved])
         det = frame.detections[0]
         expected_range = math.hypot(moved.x, moved.y)
-        assert depth_from_disparity(det.disparity, RIG) == pytest.approx(expected_range, rel=1e-12)
+        assert det.range_m == pytest.approx(expected_range, rel=1e-12)
+
+    # sense owns the clearance rule: a detection it does not emit, steering never sees
+    def test_gap_past_d0_emits_nothing(self):
+        rock = ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)  # gap 3.5 on this rig, exactly
+        for d0, emitted in ((3.5, [1]), (math.nextafter(3.5, 0.0), [])):
+            frame = sense([rock], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, ClearancePolicy({"rock": d0}),
+                          per_frame(QUIET))
+            assert [det.instance_id for det in frame.detections] == emitted
+            assert frame.dropped == 0
+
+    def test_zero_d0_class_at_contact_emits_nothing(self):
+        policy = ClearancePolicy({"sports_ball": 0.0}, default_d0=1.0)
+        # the camera inside the ball, on its rim and just outside it: gaps 0, 0 and 0.01
+        for x in (0.2, 0.5, 0.51):
+            ball = ObstacleInstance(1, "sports_ball", Vec2(x, 0.0), 0.5)
+            frame = sense([ball], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, policy, per_frame(QUIET))
+            assert frame.detections == ()
+        rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 0.5)  # the same contact under a positive d0
+        frame = sense([rock], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, policy, per_frame(QUIET))
+        assert [(det.instance_id, det.gap) for det in frame.detections] == [(1, 0.0)]
 
 
 class TestFuse:
-    def make_detection(self, disparity, bearing=0.0, gap=0.5, label="rock"):
+    def make_detection(self, range_m, bearing=0.0, gap=0.5, label="rock"):
         return Detection(
             instance_id=1, reported_class=label, true_class=label,
-            disparity=disparity, bearing_rad=bearing, d0=1.0, gap=gap,
+            range_m=range_m, bearing_rad=bearing, d0=1.0, gap=gap,
         )
 
     def test_single_detection_straight_ahead(self):
-        rig = rig_for(100.0, 0.1)
         frame = PerceptionFrame(
-            detections=(self.make_detection(10.0, gap=1.0),),
+            detections=(self.make_detection(1.0, gap=1.0),),
             camera_pose=(Vec2(0.0, 0.0), 0.0),
             dropped=0,
         )
-        estimates, dropped = fuse(frame, rig)
+        estimates, dropped = fuse(frame)
         assert dropped == 0
         est = estimates[0]
         assert est.position.x == pytest.approx(1.0, rel=1e-12)
@@ -255,9 +274,9 @@ class TestFuse:
 
     # sense now takes the median, so these cases feed it fixed noise offsets
     def test_median_rejects_outlier(self):
-        clean = sensed([0.0] * 9).disparity
-        assert sensed([0.0] * 8 + [990.0]).disparity == clean
-        assert sensed([-9.5] + [0.0] * 8).disparity == clean  # the low outlier survives as 0.5
+        clean = sensed([0.0] * 9).range_m
+        assert sensed([0.0] * 8 + [990.0]).range_m == clean
+        assert sensed([-9.5] + [0.0] * 8).range_m == clean  # the low outlier survives as 0.5
 
     @pytest.mark.parametrize(
         "samples",
@@ -272,22 +291,21 @@ class TestFuse:
         positive = [s for d in samples if (s := 10.0 + d) > 0.0]
         assert len(positive) in (9, 2, 5, 6)
         det = sensed(samples)
-        assert det.disparity == statistics.median(positive)
-        # the gap is ranged from the median, less the radius 0
-        assert det.gap == depth_from_disparity(statistics.median(positive), rig_for(100.0, 0.1))
+        # the range is the median's, and the gap that range less the radius 0
+        assert det.range_m == depth_from_disparity(statistics.median(positive), rig_for(100.0, 0.1))
+        assert det.gap == det.range_m
 
     def test_bearing_and_pose_compose(self):
-        rig = rig_for(100.0, 0.1)
         heading = 0.7
         bearing = -0.3
+        rng_m = 2.0
         frame = PerceptionFrame(
-            detections=(self.make_detection(5.0, bearing=bearing, gap=1.75),),
+            detections=(self.make_detection(rng_m, bearing=bearing, gap=1.75),),
             camera_pose=(Vec2(2.0, -1.0), heading),
             dropped=0,
         )
-        estimates, _ = fuse(frame, rig)
+        estimates, _ = fuse(frame)
         est = estimates[0]
-        rng_m = 100.0 * 0.1 / 5.0
         assert est.position.x == pytest.approx(2.0 + rng_m * math.cos(heading + bearing), rel=1e-12)
         assert est.position.y == pytest.approx(-1.0 + rng_m * math.sin(heading + bearing), rel=1e-12)
         assert est.gap == 1.75
@@ -298,16 +316,15 @@ class TestFuse:
         rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 1.0)  # range 0.2, radius 1.0
         frame = sense([rock], (Vec2(0.0, 0.0), 0.0), rig, QUIET, KEEP_ALL, per_frame(QUIET))
         assert frame.detections[0].gap == 0.0
-        estimates, _ = fuse(frame, rig)
+        estimates, _ = fuse(frame)
         assert estimates[0].gap == 0.0
 
     def test_label_passthrough(self):
-        rig = rig_for(100.0, 0.1)
         det = Detection(
             instance_id=3, reported_class="robot", true_class="fish",
-            disparity=10.0, bearing_rad=0.0, d0=1.5, gap=0.8,
+            range_m=1.0, bearing_rad=0.0, d0=1.5, gap=0.8,
         )
-        estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0), 0), rig)
+        estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0), 0))
         est = estimates[0]
         assert (est.id, est.reported_class, est.true_class, est.d0, est.gap) == (3, "robot", "fish", 1.5, 0.8)
 
@@ -321,7 +338,7 @@ class TestFuse:
                       fixed_rows(no_positive, [0.0] * 9))
         assert frame.dropped == 1
         assert [det.instance_id for det in frame.detections] == [2]
-        estimates, dropped = fuse(frame, rig)
+        estimates, dropped = fuse(frame)
         assert dropped == 1
         assert [est.id for est in estimates] == [2]
 
@@ -335,7 +352,7 @@ class TestSenseFuseRoundTrip:
         pose = (Vec2(0.5, -0.25), 0.35)
         noise = SensorNoiseSpec(fov_deg=360.0, max_range_m=20.0)
         frame = sense(obstacles, pose, RIG, noise, KEEP_ALL, per_frame(noise))
-        estimates, dropped = fuse(frame, RIG)
+        estimates, dropped = fuse(frame)
         assert dropped == 0
         by_id = {e.id: e for e in estimates}
         for obs in obstacles:

@@ -159,6 +159,16 @@ class TestLoadErrors:
         with pytest.raises(ScenarioError, match="speed"):
             load_scenario(doc)
 
+    @pytest.mark.parametrize("value, shown", [
+        ("a" * 200, "'aaaaaaaaaaaa...aaaaaaaaaaaaa'"),
+        ([[[[[[[[[[0]]]]]]]]]], "[[[[[[[...]]]]]]]"),
+    ], ids=["string_of_200", "list_nested_10_deep"])
+    def test_typed_shows_a_long_value_shortened(self, value, shown):
+        # reprlib's forms cut both length and depth; a repr cut at 60 characters keeps a deep list whole
+        with pytest.raises(ScenarioError) as exc:
+            scenario_io._typed(value, "scenario.robot.dt", float)
+        assert str(exc.value) == f"scenario.robot.dt: expected a number, got {shown}"
+
     def test_bad_probability(self):
         doc = MINIMAL + "sensor: {misclassify_prob: 1.5}\n"
         with pytest.raises(ScenarioError, match="misclassify_prob"):

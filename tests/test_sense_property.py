@@ -10,7 +10,7 @@ sense emits, what fuse places and the dropped count, with the rng left in
 the same state when sense takes its noise through noise_draws(rng, noise,
 0), and nearest_effective_obstacle must pick what the reference selection
 picks from everything. So this checks sense's occlusion prefilter, its
-per-frame draws, its median from sorted rows and its early clearance rule.
+per-frame draws, its median from sorted rows and the clearance rule it owns.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from soar_sim.perception import (  # noqa: E402
     Detection,
     SensorNoiseSpec,
     StereoRig,
+    depth_from_disparity,
     fuse,
     noise_draws,
     sense,
@@ -45,7 +46,8 @@ CLASSES = ("rock", "fish")
 def detection(p):
     """The Detection sense emits for a reference record that passes the clearance rule."""
     s = p.seen
-    return Detection(s.id, s.reported_class, s.true_class, s.disparity, s.bearing, p.d0, p.gap)
+    return Detection(s.id, s.reported_class, s.true_class, depth_from_disparity(s.disparity, RIG), s.bearing, p.d0,
+                     p.gap)
 
 
 def reference(world, seed, policy):
@@ -271,7 +273,7 @@ class TestSenseMatchesPerPairReference:
         assert frame.dropped == dropped
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         # fuse places every emitted detection, and steering picks what the rule picks from everything
-        estimates, fused_dropped = fuse(frame, RIG)
+        estimates, fused_dropped = fuse(frame)
         assert estimates == [estimate(p) for p in kept]
         assert fused_dropped == dropped
         best = reference_select(placed)

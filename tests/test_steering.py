@@ -22,6 +22,12 @@ def estimate(position: Vec2, gap: float, d0: float, obstacle_id: int = 1) -> Obs
     return ObstacleEstimate(obstacle_id, "rock", "rock", d0, position, gap)
 
 
+def unit(a: Vec2, b: Vec2) -> Vec2:
+    """The unit vector from a toward b: a_hat from the robot to the goal, r_hat to active.position."""
+    n = math.hypot(b.x - a.x, b.y - a.y)
+    return Vec2((b.x - a.x) / n, (b.y - a.y) / n)
+
+
 class TestRepulsivePotential:
     def test_zero_at_boundary(self):
         assert repulsive_potential(2.0, 2.0, 1.0) == 0.0
@@ -102,7 +108,7 @@ class TestSteeringDirection:
     def test_pure_attraction(self):
         decision = steering_direction(Vec2(0.0, 0.0), Vec2(0.0, 5.0), None)
         assert decision.v_hat == Vec2(0.0, 1.0)
-        assert decision.r_hat is None
+        assert (decision.c1, decision.c2) == (0.0, 0.0)
         assert decision.active is None
         assert not decision.tie_break_applied
 
@@ -114,7 +120,8 @@ class TestSteeringDirection:
         assert decision.c2 == 1.0
         assert decision.v_hat.x == pytest.approx(SQ2, abs=1e-12)
         assert decision.v_hat.y == pytest.approx(-SQ2, abs=1e-12)
-        dot = decision.v_hat.x * decision.r_hat.x + decision.v_hat.y * decision.r_hat.y
+        r_hat = unit(Vec2(0.0, 0.0), active.position)
+        dot = decision.v_hat.x * r_hat.x + decision.v_hat.y * r_hat.y
         assert abs(dot) <= 1e-9
         assert decision.active == active
 
@@ -127,7 +134,8 @@ class TestSteeringDirection:
     def test_c1_matches_decision_vectors(self):
         active = estimate(position=Vec2(1.0, 2.0), gap=0.4, d0=1.0, obstacle_id=1)
         decision = steering_direction(Vec2(0.0, 0.0), Vec2(5.0, -1.0), active)
-        assert decision.c1 == pytest.approx(c1(decision.a_hat, decision.r_hat), abs=1e-12)
+        a_hat, r_hat = unit(Vec2(0.0, 0.0), Vec2(5.0, -1.0)), unit(Vec2(0.0, 0.0), active.position)
+        assert decision.c1 == pytest.approx(c1(a_hat, r_hat), abs=1e-12)
         assert 1.0 <= decision.c2 <= B_MAX
 
     def test_unit_outputs(self):
@@ -146,8 +154,6 @@ class TestSteeringDirection:
             active = estimate(obstacle, dist, d0, obstacle_id=1)
             decision = steering_direction(robot, goal, active)
             assert math.hypot(decision.v_hat.x, decision.v_hat.y) == pytest.approx(1.0, abs=1e-9)
-            assert math.hypot(decision.a_hat.x, decision.a_hat.y) == pytest.approx(1.0, abs=1e-9)
-            assert math.hypot(decision.r_hat.x, decision.r_hat.y) == pytest.approx(1.0, abs=1e-9)
 
     def test_v_hat_parallel_to_unnormalized_sum(self):
         # normalization property: v_hat is the unit vector of a + c1*c2*r
@@ -162,8 +168,9 @@ class TestSteeringDirection:
             decision = steering_direction(robot, goal, estimate(obstacle, dist, d0, 1))
             if decision.tie_break_applied:
                 continue
-            sx = decision.a_hat.x + decision.c1 * decision.c2 * decision.r_hat.x
-            sy = decision.a_hat.y + decision.c1 * decision.c2 * decision.r_hat.y
+            a_hat, r_hat = unit(robot, goal), unit(robot, obstacle)
+            sx = a_hat.x + decision.c1 * decision.c2 * r_hat.x
+            sy = a_hat.y + decision.c1 * decision.c2 * r_hat.y
             cross = sx * decision.v_hat.y - sy * decision.v_hat.x
             assert abs(cross) <= 1e-9
             assert sx * decision.v_hat.x + sy * decision.v_hat.y >= 0.0
@@ -178,8 +185,9 @@ class TestSteeringDirection:
             center_range = float(dist) + 0.3
             center = Vec2(obstacle_dir.x * center_range, obstacle_dir.y * center_range)
             decision = steering_direction(robot, goal, estimate(center, float(dist), d0, 1))
+            a_hat = unit(robot, goal)
             angles.append(math.acos(max(-1.0, min(1.0,
-                decision.v_hat.x * decision.a_hat.x + decision.v_hat.y * decision.a_hat.y))))
+                decision.v_hat.x * a_hat.x + decision.v_hat.y * a_hat.y))))
         for earlier, later in zip(angles, angles[1:]):
             assert later >= earlier - 1e-12
 

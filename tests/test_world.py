@@ -63,10 +63,7 @@ class TestWrapAngle:
 
 
 class TestNearestEffectiveObstacle:
-    def test_none_within_d0(self):
-        policy = ClearancePolicy({}, default_d0=1.0)
-        assert nearest_effective_obstacle([est("car", 2.0, policy)]) is None
-
+    # a ranking only: the clearance rule is sense's, and its cases are in tests/test_perception.py
     def test_zero_d0_class_never_qualifies(self):
         policy = ClearancePolicy({"sports_ball": 0.0, "car": 1.0}, default_d0=1.0)
         chosen = nearest_effective_obstacle(
@@ -76,10 +73,8 @@ class TestNearestEffectiveObstacle:
         assert chosen.reported_class == "car"
         assert chosen.d0 == 1.0
 
-    def test_zero_d0_excluded_even_at_contact(self):
-        policy = ClearancePolicy({"sports_ball": 0.0}, default_d0=1.0)
-        for dist in (0.0, 0.01, 0.5):
-            assert nearest_effective_obstacle([est("sports_ball", dist, policy)]) is None
+    def test_nothing_to_rank(self):
+        assert nearest_effective_obstacle([]) is None
 
     def test_max_intrusion_wins(self):
         # two cars with d0=1 at 0.9 m and 0.5 m: intrusions 0.1 vs 0.5
