@@ -7,26 +7,24 @@ worker that runs a trial also writes its *.traj.csv and *.result.yaml;
 only (seed, travel_time, outcome) returns to the parent, which writes
 the summaries in seed order once every trial has finished, so every file
 is byte-identical to a serial run. On exit 2, --out may already hold the
-artifacts of the trials that finished.
+artifacts of the trials that finished. Each command imports only what it
+runs: the process pool's modules load only when --jobs gives a batch more
+than one worker, and the SVG plotter and csv reader only for plot.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_start_method
 from pathlib import Path
 from typing import Optional, Sequence
 
 from soar_sim import report as report_mod
 from soar_sim.scenario_io import ScenarioError, ScenarioSpec, load_scenario_file
 from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, TrialResult, run_trial
-from soar_sim.svg_plot import render_svg
 from soar_sim.world import Vec2
 
 EXIT_OK = 0
@@ -60,6 +58,8 @@ def _run_batch(
     if workers <= 1:
         rows = [_run_one(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_start_method
         # map yields in task order, which is seed order within each mode; it submits every
         # chunk at once, so at most 64 chunks per worker keep a 10^6-trial batch's futures few
         chunksize = math.ceil(len(tasks) / (64 * workers))
@@ -152,6 +152,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _read_trajectory(path: str) -> list[Vec2]:
+    import csv
+
     points = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -178,15 +180,20 @@ def _label_for(path: str) -> str:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
+    import csv
+
+    from soar_sim.svg_plot import render_svg
+
     spec = _load_or_fail(args.scenario)
     trajectories = []
     for path in args.trajectories:
         try:
             trajectories.append((_label_for(path), _read_trajectory(path)))
+        # undecodable bytes, or a cell over the csv module's field size limit: exc names no file
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise CliError(f"ERROR: {path}: {exc}", EXIT_RUNTIME) from exc
         except (OSError, ValueError) as exc:
             raise CliError(f"ERROR: {exc}", EXIT_RUNTIME) from exc
-        except csv.Error as exc:  # e.g. a cell over the csv module's field size limit
-            raise CliError(f"ERROR: {path}: {exc}", EXIT_RUNTIME) from exc
     svg = render_svg(spec, trajectories)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -258,7 +258,8 @@ class PoolRecorder:
 ])
 def test_jobs_capped_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, trials, pool):
     sizes = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda max_workers: PoolRecorder(sizes, max_workers))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        lambda max_workers: PoolRecorder(sizes, max_workers))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
     # no trial runs: each task's row is made up from its seed
     monkeypatch.setattr(cli, "_run_one", lambda task: TrialRow(task[2], 1.0, "goal_reached"))
@@ -271,7 +272,7 @@ def test_jobs_capped_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, trials, poo
 def test_large_batch_submits_few_chunks(tmp_path, monkeypatch):
     # map submits every chunk at once: 2 * 10^5 tasks must not become 2 * 10^5 pending futures
     sizes, chunksizes = [], []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor",
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: PoolRecorder(sizes, max_workers, chunksizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "_run_one", lambda task: TrialRow(task[2], 1.0, "goal_reached"))
@@ -324,18 +325,19 @@ class TestPlot:
             "x,y\n1.0\n",
             "x,y\nnan,inf\n",
             "x,y\n" + "1" * 200_000 + ",2\n",
+            b"\xff\xfe\x00bad",
         ],
-        ids=["header_only", "no_y_column", "short_row", "non_finite", "oversized_cell"],
+        ids=["header_only", "no_y_column", "short_row", "non_finite", "oversized_cell", "undecodable"],
     )
     def test_empty_trajectory_is_error_without_output(self, tmp_path, capsys, text):
         bad = tmp_path / "bad.traj.csv"
-        bad.write_text(text)
+        bad.write_bytes(text if isinstance(text, bytes) else text.encode())
         out = tmp_path / "plot.svg"
         rc = main(["plot", "--scenario", TRANSPARENCY, "--out", str(out), str(bad)])
         assert rc == EXIT_RUNTIME
         assert not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith("ERROR:") and err.count("\n") == 1
+        assert err.startswith(f"ERROR: {bad}: ") and err.count("\n") == 1
 
     def test_soar_and_non_soar_overlay_legend(self, tmp_path):
         traj = self.make_traj(tmp_path)

@@ -4,8 +4,11 @@ numpy is imported by run_trial, so importing the package or its command
 line, reading, checking and writing scenario documents, validate, plot and
 usage errors never load it; a process pays for it with its first trial,
 or, when it forks a pool, once in the parent before the workers start.
-This test process has numpy loaded already, so each test runs its code in
-a new interpreter that imports soar_sim from where this one did.
+Each command imports only what it runs: the process pool's modules load
+only when --jobs gives a batch more than one worker, and the SVG plotter
+and csv only for plot. This test process has all of these loaded already,
+so each test runs its code in a new interpreter that imports soar_sim from
+where this one did.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ for jobs in ("1", "2"):
 # before it builds a fork pool the parent imports numpy, which the workers inherit; workers of any
 # other start method import it afresh, so then the parent does not
 POOL_AFTER_NUMPY = """
-import json, multiprocessing, os, sys
+import concurrent.futures, json, multiprocessing, os, sys
 from soar_sim import cli
 
 multiprocessing.set_start_method(sys.argv[3])
@@ -82,15 +85,48 @@ os.cpu_count = lambda: 2  # a pool of two even on a one-CPU host
 built = []
 
 
-class RecordingPool(cli.ProcessPoolExecutor):
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
     def __init__(self, *args, **kwargs):
         built.append("numpy" in sys.modules)
         super().__init__(*args, **kwargs)
 
 
-cli.ProcessPoolExecutor = RecordingPool
+concurrent.futures.ProcessPoolExecutor = RecordingPool
 code = cli.main(["compare", "--scenario", sys.argv[1], "--trials", "2", "--jobs", "2", "--out", sys.argv[2]])
 print(json.dumps({"code": code, "numpy_when_pool_built": built}))
+"""
+
+# the modules a command imports only when it uses them, after each of a run of commands in one process
+COMMAND_IMPORTS = """
+import json, os, sys
+from pathlib import Path
+
+from soar_sim import cli
+
+LATE = ("concurrent.futures.process", "multiprocessing", "soar_sim.svg_plot", "csv")
+scenario, out = sys.argv[1], Path(sys.argv[2])
+loaded = {"import": [name for name in LATE if name in sys.modules]}
+
+
+def after(step, argv):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    loaded[step] = [code, [name for name in LATE if name in sys.modules]]
+
+
+after("validate", ["validate", "--scenario", scenario])
+after("run", ["run", "--scenario", scenario, "--out", str(out / "run")])
+after("batch", ["batch", "--scenario", scenario, "--trials", "2", "--jobs", "1", "--out", str(out / "batch")])
+after("usage", ["run"])
+trajectory = str(out / "run" / "open_field_soar_seed42.traj.csv")
+after("plot", ["plot", "--scenario", scenario, "--out", str(out / "plot.svg"), trajectory])
+os.cpu_count = lambda: 2  # a pool of two even on a one-CPU host
+for jobs in ("1", "2"):
+    argv = ["compare", "--scenario", scenario, "--trials", "2", "--jobs", jobs, "--out", str(out / f"jobs{jobs}")]
+    after(f"compare --jobs {jobs}", argv)
+print(json.dumps(loaded))
 """
 
 
@@ -127,3 +163,22 @@ def test_numpy_loads_in_the_parent_before_a_fork_pool(tmp_path, method):
     output = run_python(POOL_AFTER_NUMPY, str(SCENARIOS / "open_field.yaml"), str(tmp_path), method)
     report = json.loads(output.splitlines()[-1])
     assert report == {"code": 0, "numpy_when_pool_built": [method == "fork"]}
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path):
+    output = run_python(COMMAND_IMPORTS, str(SCENARIOS / "open_field.yaml"), str(tmp_path))
+    report = json.loads(output.splitlines()[-1])
+    plotter = ["soar_sim.svg_plot", "csv"]
+    assert report == {
+        "import": [],
+        "validate": [0, []],
+        "run": [0, []],
+        "batch": [0, []],
+        "usage": [2, []],
+        "plot": [0, plotter],
+        "compare --jobs 1": [0, plotter],
+        "compare --jobs 2": [0, ["concurrent.futures.process", "multiprocessing", *plotter]],
+    }
+    serial, pooled = tree(tmp_path / "jobs1"), tree(tmp_path / "jobs2")
+    assert len(serial) == 2 * 2 * 2 + 2
+    assert pooled == serial
