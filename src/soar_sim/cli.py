@@ -20,7 +20,7 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from soar_sim import report as report_mod
 from soar_sim.scenario_io import ScenarioError, ScenarioSpec, load_scenario_file
@@ -115,22 +115,22 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _publish(fmt: str, out: Path, stem: str, table: str, delimited: str, structured: Callable[[], str]) -> int:
+    """Write a summary's stem.txt and stem.csv, then print what --format asks for; only structured renders YAML."""
+    _write(out / f"{stem}.txt", table)
+    _write(out / f"{stem}.csv", delimited)
+    sys.stdout.write(table if fmt == "table" else delimited if fmt == "delimited" else structured())
+    return EXIT_OK
+
+
 def cmd_batch(args: argparse.Namespace) -> int:
     spec = _load_or_fail(args.scenario)
     mode = _canonical_mode(args.mode)
     out = Path(args.out)
     [rows] = _run_batch(spec, [mode], args.trials, args.seed, args.jobs, out)
     summary = report_mod.summarize_mode(mode, rows)
-    table = report_mod.render_mode_table(summary, spec.name)
-    _write(out / f"{spec.name}_{mode}_summary.txt", table)
-    _write(out / f"{spec.name}_{mode}_summary.csv", report_mod.render_mode_csv(summary))
-    if args.format == "delimited":
-        sys.stdout.write(report_mod.render_mode_csv(summary))
-    elif args.format == "structured":
-        sys.stdout.write(report_mod.render_mode_yaml(summary, spec.name))
-    else:
-        sys.stdout.write(table)
-    return EXIT_OK
+    return _publish(args.format, out, f"{spec.name}_{mode}_summary", report_mod.render_mode_table(summary, spec.name),
+                    report_mod.render_mode_csv(summary), lambda: report_mod.render_mode_yaml(summary, spec.name))
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -139,16 +139,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     soar_rows, non_soar_rows = _run_batch(spec, [MODE_SOAR, MODE_NON_SOAR], args.trials,
                                           args.seed, args.jobs, out)
     rep = report_mod.build_comparison(spec.name, soar_rows, non_soar_rows)
-    table = report_mod.render_comparison_table(rep)
-    _write(out / f"{spec.name}_compare.txt", table)
-    _write(out / f"{spec.name}_compare.csv", report_mod.render_comparison_csv(rep))
-    if args.format == "delimited":
-        sys.stdout.write(report_mod.render_comparison_csv(rep))
-    elif args.format == "structured":
-        sys.stdout.write(report_mod.render_comparison_yaml(rep))
-    else:
-        sys.stdout.write(table)
-    return EXIT_OK
+    return _publish(args.format, out, f"{spec.name}_compare", report_mod.render_comparison_table(rep),
+                    report_mod.render_comparison_csv(rep), lambda: report_mod.render_comparison_yaml(rep))
 
 
 def _read_trajectory(path: str) -> list[Vec2]:

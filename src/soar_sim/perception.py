@@ -8,7 +8,8 @@ geometric data path matches a real stereo pipeline. An oracle segmenter
 provides instance labels, optionally corrupted by one seeded
 misclassification draw per obstacle per frame. sense owns the clearance
 rule and the range: it classifies, ranges each detection once and emits
-only those steering may act on; fuse only places them.
+only those steering may act on; fuse only places them, from the pose the
+loop sensed from, which the frame does not copy.
 """
 
 from __future__ import annotations
@@ -111,7 +112,6 @@ class PerceptionFrame(NamedTuple):
     """What sense emits: the selectable detections, and the count of visible obstacles dropped."""
 
     detections: tuple[Detection, ...]
-    camera_pose: tuple[Vec2, float]
     dropped: int
 
 
@@ -272,16 +272,17 @@ def sense(
         if bearing is None:
             bearing = wrap_angle(math.atan2(aby, abx) - heading)
         detections.append(Detection(obs.id, reported, obs.class_label, range_m, bearing, d0, gap))
-    return PerceptionFrame(tuple(detections), (cam_pos, heading), dropped)
+    return PerceptionFrame(tuple(detections), dropped)
 
 
-def fuse(frame: PerceptionFrame) -> tuple[list[ObstacleEstimate], int]:
+def fuse(frame: PerceptionFrame, pose: tuple[Vec2, float]) -> tuple[list[ObstacleEstimate], int]:
     """Place each detection in the world frame, for steering to act on.
 
-    Each goes at the range sense measured along its centroid bearing ray; the
-    d0 and gap pass on unchanged. Returns (estimates, frame.dropped).
+    pose is the one frame was sensed from. Each detection goes at the range
+    sense measured along its centroid bearing ray; the d0 and gap pass on
+    unchanged. Returns (estimates, frame.dropped).
     """
-    cam_pos, heading = frame.camera_pose
+    cam_pos, heading = pose
     estimates = []
     for det in frame.detections:
         rng_m, ray = det.range_m, heading + det.bearing_rad

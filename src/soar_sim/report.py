@@ -36,7 +36,7 @@ class ComparisonReport:
     scenario_name: str
     soar: ModeSummary
     non_soar: ModeSummary
-    relative_time_delta: Optional[float]  # percent, None unless both modes succeeded
+    relative_time_delta: Optional[float]  # percent, None unless both modes succeeded and soar's mean is not 0
 
 
 def summarize_mode(mode: str, results: Sequence[TrialRow]) -> ModeSummary:
@@ -60,7 +60,7 @@ def build_comparison(
     soar = summarize_mode(MODE_SOAR, soar_results)
     non_soar = summarize_mode(MODE_NON_SOAR, non_soar_results)
     delta = None
-    if soar.mean_travel_time and non_soar.mean_travel_time:
+    if soar.mean_travel_time is not None and non_soar.mean_travel_time is not None and soar.mean_travel_time != 0.0:
         delta = 100.0 * (non_soar.mean_travel_time - soar.mean_travel_time) / soar.mean_travel_time
     return ComparisonReport(
         scenario_name=scenario_name, soar=soar, non_soar=non_soar, relative_time_delta=delta
@@ -105,8 +105,10 @@ def render_comparison_table(report: ComparisonReport) -> str:
     )
     if report.relative_time_delta is not None:
         lines.append(f"relative_time_delta: {report.relative_time_delta:+.1f}%")
-    else:
+    elif report.soar.mean_travel_time is None or report.non_soar.mean_travel_time is None:
         lines.append("relative_time_delta: n/a (needs at least one success per mode)")
+    else:
+        lines.append("relative_time_delta: n/a (soar mean travel time is 0)")
     return "\n".join(lines) + "\n"
 
 

@@ -8,8 +8,8 @@ separate seeded streams, drawn in blocks that are the same streams as
 draws made tick by tick. Moving obstacles advance before the robot each
 tick. Each recorded state is one Tick: the robot's pose and speed, the
 steering decision that moved it there and its smallest gap to an avoidable
-obstacle. The loop reads the pose from the newest Tick, and termination,
-export and plotting all read that one list.
+obstacle. The loop reads the pose from the newest Tick, for sense and fuse
+alike, and termination, export and plotting all read that one list.
 numpy is imported by run_trial, which seeds those streams, so importing the
 package, validating a scenario or plotting a trajectory never loads it.
 """
@@ -95,15 +95,15 @@ def step(
     params: RobotParams,
     goal: Vec2,
     disturbance: Vec2,
-    dt: float,
 ) -> tuple[Vec2, float, float]:
-    """Advance the robot one tick toward v_hat; returns its (position, heading, speed).
+    """Advance the robot one tick of params.dt toward v_hat; returns its (position, heading, speed).
 
     Heading turns toward v_hat rate-limited by max_turn_rate; an error of
     exactly +-pi turns left by wrap_angle's (-pi, pi], not by a tie-break.
     Speed is cruise_speed, ramped linearly to zero inside slowdown_radius of
     the goal; the disturbance is added as a velocity.
     """
+    dt = params.dt
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
     x, y = position.x, position.y
@@ -224,19 +224,16 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
             positions[i] = obstacles[i].position_at(t_next)
 
         now = trajectory[-1]
-        frame = sense(
-            obstacles, (now.position, now.heading), spec.rig, spec.noise, lookup_policy,
-            draws, positions=positions,
-        )
-        estimates, _ = fuse(frame)
+        pose = (now.position, now.heading)
+        frame = sense(obstacles, pose, spec.rig, spec.noise, lookup_policy, draws, positions=positions)
+        estimates, _ = fuse(frame, pose)
         decision = steering_direction(now.position, spec.goal, nearest_effective_obstacle(estimates))
 
         if gust_std > 0.0:
             [(gx, gy)] = gusts.take(1)
             disturbance = Vec2(drift_x + gx, drift_y + gy)
 
-        position, heading, speed = step(now.position, now.heading, decision.v_hat, spec.robot, spec.goal,
-                                        disturbance, dt)
+        position, heading, speed = step(now.position, now.heading, decision.v_hat, spec.robot, spec.goal, disturbance)
         path_length += now.position.dist(position)
         trajectory.append(Tick(t_next, position, heading, speed, decision, update_clearance(position)))
         outcome = detect_termination(trajectory, spec)

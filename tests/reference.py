@@ -234,7 +234,7 @@ def reference_trial(spec, mode: str, seed: int) -> RefTrial:
         if spec.disturbance.gust_std > 0.0:
             gx, gy = gust_rng.normal(0.0, spec.disturbance.gust_std, 2).tolist()
         disturbance = Vec2(spec.disturbance.drift_x + gx, spec.disturbance.drift_y + gy)
-        pos, heading, speed = step(pos, heading, decision.v_hat, spec.robot, spec.goal, disturbance, dt)
+        pos, heading, speed = step(pos, heading, decision.v_hat, spec.robot, spec.goal, disturbance)
         ticks.append(record(t, pos, heading, speed, decision, positions))
 
     path_length = sum((a.position.dist(b.position) for a, b in zip(ticks, ticks[1:])), 0.0)

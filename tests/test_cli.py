@@ -6,20 +6,23 @@ import math
 import re
 import shlex
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import yaml
 
-from soar_sim import cli
+from soar_sim import cli, report
 from soar_sim.cli import EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from soar_sim.report import TrialRow
-from soar_sim.scenario_io import load_scenario_file
+from soar_sim.scenario_io import load_scenario_file, serialize_scenario
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
 OPEN_FIELD = str(SCENARIOS / "open_field.yaml")
 TRANSPARENCY = str(SCENARIOS / "transparency.yaml")
 PARKING_LOT = str(SCENARIOS / "parking_lot.yaml")
+HEAD_ON = str(SCENARIOS / "head_on.yaml")
 
 
 class TestValidate:
@@ -187,6 +190,24 @@ class TestCompare:
         assert (tmp_path / "open_field_compare.txt").exists()
         assert (tmp_path / "open_field_compare.csv").exists()
 
+    def test_start_at_goal_blames_the_zero_mean(self, tmp_path, capsys):
+        # both modes reach the goal at t=0: 2/2 successes each, so the n/a is not for want of one
+        spec = load_scenario_file(OPEN_FIELD)
+        scenario = tmp_path / "at_goal.yaml"
+        scenario.write_text(serialize_scenario(replace(spec, start_pose=(spec.goal, spec.start_pose[1]))))
+        for fmt in ("table", "structured"):
+            rc = main(["compare", "--scenario", str(scenario), "--trials", "2", "--out", str(tmp_path / "out"),
+                       "--format", fmt])
+            assert rc == EXIT_OK
+            printed = capsys.readouterr().out
+            if fmt == "table":
+                assert printed.splitlines()[-2:] == [
+                    "   avg       0.000  2/2           0.000  2/2",
+                    "relative_time_delta: n/a (soar mean travel time is 0)",
+                ]
+            else:
+                assert yaml.safe_load(printed)["relative_time_delta_pct"] is None
+
     def test_parallel_jobs_match_serial(self, tmp_path, capsys):
         # with --jobs 2 each worker writes its own trial's artifacts; --jobs 500 starts at most
         # the CPU count of workers
@@ -228,6 +249,32 @@ class TestCompare:
         err = capsys.readouterr().err
         assert err.startswith("ERROR: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["batch", "compare"])
+def test_each_format_prints_what_it_publishes(tmp_path, capsys, command):
+    # table and delimited print the bytes of the .txt and .csv written, structured the YAML document
+    # render_*_yaml gives for the same rows; the .txt/.csv pair does not depend on --format
+    spec = load_scenario_file(HEAD_ON)
+    modes = ["non_soar"] if command == "batch" else ["soar", "non_soar"]
+    stem = "head_on_non_soar_summary" if command == "batch" else "head_on_compare"
+    printed, pairs = {}, {}
+    for fmt in ("table", "delimited", "structured"):
+        out = tmp_path / fmt
+        argv = [command, *(["--mode", "non-soar"] if command == "batch" else []), "--scenario", HEAD_ON,
+                "--trials", "2", "--seed", "42", "--out", str(out), "--format", fmt]
+        assert main(argv) == EXIT_OK
+        printed[fmt] = capsys.readouterr().out
+        pairs[fmt] = tuple((out / f"{stem}.{ext}").read_bytes() for ext in ("txt", "csv"))
+    assert pairs["table"] == pairs["delimited"] == pairs["structured"]
+    txt, csv = pairs["table"]
+    assert (printed["table"].encode(), printed["delimited"].encode()) == (txt, csv)
+    rows = [[cli._run_one((spec, mode, seed, tmp_path / "rows")) for seed in (42, 43)] for mode in modes]
+    if command == "batch":
+        document = report.render_mode_yaml(report.summarize_mode("non_soar", rows[0]), "head_on")
+    else:
+        document = report.render_comparison_yaml(report.build_comparison("head_on", *rows))
+    assert printed["structured"] == document
 
 
 class PoolRecorder:

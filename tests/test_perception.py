@@ -260,12 +260,8 @@ class TestFuse:
         )
 
     def test_single_detection_straight_ahead(self):
-        frame = PerceptionFrame(
-            detections=(self.make_detection(1.0, gap=1.0),),
-            camera_pose=(Vec2(0.0, 0.0), 0.0),
-            dropped=0,
-        )
-        estimates, dropped = fuse(frame)
+        frame = PerceptionFrame(detections=(self.make_detection(1.0, gap=1.0),), dropped=0)
+        estimates, dropped = fuse(frame, (Vec2(0.0, 0.0), 0.0))
         assert dropped == 0
         est = estimates[0]
         assert est.position.x == pytest.approx(1.0, rel=1e-12)
@@ -299,12 +295,8 @@ class TestFuse:
         heading = 0.7
         bearing = -0.3
         rng_m = 2.0
-        frame = PerceptionFrame(
-            detections=(self.make_detection(rng_m, bearing=bearing, gap=1.75),),
-            camera_pose=(Vec2(2.0, -1.0), heading),
-            dropped=0,
-        )
-        estimates, _ = fuse(frame)
+        frame = PerceptionFrame(detections=(self.make_detection(rng_m, bearing=bearing, gap=1.75),), dropped=0)
+        estimates, _ = fuse(frame, (Vec2(2.0, -1.0), heading))
         est = estimates[0]
         assert est.position.x == pytest.approx(2.0 + rng_m * math.cos(heading + bearing), rel=1e-12)
         assert est.position.y == pytest.approx(-1.0 + rng_m * math.sin(heading + bearing), rel=1e-12)
@@ -314,9 +306,10 @@ class TestFuse:
         # sense clamps the gap, and fuse passes it on
         rig = rig_for(100.0, 0.1)
         rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 1.0)  # range 0.2, radius 1.0
-        frame = sense([rock], (Vec2(0.0, 0.0), 0.0), rig, QUIET, KEEP_ALL, per_frame(QUIET))
+        pose = (Vec2(0.0, 0.0), 0.0)
+        frame = sense([rock], pose, rig, QUIET, KEEP_ALL, per_frame(QUIET))
         assert frame.detections[0].gap == 0.0
-        estimates, _ = fuse(frame)
+        estimates, _ = fuse(frame, pose)
         assert estimates[0].gap == 0.0
 
     def test_label_passthrough(self):
@@ -324,7 +317,7 @@ class TestFuse:
             instance_id=3, reported_class="robot", true_class="fish",
             range_m=1.0, bearing_rad=0.0, d0=1.5, gap=0.8,
         )
-        estimates, _ = fuse(PerceptionFrame((det,), (Vec2(0.0, 0.0), 0.0), 0))
+        estimates, _ = fuse(PerceptionFrame((det,), 0), (Vec2(0.0, 0.0), 0.0))
         est = estimates[0]
         assert (est.id, est.reported_class, est.true_class, est.d0, est.gap) == (3, "robot", "fish", 1.5, 0.8)
 
@@ -334,11 +327,11 @@ class TestFuse:
         obstacles = [ObstacleInstance(1, "rock", Vec2(1.0, 0.0), 0.1),  # true disparity 10
                      ObstacleInstance(2, "rock", Vec2(0.0, 1.0), 0.1)]
         no_positive = [-10.0, -12.0] * 4 + [-10.5]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL,
-                      fixed_rows(no_positive, [0.0] * 9))
+        pose = (Vec2(0.0, 0.0), 0.0)
+        frame = sense(obstacles, pose, rig, noise, KEEP_ALL, fixed_rows(no_positive, [0.0] * 9))
         assert frame.dropped == 1
         assert [det.instance_id for det in frame.detections] == [2]
-        estimates, dropped = fuse(frame)
+        estimates, dropped = fuse(frame, pose)
         assert dropped == 1
         assert [est.id for est in estimates] == [2]
 
@@ -352,7 +345,7 @@ class TestSenseFuseRoundTrip:
         pose = (Vec2(0.5, -0.25), 0.35)
         noise = SensorNoiseSpec(fov_deg=360.0, max_range_m=20.0)
         frame = sense(obstacles, pose, RIG, noise, KEEP_ALL, per_frame(noise))
-        estimates, dropped = fuse(frame)
+        estimates, dropped = fuse(frame, pose)
         assert dropped == 0
         by_id = {e.id: e for e in estimates}
         for obs in obstacles:

@@ -43,6 +43,14 @@ class TestSummaries:
         report = build_comparison("x", soar, failed)
         assert report.relative_time_delta is None
 
+    def test_zero_mean_is_a_success(self):
+        # a 0.0 mean is a mode that succeeded at t=0; only a soar mean of 0 leaves the percentage undefined
+        at_goal = [TrialRow(1, 0.0, "goal_reached")]
+        assert build_comparison("x", [TrialRow(1, 10.0, "goal_reached")], at_goal).relative_time_delta == -100.0
+        report = build_comparison("x", at_goal, at_goal)
+        assert report.relative_time_delta is None
+        assert render_comparison_table(report).endswith("relative_time_delta: n/a (soar mean travel time is 0)\n")
+
     def test_delta_value(self):
         soar = [TrialRow(1, 10.0, "goal_reached")]
         non_soar = [TrialRow(1, 11.4, "goal_reached")]

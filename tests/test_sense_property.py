@@ -273,7 +273,7 @@ class TestSenseMatchesPerPairReference:
         assert frame.dropped == dropped
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         # fuse places every emitted detection, and steering picks what the rule picks from everything
-        estimates, fused_dropped = fuse(frame)
+        estimates, fused_dropped = fuse(frame, pose)
         assert estimates == [estimate(p) for p in kept]
         assert fused_dropped == dropped
         best = reference_select(placed)

@@ -44,11 +44,11 @@ PER_TICK_RECORDS = {
     "Tick": (Tick(0.0, ORIGIN, 0.0, 0.0, None, math.inf), "min_clearance"),
     "SteeringDecision": (SteeringDecision(0.0, 0.0, ORIGIN, None, False), "v_hat"),
     "Detection": (Detection(3, "rock", "rock", 1.0, 0.0, 1.0, 0.5), "range_m"),
-    "PerceptionFrame": (PerceptionFrame((), (ORIGIN, 0.0), 0), "detections"),
+    "PerceptionFrame": (PerceptionFrame((), 0), "detections"),
 }
 # fuse's output and the obstacle steering acts on are both world.ObstacleEstimate records; these two
 # keys name those roles, checked on the records the pipeline really hands on
-FUSED, _ = fuse(PerceptionFrame((PER_TICK_RECORDS["Detection"][0],), (ORIGIN, 0.0), 0))
+FUSED, _ = fuse(PerceptionFrame((PER_TICK_RECORDS["Detection"][0],), 0), (ORIGIN, 0.0))
 PER_TICK_RECORDS["LabeledObstacleEstimate"] = (FUSED[0], "position")
 PER_TICK_RECORDS["ActiveObstacle"] = (nearest_effective_obstacle(FUSED), "d0")
 
@@ -100,30 +100,30 @@ def test_gust_block_is_the_per_tick_stream(seed, source, block, ks):
 
 class TestStep:
     def test_straight_advance(self):
-        position, heading, speed = step(ORIGIN, 0.0, Vec2(1.0, 0.0), PARAMS, FAR_GOAL, NO_DRIFT, 0.05)
-        assert position.x == pytest.approx(1.0 * 0.05, rel=1e-12)
+        position, heading, speed = step(ORIGIN, 0.0, Vec2(1.0, 0.0), PARAMS, FAR_GOAL, NO_DRIFT)
+        assert position.x == pytest.approx(1.0 * PARAMS.dt, rel=1e-12)
         assert position.y == 0.0
         assert heading == 0.0
         assert speed == 1.0
 
     def test_turn_rate_saturation(self):
         # the error is exactly pi, +pi by wrap_angle's (-pi, pi], so the limited turn is to the left
-        _, heading, _ = step(ORIGIN, 0.0, Vec2(-1.0, 0.0), PARAMS, FAR_GOAL, NO_DRIFT, 0.05)
-        assert heading == PARAMS.max_turn_rate * 0.05
+        _, heading, _ = step(ORIGIN, 0.0, Vec2(-1.0, 0.0), PARAMS, FAR_GOAL, NO_DRIFT)
+        assert heading == PARAMS.max_turn_rate * PARAMS.dt
 
     def test_slowdown_ramp_midpoint(self):
         goal = Vec2(0.5, 0.0)  # slowdown_radius/2 away
-        _, _, speed = step(ORIGIN, 0.0, Vec2(1.0, 0.0), PARAMS, goal, NO_DRIFT, 0.05)
+        _, _, speed = step(ORIGIN, 0.0, Vec2(1.0, 0.0), PARAMS, goal, NO_DRIFT)
         assert speed == pytest.approx(PARAMS.cruise_speed / 2.0, rel=1e-12)
 
     def test_disturbance_displaces(self):
         drift = Vec2(0.0, 2.0)
-        position, _, _ = step(ORIGIN, 0.0, Vec2(1.0, 0.0), PARAMS, FAR_GOAL, drift, 0.05)
-        assert position.y == pytest.approx(2.0 * 0.05, rel=1e-12)
+        position, _, _ = step(ORIGIN, 0.0, Vec2(1.0, 0.0), PARAMS, FAR_GOAL, drift)
+        assert position.y == pytest.approx(2.0 * PARAMS.dt, rel=1e-12)
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            step(ORIGIN, 0.0, Vec2(1.0, 0.0), PARAMS, FAR_GOAL, NO_DRIFT, 0.0)
+            step(ORIGIN, 0.0, Vec2(1.0, 0.0), replace(PARAMS, dt=0.0), FAR_GOAL, NO_DRIFT)
 
 
 def ticks_at(positions, dt=0.05, min_clearance=math.inf):
