@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 if TYPE_CHECKING:
     import numpy as np
 
-from soar_sim.world import ClearancePolicy, ObstacleEstimate, ObstacleInstance, Vec2, wrap_angle
+from soar_sim.world import ClearancePolicy, ObstacleEstimate, ObstacleInstance, Vec2, new_record, wrap_angle
 
 # samples drawn per detection; odd so the median is a single sample when all are positive
 SAMPLES_PER_DETECTION = 9
@@ -271,8 +271,8 @@ def sense(
             continue
         if bearing is None:
             bearing = wrap_angle(math.atan2(aby, abx) - heading)
-        detections.append(Detection(obs.id, reported, obs.class_label, range_m, bearing, d0, gap))
-    return PerceptionFrame(tuple(detections), dropped)
+        detections.append(new_record(Detection, (obs.id, reported, obs.class_label, range_m, bearing, d0, gap)))
+    return new_record(PerceptionFrame, (tuple(detections), dropped))
 
 
 def fuse(frame: PerceptionFrame, pose: tuple[Vec2, float]) -> tuple[list[ObstacleEstimate], int]:
@@ -286,7 +286,7 @@ def fuse(frame: PerceptionFrame, pose: tuple[Vec2, float]) -> tuple[list[Obstacl
     estimates = []
     for det in frame.detections:
         rng_m, ray = det.range_m, heading + det.bearing_rad
-        position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
-        estimates.append(ObstacleEstimate(det.instance_id, det.reported_class, det.true_class, det.d0, position,
-                                          det.gap))
+        position = new_record(Vec2, (cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray)))
+        estimates.append(new_record(ObstacleEstimate, (det.instance_id, det.reported_class, det.true_class, det.d0,
+                                                       position, det.gap)))
     return estimates, frame.dropped

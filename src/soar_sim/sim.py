@@ -30,6 +30,7 @@ from soar_sim.world import (
     Vec2,
     effective_d0,
     nearest_effective_obstacle,
+    new_record,
     wrap_angle,
 )
 
@@ -124,7 +125,7 @@ def step(
         speed = params.cruise_speed * (goal_dist / params.slowdown_radius)
     x = x + speed * dt * cos(heading) + disturbance.x * dt
     y = y + speed * dt * sin(heading) + disturbance.y * dt
-    return Vec2(x, y), heading, speed
+    return new_record(Vec2, (x, y)), heading, speed
 
 
 def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Optional[str]:
@@ -231,11 +232,11 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
 
         if gust_std > 0.0:
             [(gx, gy)] = gusts.take(1)
-            disturbance = Vec2(drift_x + gx, drift_y + gy)
+            disturbance = new_record(Vec2, (drift_x + gx, drift_y + gy))
 
         position, heading, speed = step(now.position, now.heading, decision.v_hat, spec.robot, spec.goal, disturbance)
         path_length += now.position.dist(position)
-        trajectory.append(Tick(t_next, position, heading, speed, decision, update_clearance(position)))
+        trajectory.append(new_record(Tick, (t_next, position, heading, speed, decision, update_clearance(position))))
         outcome = detect_termination(trajectory, spec)
 
     if outcome is None:

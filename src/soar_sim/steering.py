@@ -15,7 +15,7 @@ from __future__ import annotations
 from math import sqrt
 from typing import NamedTuple, Optional
 
-from soar_sim.world import ObstacleEstimate, Vec2
+from soar_sim.world import ObstacleEstimate, Vec2, new_record
 
 # c2 at contact: the largest repulsive gain b of the steering law (> 1)
 B_MAX = 3.0
@@ -79,20 +79,20 @@ def steering_direction(
     an = sqrt(dxg * dxg + dyg * dyg)
     if an == 0.0:
         raise ValueError("robot position coincides with the goal; direction undefined")
-    a_hat = Vec2(dxg / an, dyg / an)
+    a_hat = new_record(Vec2, (dxg / an, dyg / an))
     if active is None:
-        return SteeringDecision(0.0, 0.0, a_hat, None, False)
+        return new_record(SteeringDecision, (0.0, 0.0, a_hat, None, False))
     dxo = active.position.x - robot_pos.x
     dyo = active.position.y - robot_pos.y
     rn = sqrt(dxo * dxo + dyo * dyo)
     if rn == 0.0:
-        return SteeringDecision(0.0, 0.0, a_hat, None, False)
-    r_hat = Vec2(dxo / rn, dyo / rn)
+        return new_record(SteeringDecision, (0.0, 0.0, a_hat, None, False))
+    r_hat = new_record(Vec2, (dxo / rn, dyo / rn))
     k1 = c1(a_hat, r_hat)
     k2 = c2(active.gap, active.d0, B_MAX)
     sx = a_hat.x + k1 * k2 * r_hat.x
     sy = a_hat.y + k1 * k2 * r_hat.y
     sn = sqrt(sx * sx + sy * sy)
     if sn < TIE_EPS:
-        return SteeringDecision(k1, k2, Vec2(-r_hat.y, r_hat.x), active, True)
-    return SteeringDecision(k1, k2, Vec2(sx / sn, sy / sn), active, False)
+        return new_record(SteeringDecision, (k1, k2, new_record(Vec2, (-r_hat.y, r_hat.x)), active, True))
+    return new_record(SteeringDecision, (k1, k2, new_record(Vec2, (sx / sn, sy / sn)), active, False))

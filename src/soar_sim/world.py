@@ -6,6 +6,7 @@ range; the ranking only orders what sense let through.
 All values here are immutable after construction and safe to share between
 concurrently running trials: Vec2 and ObstacleEstimate, built every tick, are
 NamedTuples; the obstacle, policy and parameter types are frozen dataclasses.
+The tick loop builds its records through new_record, not their constructors.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ class Vec2(NamedTuple):
 
     def is_finite(self) -> bool:
         return math.isfinite(self.x) and math.isfinite(self.y)
+
+
+# new_record(Vec2, (x, y)) builds Vec2(x, y) without the Python frame of a NamedTuple's own __new__,
+# which C code enters and CPython cannot inline; it checks no field count, so only the tick loop uses it
+new_record = tuple.__new__
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +80,7 @@ class ObstacleInstance:
                     return pts[i]
                 f = s / seg
                 a, b = pts[i], pts[i + 1]
-                return Vec2(a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f)
+                return new_record(Vec2, (a.x + (b.x - a.x) * f, a.y + (b.y - a.y) * f))
             s -= seg
         return pts[-1]
 
@@ -136,7 +142,12 @@ class ObstacleEstimate(NamedTuple):
 def nearest_effective_obstacle(estimates: Sequence[ObstacleEstimate]) -> Optional[ObstacleEstimate]:
     """The estimate the steering law should react to, or None when there is none.
 
-    The deepest intrusion d0 - gap wins; ties break by smaller gap, then by
-    smaller obstacle id. It only ranks: sense applied the clearance rule.
+    The deepest intrusion d0 - gap wins; ties break by smaller gap, then by smaller
+    obstacle id, then the first of equal keys. It only ranks: sense applied the clearance rule.
     """
-    return min(estimates, key=lambda est: (-(est.d0 - est.gap), est.gap, est.id), default=None)
+    best = best_key = None
+    for est in estimates:
+        key = (-(est.d0 - est.gap), est.gap, est.id)
+        if best is None or key < best_key:
+            best, best_key = est, key
+    return best

@@ -61,13 +61,9 @@ CREEP = replace(OPEN_ROAD, robot=replace(OPEN_ROAD.robot, cruise_speed=0.2),
 BLOWN_BACK = replace(OPEN_ROAD, disturbance=DisturbanceSpec(drift_x=-2.5))
 
 
-def active_id(decision):
-    return None if decision.active is None else decision.active.id
-
-
 def tick_view(tick):
     d = tick.decision
-    steering = None if d is None else (d.v_hat, d.c1, d.c2, active_id(d), d.tie_break_applied)
+    steering = None if d is None else (d.v_hat, d.c1, d.c2, d.active, d.tie_break_applied)
     return tick.time, tick.position, tick.heading, tick.speed, steering, tick.min_clearance
 
 

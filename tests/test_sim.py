@@ -17,7 +17,9 @@ from soar_sim.perception import (
     SensorNoiseSpec,
     fuse,
     noise_draws,
+    sense,
 )
+from soar_sim.scenario_io import load_scenario_file
 from soar_sim.sim import (
     MODE_NON_SOAR,
     MODE_SOAR,
@@ -32,7 +34,7 @@ from soar_sim.sim import (
     step,
 )
 from soar_sim.steering import SteeringDecision
-from soar_sim.world import RobotParams, Vec2, nearest_effective_obstacle
+from soar_sim.world import ObstacleEstimate, RobotParams, Vec2, nearest_effective_obstacle
 
 PARAMS = RobotParams(cruise_speed=1.0, max_turn_rate=2.0, slowdown_radius=1.0,
                      collision_radius=0.2, dt=0.05)
@@ -319,3 +321,65 @@ def test_position_at_hook_resolved_per_call(monkeypatch, arch):
     assert (len(arch.obstacles), moving, ticks) == (30, 2, 327)
     # every obstacle placed at t=0, then the moving ones once per tick
     assert len(calls) == 30 + 2 * 327 == 684
+
+
+def assert_whole(record, cls):
+    # the loop builds these through tuple.__new__, which checks no field count
+    assert type(record) is cls
+    assert len(record) == len(cls._fields)
+
+
+def test_loop_records_are_whole(scenario_dir):
+    fused = 0
+    for path in sorted(scenario_dir.glob("*.yaml")):
+        spec = load_scenario_file(str(path))
+        for mode in (MODE_SOAR, MODE_NON_SOAR):
+            for tick in run_trial(spec, mode, spec.seed).trajectory:
+                assert_whole(tick, Tick)
+                assert_whole(tick.position, Vec2)
+                if tick.decision is None:
+                    continue
+                assert_whole(tick.decision, SteeringDecision)
+                assert_whole(tick.decision.v_hat, Vec2)
+                if tick.decision.active is not None:
+                    assert_whole(tick.decision.active, ObstacleEstimate)
+                    assert_whole(tick.decision.active.position, Vec2)
+
+        if not spec.obstacles:
+            continue
+        # one frame from just outside the first obstacle, with the scene's own noise
+        obs = spec.obstacles[0]
+        pose = (Vec2(obs.center.x - obs.radius - 0.1, obs.center.y), 0.0)
+        draws = noise_draws(np.random.default_rng(spec.seed), spec.noise, 0)
+        frame = sense(spec.obstacles, pose, spec.rig, spec.noise, spec.policy, draws)
+        estimates, _ = fuse(frame, pose)
+        assert_whole(frame, PerceptionFrame)
+        for det in frame.detections:
+            assert_whole(det, Detection)
+        for est in estimates:
+            assert_whole(est, ObstacleEstimate)
+            assert_whole(est.position, Vec2)
+        assert len(estimates) == len(frame.detections)
+        fused += len(estimates)
+    assert fused > 0
+
+
+def test_loop_calls_no_record_constructor_per_tick(monkeypatch, transparency):
+    # the loop builds its records through tuple.__new__, without the Python frame of each
+    # class's own __new__: the constructor calls of a trial must not grow with its ticks
+    calls = {}
+    for cls in (Vec2, Tick, SteeringDecision, Detection, PerceptionFrame, ObstacleEstimate):
+        def counting_new(cls_, *args, _new=cls.__new__, **kwargs):
+            calls[cls_.__name__] = calls.get(cls_.__name__, 0) + 1
+            return _new(cls_, *args, **kwargs)
+        monkeypatch.setattr(cls, "__new__", staticmethod(counting_new))
+
+    counts, ticks = [], []
+    for time_limit in (1.0, 10.0):
+        spec = replace(transparency, time_limit=time_limit)
+        calls.clear()
+        for mode in (MODE_SOAR, MODE_NON_SOAR):
+            ticks.append(len(run_trial(spec, mode, spec.seed).trajectory))
+        counts.append(dict(calls))
+    assert ticks[0] < ticks[2] and ticks[1] < ticks[3]
+    assert counts[0] == counts[1]
