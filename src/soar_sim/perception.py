@@ -2,26 +2,27 @@
 
 An ideal rectified rig (zero distortion, identity rotation between
 cameras) observes disc obstacles. Disparities are synthesized analytically
-from ground-truth distance plus seeded Gaussian pixel noise, then run back
-through the rig's 4x4 disparity-to-depth matrix Q (in closed form), so the
-geometric data path matches a real stereo pipeline. An oracle segmenter
-provides instance labels, optionally corrupted by one seeded
-misclassification draw per obstacle per frame. sense owns the clearance
-rule and the range: it classifies, ranges each detection once and emits
-only those steering may act on; fuse only places them, from the pose the
-loop sensed from, which the frame does not copy.
+from ground-truth distance plus seeded Gaussian pixel noise, then ranged
+back by depth_from_disparity, the closed form of the ideal rig's
+reprojection, so the geometric data path matches a real stereo pipeline.
+An oracle segmenter provides instance labels, optionally corrupted by one
+seeded misclassification draw per obstacle per frame. sense owns the
+clearance rule and the range: it classifies, ranges each detection once
+and emits only those steering may act on; fuse only places them, from the
+pose the loop sensed from, which the frame does not copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-from soar_sim.world import ClearancePolicy, ObstacleEstimate, ObstacleInstance, Vec2, new_record, wrap_angle
+from soar_sim.world import (ClearancePolicy, ObstacleEstimate, ObstacleInstance, Vec2, effective_d0, new_record,
+                            wrap_angle)
 
 # samples drawn per detection; odd so the median is a single sample when all are positive
 SAMPLES_PER_DETECTION = 9
@@ -48,11 +49,11 @@ class Draws:
 
 @dataclass(frozen=True, slots=True)
 class StereoRig:
-    """Ideal rectified stereo rig; Q is fixed by (f, B, cx, cy).
+    """Ideal rectified stereo rig.
 
-    A trial reads only focal_px and baseline_m: cx and cy feed only Q, and
-    width and height nothing. They stay in the document, and acceptance
-    criterion 04 builds Q from them.
+    A trial reads only focal_px and baseline_m. No code reads cx, cy, width
+    or height: they stay for the format_version 1 document, and acceptance
+    criterion 04 builds rigs with them.
     """
 
     focal_px: float = 400.0
@@ -61,22 +62,6 @@ class StereoRig:
     cy: float = 240.0
     width: int = 640
     height: int = 480
-
-    @property
-    def Q(self) -> np.ndarray:
-        """Disparity-to-depth mapping matrix of the ideal rig.
-
-        Reprojecting (u, v, d, 1) yields W = d/B and Z = f*B/d.
-        """
-        import numpy as np
-        return np.array(
-            [
-                [1.0, 0.0, 0.0, -self.cx],
-                [0.0, 1.0, 0.0, -self.cy],
-                [0.0, 0.0, 0.0, self.focal_px],
-                [0.0, 0.0, 1.0 / self.baseline_m, 0.0],
-            ]
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,7 +78,7 @@ class SensorNoiseSpec:
 class Detection(NamedTuple):
     """One segmented instance: label pair and the range of its median positive disparity sample.
 
-    range_m is that median ranged through the Q reprojection, and
+    range_m is that median ranged by depth_from_disparity, and
     bearing_rad the azimuth of the mask centroid ray in the camera frame.
     d0 is the reported class's clearance, and gap range_m less the oracle
     segmenter's instance radius, clamped at 0.
@@ -116,7 +101,7 @@ class PerceptionFrame(NamedTuple):
 
 
 def depth_from_disparity(disparity: float, rig: StereoRig) -> float:
-    """Recover distance from one disparity: Z/W of Q @ (u, v, d, 1) is f / (d/B) for any pixel."""
+    """Recover distance from one disparity: the ideal rig's reprojection gives Z/W = f / (d/B) at any pixel."""
     if disparity <= 0.0:
         raise ValueError(f"disparity must be > 0, got {disparity}")
     return rig.focal_px / (disparity * (1.0 / rig.baseline_m))
@@ -145,9 +130,9 @@ def sense(
     noise: SensorNoiseSpec,
     policy: ClearancePolicy,
     draws: tuple[Draws, Draws],
-    positions: Optional[Sequence[Vec2]] = None,
+    positions: Sequence[Vec2],
 ) -> PerceptionFrame:
-    """Observe the world from pose, emitting the detections steering can select.
+    """Observe the obstacles, each at its entry of positions, from pose, emitting the detections steering can select.
 
     Visible means within the field of view and max range and not occluded by
     a nearer obstacle along the center ray. Noise is taken after occlusion
@@ -160,14 +145,12 @@ def sense(
 
     Then the clearance rule, whose one owner this is: d0 is looked up by the
     reported class, a class with d0 <= 0 is skipped, and so is a detection
-    whose clamped surface distance, ranged through the Q reprojection,
+    whose clamped surface distance, ranged by depth_from_disparity,
     exceeds d0. Only the rest get a bearing and a Detection, in id order,
     which carries that range, d0 and gap.
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
-    if positions is None:
-        positions = [obs.center for obs in obstacles]
     max_range = noise.max_range_m
     half_fov = math.radians(noise.fov_deg) / 2.0
     full_view = half_fov >= math.pi  # |wrap_angle(...)| <= pi passes the view test
@@ -240,8 +223,6 @@ def sense(
     rows = draws[1].take(k) if noise.disparity_std > 0.0 else None
     no_noise = (0.0,) * SAMPLES_PER_DETECTION
     focal_baseline = rig.focal_px * rig.baseline_m
-    focal, inv_baseline = rig.focal_px, 1.0 / rig.baseline_m
-    entries, default_d0 = policy.entries, policy.default_d0
     detections = []
     dropped = 0
     for j, (obs, abx, aby, rng_m, bearing) in enumerate(visible):
@@ -254,7 +235,7 @@ def sense(
         if not true_disparity + row[-1] > 0.0:  # no positive sample; inf + -inf included
             dropped += 1
             continue
-        d0 = entries.get(reported, default_d0)  # effective_d0, inlined
+        d0 = effective_d0(policy, reported)
         if d0 <= 0.0:
             continue
         if true_disparity + row[0] > 0.0:
@@ -264,7 +245,7 @@ def sense(
             half = len(kept) // 2
             # the middle sample, or the mean of the middle two: the standard library median's arithmetic
             disparity = kept[half] if len(kept) % 2 else (kept[half - 1] + kept[half]) / 2
-        range_m = focal / (disparity * inv_baseline)  # depth_from_disparity, inlined
+        range_m = depth_from_disparity(disparity, rig)
         gap = range_m - obs.radius
         gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
         if gap > d0:

@@ -14,6 +14,7 @@ from typing import Sequence
 from soar_sim.scenario_io import ScenarioSpec
 from soar_sim.world import Vec2, effective_d0
 
+SIZE_PX = 720  # the longer side of the drawing, in pixels
 # one color per mode label; extras cycle
 _PALETTE = {
     "soar": "#1f77b4",
@@ -48,7 +49,6 @@ def _color_for(label: str, index: int) -> str:
 def render_svg(
     spec: ScenarioSpec,
     trajectories: Sequence[tuple[str, Sequence[Vec2]]],
-    size_px: int = 720,
 ) -> str:
     """Render the world plus (label, points) trajectories to an SVG string."""
     if not trajectories:
@@ -71,7 +71,7 @@ def render_svg(
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
     span = max(x1 - x0, y1 - y0, 1e-6)
-    scale = size_px / span
+    scale = SIZE_PX / span
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
 

@@ -12,7 +12,9 @@ The tick loop builds its records through new_record, not their constructors.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -55,7 +57,7 @@ class ObstacleInstance:
     def __post_init__(self) -> None:
         pts = self.path_points()
         seg_lengths = tuple(pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1))
-        total = sum(seg_lengths)  # 0 for a one-point path
+        total = reduce(operator.add, seg_lengths, 0.0)  # a left fold, not 3.12+ sum(); 0 for a one-point path
         loop = None if self.speed <= 0.0 or total <= 0.0 else (pts, seg_lengths, total)
         object.__setattr__(self, "_loop", loop)
 

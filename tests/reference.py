@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from soar_sim.perception import SAMPLES_PER_DETECTION, depth_from_disparity
+from soar_sim.perception import SAMPLES_PER_DETECTION
 from soar_sim.sim import (
     MODE_SOAR,
     OUTCOME_COLLISION,
@@ -133,6 +133,11 @@ def reference_sense(obstacles, pose, rig, noise, rng, positions) -> list[Seen]:
     return seen
 
 
+def depth(disparity: float, rig) -> float:
+    """The ideal rig's range for a disparity, f / (d/B), in depth_from_disparity's floats but not through it."""
+    return rig.focal_px / (disparity * (1.0 / rig.baseline_m))
+
+
 def reference_fuse(seen, pose, rig, policy: ClearancePolicy) -> tuple[list[Placed], int]:
     """Range and place every record with a positive sample, and look its reported class's d0 up.
 
@@ -145,7 +150,7 @@ def reference_fuse(seen, pose, rig, policy: ClearancePolicy) -> tuple[list[Place
         if s.disparity is None:
             dropped += 1
             continue
-        rng_m = depth_from_disparity(s.disparity, rig)
+        rng_m = depth(s.disparity, rig)
         ray = heading + s.bearing
         position = Vec2(cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray))
         gap = max(0.0, rng_m - s.radius)
@@ -237,7 +242,9 @@ def reference_trial(spec, mode: str, seed: int) -> RefTrial:
         pos, heading, speed = step(pos, heading, decision.v_hat, spec.robot, spec.goal, disturbance)
         ticks.append(record(t, pos, heading, speed, decision, positions))
 
-    path_length = sum((a.position.dist(b.position) for a, b in zip(ticks, ticks[1:])), 0.0)
+    path_length = 0.0
+    for a, b in zip(ticks, ticks[1:]):  # left to right, as run_trial adds; 3.12's sum() compensates
+        path_length += a.position.dist(b.position)
     by_class = {}
     for gaps in gaps_per_tick:
         for o, g in zip(obstacles, gaps):

@@ -6,6 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
+from reference import depth
 from soar_sim.perception import (
     Detection,
     Draws,
@@ -37,18 +38,27 @@ def per_frame(noise, seed=0):
     return noise_draws(np.random.default_rng(seed), noise, 0)
 
 
+def sense_at_centers(obstacles, pose, rig, noise, policy, draws):
+    """sense with every obstacle at its center."""
+    return sense(obstacles, pose, rig, noise, policy, draws, [obs.center for obs in obstacles])
+
+
 def sensed(offsets, true_disparity=10.0):
     """The Detection sense gives for one obstacle of radius 0 and the 9 given noise offsets."""
     rig = rig_for(100.0, 0.1)  # focal * baseline = 10, so the range is 10 / true_disparity
     noise = SensorNoiseSpec(disparity_std=1.0, max_range_m=1e3)
     obstacles = [ObstacleInstance(1, "rock", Vec2(10.0 / true_disparity, 0.0), 0.0)]
-    frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL, fixed_rows(list(offsets)))
+    frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL, fixed_rows(list(offsets)))
     return frame.detections[0]
 
 
 def q_reprojection_oracle(u: float, v: float, d: float, rig: StereoRig) -> float:
-    """Independent brute-force depth: full 4-vector reprojection by hand."""
-    q = rig.Q
+    """Independent brute-force depth: the ideal rig's 4x4 disparity-to-depth matrix Q, by hand.
+
+    Reprojecting (u, v, d, 1) through Q yields W = d/B and Z = f*B/d.
+    """
+    f, b = rig.focal_px, rig.baseline_m
+    q = [[1.0, 0.0, 0.0, -rig.cx], [0.0, 1.0, 0.0, -rig.cy], [0.0, 0.0, 0.0, f], [0.0, 0.0, 1.0 / b, 0.0]]
     vec = [u, v, d, 1.0]
     out = [sum(q[r][c] * vec[c] for c in range(4)) for r in range(4)]
     return out[2] / out[3]
@@ -113,7 +123,7 @@ class TestDepthFromDisparity:
 
 class TestSense:
     def test_empty_world(self):
-        frame = sense([], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers([], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
         assert frame.detections == ()
 
     def test_noise_free_identity(self):
@@ -121,7 +131,7 @@ class TestSense:
             ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5),
             ObstacleInstance(2, "fish", Vec2(2.0, -1.0), 0.2),
         ]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
         assert [d.instance_id for d in frame.detections] == [1, 2]
         for det, obs in zip(frame.detections, obstacles):
             assert det.reported_class == obs.class_label
@@ -133,24 +143,24 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5)]
         rng = np.random.default_rng(123)
         state_before = rng.bit_generator.state
-        sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, noise_draws(rng, QUIET, 0))
+        sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, noise_draws(rng, QUIET, 0))
         assert rng.bit_generator.state == state_before
 
     def test_max_range_filter(self):
         obstacles = [ObstacleInstance(1, "rock", Vec2(20.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
         assert frame.detections == ()
 
     def test_fov_filter(self):
         noise = SensorNoiseSpec(fov_deg=180.0, max_range_m=15.0)  # forward half-plane
         behind = [ObstacleInstance(1, "rock", Vec2(-3.0, 0.1), 0.5)]
-        frame = sense(behind, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
+        frame = sense_at_centers(behind, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
         assert frame.detections == ()
 
     def test_occlusion_drops_far_obstacle(self):
         near = ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)
         far = ObstacleInstance(2, "rock", Vec2(8.0, 0.0), 0.5)
-        frame = sense([near, far], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers([near, far], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
         assert [d.instance_id for d in frame.detections] == [1]
 
     def test_occlusion_matches_brute_force_ray_test(self):
@@ -166,7 +176,7 @@ class TestSense:
                 ObstacleInstance(1, "rock", blocker_center, radius),
                 ObstacleInstance(2, "rock", target, 0.2),
             ]
-            frame = sense(obstacles, (cam, 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+            frame = sense_at_centers(obstacles, (cam, 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
             detected_ids = {d.instance_id for d in frame.detections}
             # brute force: sample the center ray densely
             blocked = any(
@@ -183,14 +193,13 @@ class TestSense:
         target = ObstacleInstance(2, "rock", Vec2(6.0, 0.0), 0.3)
         # blocker center well outside the 10 deg cone, disc still crossing the ray
         blocker = ObstacleInstance(1, "rock", Vec2(2.0, 0.6), 0.7)
-        frame = sense([blocker, target], (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL,
-                      per_frame(noise))
+        frame = sense_at_centers([blocker, target], (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
         assert frame.detections == ()
 
     def test_misclassification_uses_confusion_map(self):
         noise = SensorNoiseSpec(misclassify_prob=1.0, confusion={"rock": "fish"}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
         det = frame.detections[0]
         assert det.reported_class == "fish"
         assert det.true_class == "rock"
@@ -198,7 +207,7 @@ class TestSense:
     def test_misclassification_without_mapping_keeps_class(self):
         noise = SensorNoiseSpec(misclassify_prob=1.0, confusion={}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
         assert frame.detections[0].reported_class == "rock"
 
     def test_same_seed_same_frame(self):
@@ -209,7 +218,7 @@ class TestSense:
         noise = SensorNoiseSpec(disparity_std=0.4, misclassify_prob=0.3,
                                 confusion={"rock": "fish"}, max_range_m=15.0)
         frames = [
-            sense(obstacles, (Vec2(0.0, 0.0), 0.1), RIG, noise, KEEP_ALL, per_frame(noise, 77))
+            sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.1), RIG, noise, KEEP_ALL, per_frame(noise, 77))
             for _ in range(2)
         ]
         assert frames[0] == frames[1]
@@ -218,15 +227,14 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)]
         noise = SensorNoiseSpec(disparity_std=50.0, max_range_m=15.0)
         for seed in range(20):
-            frame = sense(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise, seed))
+            frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise, seed))
             for det in frame.detections:
                 assert 0.0 < det.range_m < math.inf  # ranged from a positive median disparity
 
     def test_moving_obstacle_uses_supplied_positions(self):
         obs = ObstacleInstance(1, "fish", Vec2(5.0, 0.0), 0.2, waypoints=(Vec2(5.0, 2.0),), speed=1.0)
         moved = obs.position_at(1.0)
-        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET),
-                      positions=[moved])
+        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET), [moved])
         det = frame.detections[0]
         expected_range = math.hypot(moved.x, moved.y)
         assert det.range_m == pytest.approx(expected_range, rel=1e-12)
@@ -235,8 +243,8 @@ class TestSense:
     def test_gap_past_d0_emits_nothing(self):
         rock = ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)  # gap 3.5 on this rig, exactly
         for d0, emitted in ((3.5, [1]), (math.nextafter(3.5, 0.0), [])):
-            frame = sense([rock], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, ClearancePolicy({"rock": d0}),
-                          per_frame(QUIET))
+            frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, ClearancePolicy({"rock": d0}),
+                                     per_frame(QUIET))
             assert [det.instance_id for det in frame.detections] == emitted
             assert frame.dropped == 0
 
@@ -245,10 +253,10 @@ class TestSense:
         # the camera inside the ball, on its rim and just outside it: gaps 0, 0 and 0.01
         for x in (0.2, 0.5, 0.51):
             ball = ObstacleInstance(1, "sports_ball", Vec2(x, 0.0), 0.5)
-            frame = sense([ball], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, policy, per_frame(QUIET))
+            frame = sense_at_centers([ball], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, policy, per_frame(QUIET))
             assert frame.detections == ()
         rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 0.5)  # the same contact under a positive d0
-        frame = sense([rock], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, policy, per_frame(QUIET))
+        frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, policy, per_frame(QUIET))
         assert [(det.instance_id, det.gap) for det in frame.detections] == [(1, 0.0)]
 
 
@@ -288,7 +296,7 @@ class TestFuse:
         assert len(positive) in (9, 2, 5, 6)
         det = sensed(samples)
         # the range is the median's, and the gap that range less the radius 0
-        assert det.range_m == depth_from_disparity(statistics.median(positive), rig_for(100.0, 0.1))
+        assert det.range_m == depth(statistics.median(positive), rig_for(100.0, 0.1))
         assert det.gap == det.range_m
 
     def test_bearing_and_pose_compose(self):
@@ -307,7 +315,7 @@ class TestFuse:
         rig = rig_for(100.0, 0.1)
         rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 1.0)  # range 0.2, radius 1.0
         pose = (Vec2(0.0, 0.0), 0.0)
-        frame = sense([rock], pose, rig, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers([rock], pose, rig, QUIET, KEEP_ALL, per_frame(QUIET))
         assert frame.detections[0].gap == 0.0
         estimates, _ = fuse(frame, pose)
         assert estimates[0].gap == 0.0
@@ -328,7 +336,7 @@ class TestFuse:
                      ObstacleInstance(2, "rock", Vec2(0.0, 1.0), 0.1)]
         no_positive = [-10.0, -12.0] * 4 + [-10.5]
         pose = (Vec2(0.0, 0.0), 0.0)
-        frame = sense(obstacles, pose, rig, noise, KEEP_ALL, fixed_rows(no_positive, [0.0] * 9))
+        frame = sense_at_centers(obstacles, pose, rig, noise, KEEP_ALL, fixed_rows(no_positive, [0.0] * 9))
         assert frame.dropped == 1
         assert [det.instance_id for det in frame.detections] == [2]
         estimates, dropped = fuse(frame, pose)
@@ -344,7 +352,7 @@ class TestSenseFuseRoundTrip:
         ]
         pose = (Vec2(0.5, -0.25), 0.35)
         noise = SensorNoiseSpec(fov_deg=360.0, max_range_m=20.0)
-        frame = sense(obstacles, pose, RIG, noise, KEEP_ALL, per_frame(noise))
+        frame = sense_at_centers(obstacles, pose, RIG, noise, KEEP_ALL, per_frame(noise))
         estimates, dropped = fuse(frame, pose)
         assert dropped == 0
         by_id = {e.id: e for e in estimates}

@@ -11,6 +11,8 @@ clearances must be the same floats (compared by repr, so -0.0 is not 0.0).
 
 from __future__ import annotations
 
+import builtins
+import math
 from dataclasses import replace
 
 import pytest
@@ -20,10 +22,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 
 from reference import reference_trial  # noqa: E402
+from soar_sim.report import TrialRow, summarize_mode  # noqa: E402
 from soar_sim.scenario_io import ScenarioSpec  # noqa: E402
 from soar_sim.sim import (  # noqa: E402
     MODE_NON_SOAR,
     MODE_SOAR,
+    OUTCOME_GOAL,
     OUTCOME_STUCK,
     OUTCOME_TIMEOUT,
     OUTCOME_WRONG_DIRECTION,
@@ -50,6 +54,9 @@ OPEN_ROAD = ScenarioSpec(
     seed=0,
 )
 
+# a rock dead ahead at a gap of exactly its d0 (2 - 1 is exact on this rig): the sum is zero on
+# the first tick, so steering takes the tie-break's left perpendicular
+TIE_AHEAD = replace(OPEN_ROAD, obstacles=(ObstacleInstance(1, "rock", Vec2(2.0, 0.0), 1.0),))
 # drift cancels all of the cruise speed: stuck once the 5 s window has passed
 STANDSTILL = replace(OPEN_ROAD, robot=replace(OPEN_ROAD.robot, cruise_speed=0.2),
                      disturbance=DisturbanceSpec(drift_x=-0.2))
@@ -69,9 +76,7 @@ def tick_view(tick):
 
 @settings(max_examples=40, deadline=None)
 @given(spec=scenarios())
-# a rock dead ahead at a gap of exactly its d0 (2 - 1 is exact on this rig): the sum is zero on
-# the first tick, so steering takes the tie-break's left perpendicular
-@example(spec=replace(OPEN_ROAD, obstacles=(ObstacleInstance(1, "rock", Vec2(2.0, 0.0), 1.0),)))
+@example(spec=TIE_AHEAD)
 # a ball whose edge the center ray to a rock passes 0.5% inside, with gusts on: the ball occludes
 # the rock, which would otherwise be the one steering acts on
 @example(spec=replace(
@@ -85,7 +90,10 @@ def tick_view(tick):
 @example(spec=CREEP)
 @example(spec=BLOWN_BACK)
 def test_run_trial_is_the_reference_loop(spec):
-    spec = replace(spec, time_limit=min(spec.time_limit, TIME_CAP_S))
+    assert_reference_loop(replace(spec, time_limit=min(spec.time_limit, TIME_CAP_S)))
+
+
+def assert_reference_loop(spec):
     for mode in (MODE_SOAR, MODE_NON_SOAR):
         result, ref = run_trial(spec, mode, spec.seed), reference_trial(spec, mode, spec.seed)
         assert result.outcome == ref.outcome
@@ -106,3 +114,26 @@ def test_example_scene_ends_as_intended(spec, outcome, ticks):
     for mode in (MODE_SOAR, MODE_NON_SOAR):
         result = run_trial(spec, mode, spec.seed)
         assert (result.outcome, len(result.trajectory)) == (outcome, ticks)
+
+
+def compensated_sum(values, start=0):
+    """builtins.sum as Python 3.12 and later add floats: Neumaier's compensated summation."""
+    total, c = start, 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_float_sums_are_left_folds_under_a_compensated_sum(monkeypatch):
+    # every float sum adds left to right, so each supported Python gives the same floats
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    # a 0.5 x 0.1 rectangle: its sides fold left to 1.2000000000000002, where 3.12's sum() gives 1.2
+    loop = ObstacleInstance(1, "rock", Vec2(0.0, 0.0), 0.1, (Vec2(0.5, 0.0), Vec2(0.5, 0.1), Vec2(0.0, 0.1)), 1.0)
+    left_fold = ((0.5 + 0.1) + 0.5) + 0.1
+    assert compensated_sum([0.5, 0.1, 0.5, 0.1]) != left_fold
+    assert loop.position_at(left_fold) == Vec2(0.0, 0.0)  # the loop's end is its start again
+    rows = [TrialRow(seed, time, OUTCOME_GOAL) for seed, time in enumerate([0.1, 0.2, 0.3])]
+    assert summarize_mode(MODE_SOAR, rows).mean_travel_time == ((0.1 + 0.2) + 0.3) / 3
+    assert_reference_loop(TIE_AHEAD)

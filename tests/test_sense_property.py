@@ -25,12 +25,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from reference import estimate, qualifies, reference_fuse, reference_select, reference_sense  # noqa: E402
+from reference import depth, estimate, qualifies, reference_fuse, reference_select, reference_sense  # noqa: E402
 from soar_sim.perception import (  # noqa: E402
     Detection,
     SensorNoiseSpec,
     StereoRig,
-    depth_from_disparity,
     fuse,
     noise_draws,
     sense,
@@ -46,8 +45,7 @@ CLASSES = ("rock", "fish")
 def detection(p):
     """The Detection sense emits for a reference record that passes the clearance rule."""
     s = p.seen
-    return Detection(s.id, s.reported_class, s.true_class, depth_from_disparity(s.disparity, RIG), s.bearing, p.d0,
-                     p.gap)
+    return Detection(s.id, s.reported_class, s.true_class, depth(s.disparity, RIG), s.bearing, p.d0, p.gap)
 
 
 def reference(world, seed, policy):

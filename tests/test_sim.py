@@ -351,7 +351,8 @@ def test_loop_records_are_whole(scenario_dir):
         obs = spec.obstacles[0]
         pose = (Vec2(obs.center.x - obs.radius - 0.1, obs.center.y), 0.0)
         draws = noise_draws(np.random.default_rng(spec.seed), spec.noise, 0)
-        frame = sense(spec.obstacles, pose, spec.rig, spec.noise, spec.policy, draws)
+        frame = sense(spec.obstacles, pose, spec.rig, spec.noise, spec.policy, draws,
+                      [o.center for o in spec.obstacles])
         estimates, _ = fuse(frame, pose)
         assert_whole(frame, PerceptionFrame)
         for det in frame.detections:
