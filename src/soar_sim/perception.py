@@ -49,11 +49,11 @@ class Draws:
 
 @dataclass(frozen=True, slots=True)
 class StereoRig:
-    """Ideal rectified stereo rig.
+    """The scenario's sensor section: the rig, its view, its disparity noise and its segmenter's label confusion.
 
-    A trial reads only focal_px and baseline_m. No code reads cx, cy, width
-    or height: they stay for the format_version 1 document, and acceptance
-    criterion 04 builds rigs with them.
+    An ideal rectified rig, named and in units as in the document (fov_deg in
+    degrees). No code reads cx, cy, width or height: they stay for the
+    format_version 1 document, and acceptance criterion 04 builds rigs with them.
     """
 
     focal_px: float = 400.0
@@ -62,12 +62,6 @@ class StereoRig:
     cy: float = 240.0
     width: int = 640
     height: int = 480
-
-
-@dataclass(frozen=True, slots=True)
-class SensorNoiseSpec:
-    """The sensor's view and noise, named and in units as in the scenario document (fov_deg in degrees)."""
-
     fov_deg: float = 360.0
     max_range_m: float = 15.0
     disparity_std: float = 0.0
@@ -107,14 +101,14 @@ def depth_from_disparity(disparity: float, rig: StereoRig) -> float:
     return rig.focal_px / (disparity * (1.0 / rig.baseline_m))
 
 
-def noise_draws(rng: np.random.Generator, noise: SensorNoiseSpec, block: int) -> tuple[Draws, Draws]:
+def noise_draws(rng: np.random.Generator, rig: StereoRig, block: int) -> tuple[Draws, Draws]:
     """sense's (label flips, row-sorted disparity offsets), drawn from rng at least block items at a time.
 
     Whatever the block, a frame's takes are the stream of rng.random(k), then rng.normal(0,
     disparity_std, (k, 9)). With both sources on they share rng, so each take is one draw (block 0).
     """
-    std = noise.disparity_std
-    block = 0 if noise.misclassify_prob > 0.0 and std > 0.0 else block
+    std = rig.disparity_std
+    block = 0 if rig.misclassify_prob > 0.0 and std > 0.0 else block
 
     def sorted_rows(n: int) -> list:
         rows = rng.normal(0.0, std, (n, SAMPLES_PER_DETECTION))
@@ -127,7 +121,6 @@ def sense(
     obstacles: Sequence[ObstacleInstance],
     pose: tuple[Vec2, float],
     rig: StereoRig,
-    noise: SensorNoiseSpec,
     policy: ClearancePolicy,
     draws: tuple[Draws, Draws],
     positions: Sequence[Vec2],
@@ -136,7 +129,7 @@ def sense(
 
     Visible means within the field of view and max range and not occluded by
     a nearer obstacle along the center ray. Noise is taken after occlusion
-    from draws = noise_draws(rng, noise, block) for the k visible obstacles
+    from draws = noise_draws(rng, rig, block) for the k visible obstacles
     in id order: flips.take(k) when misclassify_prob > 0 (element j decides
     visible obstacle j's label), then rows.take(k), the 9 sorted offsets of
     each, when disparity_std > 0. Nothing is taken when a noise parameter
@@ -151,8 +144,8 @@ def sense(
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
-    max_range = noise.max_range_m
-    half_fov = math.radians(noise.fov_deg) / 2.0
+    max_range = rig.max_range_m
+    half_fov = math.radians(rig.fov_deg) / 2.0
     full_view = half_fov >= math.pi  # |wrap_angle(...)| <= pi passes the view test
     coord_size = 2.0 * (abs(cx) + abs(cy))
 
@@ -219,16 +212,16 @@ def sense(
     visible.sort(key=lambda v: v[0].id)
 
     k = len(visible)
-    flips = draws[0].take(k) if noise.misclassify_prob > 0.0 else None
-    rows = draws[1].take(k) if noise.disparity_std > 0.0 else None
+    flips = draws[0].take(k) if rig.misclassify_prob > 0.0 else None
+    rows = draws[1].take(k) if rig.disparity_std > 0.0 else None
     no_noise = (0.0,) * SAMPLES_PER_DETECTION
     focal_baseline = rig.focal_px * rig.baseline_m
     detections = []
     dropped = 0
     for j, (obs, abx, aby, rng_m, bearing) in enumerate(visible):
         reported = obs.class_label
-        if flips is not None and flips[j] < noise.misclassify_prob:
-            reported = noise.confusion.get(obs.class_label, obs.class_label)
+        if flips is not None and flips[j] < rig.misclassify_prob:
+            reported = rig.confusion.get(obs.class_label, obs.class_label)
         true_disparity = focal_baseline / rng_m
         # fl(t + d) is monotone in d: a sorted row gives the samples sorted, positive ones last
         row = rows[j] if rows is not None else no_noise

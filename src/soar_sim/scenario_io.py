@@ -9,8 +9,8 @@ Each schema decision has one owner:
   the motion types, and a `waypoint_loop` at speed 0 needs a waypoint, or
   it would load as a static obstacle (one without waypoints);
 - the robot, disturbance and sensor sections hold the fields of RobotParams,
-  DisturbanceSpec, StereoRig and SensorNoiseSpec under the same names and
-  units, and are read and written field by field;
+  DisturbanceSpec and StereoRig under the same names and units, and are
+  read and written field by field;
 - an absent key takes the default of the dataclass field it fills;
 - validate_scenario holds every value rule: each number finite, then every
   range. load_scenario runs it, and a spec built in code gets the same
@@ -30,7 +30,7 @@ from typing import Any, Iterable, Iterator
 import yaml
 from yaml.composer import Composer
 
-from soar_sim.perception import SensorNoiseSpec, StereoRig
+from soar_sim.perception import StereoRig
 from soar_sim.world import (
     ClearancePolicy,
     DisturbanceSpec,
@@ -81,7 +81,6 @@ class ScenarioSpec:
     time_limit: float
     seed: int
     rig: StereoRig = field(default_factory=StereoRig)
-    noise: SensorNoiseSpec = field(default_factory=SensorNoiseSpec)
 
 
 # ---------------------------------------------------------------- reading
@@ -211,7 +210,7 @@ def load_scenario(text: str | bytes) -> ScenarioSpec:
     ppath = "scenario.policy"
     pdata = _mapping(data.get("policy", {}), ppath, {"default_d0", "classes"})
     spath = "scenario.sensor"
-    sdata = _mapping(data.get("sensor", {}), spath, _names(StereoRig) | _names(SensorNoiseSpec))
+    sdata = _mapping(data.get("sensor", {}), spath, _names(StereoRig))
 
     spec = ScenarioSpec(
         name=_get(data, "name", "scenario", "scenario", str),
@@ -228,8 +227,7 @@ def load_scenario(text: str | bytes) -> ScenarioSpec:
         uniform_d0=_get(data, "uniform_d0", "scenario", DEFAULT_UNIFORM_D0),
         time_limit=_get(data, "time_limit_s", "scenario", DEFAULT_TIME_LIMIT),
         seed=_get(data, "seed", "scenario", DEFAULT_SEED, int),
-        rig=_from_fields(StereoRig, sdata, spath),
-        noise=_from_fields(SensorNoiseSpec, sdata, spath, confusion=_labels(sdata, "confusion", spath, str)),
+        rig=_from_fields(StereoRig, sdata, spath, confusion=_labels(sdata, "confusion", spath, str)),
     )
     validate_scenario(spec)
     return spec
@@ -306,17 +304,17 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     for label, d0 in spec.policy.entries.items():
         _check(d0 >= 0.0, f"scenario.policy.classes.{label}", "d0 >= 0")
 
-    rig, noise = spec.rig, spec.noise
+    rig = spec.rig
     _check(rig.focal_px > 0.0, "scenario.sensor.focal_px", "focal_px > 0")
     _check(rig.baseline_m > 0.0, "scenario.sensor.baseline_m", "baseline_m > 0")
     # f * B underflowing to 0 zeroes every true disparity, 1 / B overflowing every range: the robot drives blind
     _check(rig.focal_px * rig.baseline_m > 0.0 and math.isfinite(1.0 / rig.baseline_m),
            "scenario.sensor.baseline_m", "focal_px * baseline_m > 0 and 1 / baseline_m finite")
-    _check(noise.disparity_std >= 0.0, "scenario.sensor.disparity_std", "disparity_std >= 0")
-    _check(0.0 <= noise.misclassify_prob <= 1.0, "scenario.sensor.misclassify_prob",
+    _check(rig.disparity_std >= 0.0, "scenario.sensor.disparity_std", "disparity_std >= 0")
+    _check(0.0 <= rig.misclassify_prob <= 1.0, "scenario.sensor.misclassify_prob",
            "probability in [0, 1]")
-    _check(0.0 < noise.fov_deg <= 360.0, "scenario.sensor.fov_deg", "fov in (0, 360]")
-    _check(noise.max_range_m > 0.0, "scenario.sensor.max_range_m", "max_range_m > 0")
+    _check(0.0 < rig.fov_deg <= 360.0, "scenario.sensor.fov_deg", "fov in (0, 360]")
+    _check(rig.max_range_m > 0.0, "scenario.sensor.max_range_m", "max_range_m > 0")
 
     seen_ids: set[int] = set()
     for i, obs in enumerate(spec.obstacles):
@@ -370,11 +368,7 @@ def _document(spec: ScenarioSpec) -> dict[str, Any]:
             "default_d0": spec.policy.default_d0,
             "classes": dict(sorted(spec.policy.entries.items())),
         },
-        "sensor": {
-            **asdict(spec.rig),
-            **asdict(spec.noise),
-            "confusion": dict(sorted(spec.noise.confusion.items())),
-        },
+        "sensor": {**asdict(spec.rig), "confusion": dict(sorted(spec.rig.confusion.items()))},
         "obstacles": [_obstacle_document(obs) for obs in spec.obstacles],
     }
 
@@ -385,5 +379,5 @@ def serialize_scenario(spec: ScenarioSpec) -> str:
 
 
 def with_noise(spec: ScenarioSpec, **kwargs: Any) -> ScenarioSpec:
-    """Copy of spec with sensor-noise fields replaced (e.g. misclassify_prob=0)."""
-    return replace(spec, noise=replace(spec.noise, **kwargs))
+    """Copy of spec with sensor fields replaced (e.g. misclassify_prob=0)."""
+    return replace(spec, rig=replace(spec.rig, **kwargs))

@@ -214,7 +214,7 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
     # without gusts the disturbance is fixed for the trial; adding 0.0 maps a -0.0 drift to 0.0
     disturbance = Vec2(drift_x + 0.0, drift_y + 0.0)
     gusts = Draws(lambda n: rng_gust.normal(0.0, gust_std, (n, 2)).tolist(), DRAW_BLOCK)
-    draws = noise_draws(rng_perception, spec.noise, DRAW_BLOCK)
+    draws = noise_draws(rng_perception, spec.rig, DRAW_BLOCK)
 
     for tick in range(1, max_ticks + 1):
         if outcome is not None:
@@ -226,7 +226,7 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
 
         now = trajectory[-1]
         pose = (now.position, now.heading)
-        frame = sense(obstacles, pose, spec.rig, spec.noise, lookup_policy, draws, positions=positions)
+        frame = sense(obstacles, pose, spec.rig, lookup_policy, draws, positions=positions)
         estimates, _ = fuse(frame, pose)
         decision = steering_direction(now.position, spec.goal, nearest_effective_obstacle(estimates))
 

@@ -83,7 +83,7 @@ def segment_hits_disc(a: Vec2, b: Vec2, center: Vec2, radius: float) -> bool:
     return closest.dist(center) <= radius
 
 
-def reference_sense(obstacles, pose, rig, noise, rng, positions) -> list[Seen]:
+def reference_sense(obstacles, pose, rig, rng, positions) -> list[Seen]:
     """sense() before its clearance rule, as a per-pair loop: one record per visible obstacle, in id order.
 
     Every obstacle tests every other one exactly. Noise is drawn per
@@ -99,10 +99,10 @@ def reference_sense(obstacles, pose, rig, noise, rng, positions) -> list[Seen]:
         if rng_m <= 0.0:
             continue
         geo.append((obs, obs_pos, rng_m))
-        if rng_m > noise.max_range_m:
+        if rng_m > rig.max_range_m:
             continue
         bearing = wrap_angle(math.atan2(obs_pos.y - cam_pos.y, obs_pos.x - cam_pos.x) - heading)
-        if abs(bearing) > math.radians(noise.fov_deg) / 2.0:
+        if abs(bearing) > math.radians(rig.fov_deg) / 2.0:
             continue
         candidates.append((obs, obs_pos, rng_m, bearing))
     visible = [
@@ -117,14 +117,14 @@ def reference_sense(obstacles, pose, rig, noise, rng, positions) -> list[Seen]:
     labels = []
     for obs, _, _, _ in visible:
         reported = obs.class_label
-        if noise.misclassify_prob > 0.0 and rng.random() < noise.misclassify_prob:
-            reported = noise.confusion.get(obs.class_label, obs.class_label)
+        if rig.misclassify_prob > 0.0 and rng.random() < rig.misclassify_prob:
+            reported = rig.confusion.get(obs.class_label, obs.class_label)
         labels.append(reported)
     seen = []
     for (obs, obs_pos, rng_m, bearing), reported in zip(visible, labels):
         true_disparity = rig.focal_px * rig.baseline_m / rng_m
-        if noise.disparity_std > 0.0:
-            samples = true_disparity + rng.normal(0.0, noise.disparity_std, SAMPLES_PER_DETECTION)
+        if rig.disparity_std > 0.0:
+            samples = true_disparity + rng.normal(0.0, rig.disparity_std, SAMPLES_PER_DETECTION)
             positive = [float(d) for d in samples if d > 0.0]
             disparity = statistics.median(positive) if positive else None
         else:
@@ -227,7 +227,7 @@ def reference_trial(spec, mode: str, seed: int) -> RefTrial:
         t = n * dt
         positions = [o.position_at(t) for o in obstacles]
         pose = (pos, heading)
-        placed, _ = reference_fuse(reference_sense(obstacles, pose, spec.rig, spec.noise, rng, positions),
+        placed, _ = reference_fuse(reference_sense(obstacles, pose, spec.rig, rng, positions),
                                    pose, spec.rig, policy)
         best = reference_select(placed)
         decision = steering_direction(pos, spec.goal, None if best is None else estimate(best))

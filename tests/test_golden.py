@@ -53,7 +53,7 @@ GOLDEN = {
 
 def trajectory_digest(scenario: str, mode: str, fov_deg: float) -> str:
     spec = load_scenario_file(str(SCENARIO_DIR / f"{scenario}.yaml"))
-    spec = replace(spec, noise=replace(spec.noise, fov_deg=fov_deg))
+    spec = replace(spec, rig=replace(spec.rig, fov_deg=fov_deg))
     h = hashlib.sha256()
     for seed in SEEDS:
         result = run_trial(spec, mode, seed)

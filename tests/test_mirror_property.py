@@ -30,7 +30,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from soar_sim.perception import SensorNoiseSpec  # noqa: E402
+from soar_sim.perception import StereoRig  # noqa: E402
 from soar_sim.scenario_io import (  # noqa: E402
     ScenarioError,
     ScenarioSpec,
@@ -122,7 +122,7 @@ def test_shipped_scenarios_mirror(scenario_dir, fov_deg):
     for path in sorted(scenario_dir.glob("*.yaml")):
         spec = load_scenario_file(str(path))
         spec = replace(spec, disturbance=replace(spec.disturbance, gust_std=0.0),
-                       noise=replace(spec.noise, fov_deg=fov_deg))
+                       rig=replace(spec.rig, fov_deg=fov_deg))
         for mode in MODES:
             if not mirrors(spec, mode, 42):
                 broken.add((spec.name, mode))
@@ -173,7 +173,7 @@ def y_distinct_scenarios(draw):
         uniform_d0=draw(st.sampled_from([0.5, 1.0])),
         time_limit=draw(st.floats(0.5, 6.0)),
         seed=draw(st.integers(0, 2**31)),
-        noise=SensorNoiseSpec(
+        rig=StereoRig(
             disparity_std=draw(st.sampled_from([0.0, 0.3])),
             misclassify_prob=draw(st.sampled_from([0.0, 0.3])),
             confusion={"rock": "sports_ball"},

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from soar_sim.perception import (
     Detection,
     Draws,
     PerceptionFrame,
-    SensorNoiseSpec,
     StereoRig,
     depth_from_disparity,
     fuse,
@@ -21,7 +21,6 @@ from soar_sim.perception import (
 from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
-QUIET = SensorNoiseSpec(max_range_m=15.0)
 # every class has an infinite clearance, so sense emits every detection with a positive sample
 KEEP_ALL = ClearancePolicy({}, default_d0=math.inf)
 
@@ -33,22 +32,22 @@ def fixed_rows(*rows):
     return Draws(None, 0), Draws(draw, 0)
 
 
-def per_frame(noise, seed=0):
+def per_frame(rig, seed=0):
     """sense's draws from a fresh rng, one rng call per take."""
-    return noise_draws(np.random.default_rng(seed), noise, 0)
+    return noise_draws(np.random.default_rng(seed), rig, 0)
 
 
-def sense_at_centers(obstacles, pose, rig, noise, policy, draws):
+def sense_at_centers(obstacles, pose, rig, policy, draws):
     """sense with every obstacle at its center."""
-    return sense(obstacles, pose, rig, noise, policy, draws, [obs.center for obs in obstacles])
+    return sense(obstacles, pose, rig, policy, draws, [obs.center for obs in obstacles])
 
 
 def sensed(offsets, true_disparity=10.0):
     """The Detection sense gives for one obstacle of radius 0 and the 9 given noise offsets."""
-    rig = rig_for(100.0, 0.1)  # focal * baseline = 10, so the range is 10 / true_disparity
-    noise = SensorNoiseSpec(disparity_std=1.0, max_range_m=1e3)
+    # focal * baseline = 10, so the range is 10 / true_disparity
+    rig = replace(rig_for(100.0, 0.1), disparity_std=1.0, max_range_m=1e3)
     obstacles = [ObstacleInstance(1, "rock", Vec2(10.0 / true_disparity, 0.0), 0.0)]
-    frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, noise, KEEP_ALL, fixed_rows(list(offsets)))
+    frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, fixed_rows(list(offsets)))
     return frame.detections[0]
 
 
@@ -123,7 +122,7 @@ class TestDepthFromDisparity:
 
 class TestSense:
     def test_empty_world(self):
-        frame = sense_at_centers([], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers([], (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG))
         assert frame.detections == ()
 
     def test_noise_free_identity(self):
@@ -131,7 +130,7 @@ class TestSense:
             ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5),
             ObstacleInstance(2, "fish", Vec2(2.0, -1.0), 0.2),
         ]
-        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG))
         assert [d.instance_id for d in frame.detections] == [1, 2]
         for det, obs in zip(frame.detections, obstacles):
             assert det.reported_class == obs.class_label
@@ -143,24 +142,24 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5)]
         rng = np.random.default_rng(123)
         state_before = rng.bit_generator.state
-        sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, noise_draws(rng, QUIET, 0))
+        sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, noise_draws(rng, RIG, 0))
         assert rng.bit_generator.state == state_before
 
     def test_max_range_filter(self):
         obstacles = [ObstacleInstance(1, "rock", Vec2(20.0, 0.0), 0.5)]
-        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG))
         assert frame.detections == ()
 
     def test_fov_filter(self):
-        noise = SensorNoiseSpec(fov_deg=180.0, max_range_m=15.0)  # forward half-plane
+        rig = replace(RIG, fov_deg=180.0, max_range_m=15.0)  # forward half-plane
         behind = [ObstacleInstance(1, "rock", Vec2(-3.0, 0.1), 0.5)]
-        frame = sense_at_centers(behind, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
+        frame = sense_at_centers(behind, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig))
         assert frame.detections == ()
 
     def test_occlusion_drops_far_obstacle(self):
         near = ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)
         far = ObstacleInstance(2, "rock", Vec2(8.0, 0.0), 0.5)
-        frame = sense_at_centers([near, far], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers([near, far], (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG))
         assert [d.instance_id for d in frame.detections] == [1]
 
     def test_occlusion_matches_brute_force_ray_test(self):
@@ -176,7 +175,7 @@ class TestSense:
                 ObstacleInstance(1, "rock", blocker_center, radius),
                 ObstacleInstance(2, "rock", target, 0.2),
             ]
-            frame = sense_at_centers(obstacles, (cam, 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET))
+            frame = sense_at_centers(obstacles, (cam, 0.0), RIG, KEEP_ALL, per_frame(RIG))
             detected_ids = {d.instance_id for d in frame.detections}
             # brute force: sample the center ray densely
             blocked = any(
@@ -189,25 +188,25 @@ class TestSense:
                 assert 2 in detected_ids
 
     def test_occluder_outside_fov_still_blocks(self):
-        noise = SensorNoiseSpec(fov_deg=10.0, max_range_m=15.0)
+        rig = replace(RIG, fov_deg=10.0, max_range_m=15.0)
         target = ObstacleInstance(2, "rock", Vec2(6.0, 0.0), 0.3)
         # blocker center well outside the 10 deg cone, disc still crossing the ray
         blocker = ObstacleInstance(1, "rock", Vec2(2.0, 0.6), 0.7)
-        frame = sense_at_centers([blocker, target], (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
+        frame = sense_at_centers([blocker, target], (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig))
         assert frame.detections == ()
 
     def test_misclassification_uses_confusion_map(self):
-        noise = SensorNoiseSpec(misclassify_prob=1.0, confusion={"rock": "fish"}, max_range_m=15.0)
+        rig = replace(RIG, misclassify_prob=1.0, confusion={"rock": "fish"}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig))
         det = frame.detections[0]
         assert det.reported_class == "fish"
         assert det.true_class == "rock"
 
     def test_misclassification_without_mapping_keeps_class(self):
-        noise = SensorNoiseSpec(misclassify_prob=1.0, confusion={}, max_range_m=15.0)
+        rig = replace(RIG, misclassify_prob=1.0, confusion={}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig))
         assert frame.detections[0].reported_class == "rock"
 
     def test_same_seed_same_frame(self):
@@ -215,26 +214,25 @@ class TestSense:
             ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5),
             ObstacleInstance(2, "fish", Vec2(2.0, -1.0), 0.2),
         ]
-        noise = SensorNoiseSpec(disparity_std=0.4, misclassify_prob=0.3,
-                                confusion={"rock": "fish"}, max_range_m=15.0)
+        rig = replace(RIG, disparity_std=0.4, misclassify_prob=0.3, confusion={"rock": "fish"}, max_range_m=15.0)
         frames = [
-            sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.1), RIG, noise, KEEP_ALL, per_frame(noise, 77))
+            sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.1), rig, KEEP_ALL, per_frame(rig, 77))
             for _ in range(2)
         ]
         assert frames[0] == frames[1]
 
     def test_noisy_samples_all_positive(self):
         obstacles = [ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)]
-        noise = SensorNoiseSpec(disparity_std=50.0, max_range_m=15.0)
+        rig = replace(RIG, disparity_std=50.0, max_range_m=15.0)
         for seed in range(20):
-            frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, noise, KEEP_ALL, per_frame(noise, seed))
+            frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig, seed))
             for det in frame.detections:
                 assert 0.0 < det.range_m < math.inf  # ranged from a positive median disparity
 
     def test_moving_obstacle_uses_supplied_positions(self):
         obs = ObstacleInstance(1, "fish", Vec2(5.0, 0.0), 0.2, waypoints=(Vec2(5.0, 2.0),), speed=1.0)
         moved = obs.position_at(1.0)
-        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, KEEP_ALL, per_frame(QUIET), [moved])
+        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG), [moved])
         det = frame.detections[0]
         expected_range = math.hypot(moved.x, moved.y)
         assert det.range_m == pytest.approx(expected_range, rel=1e-12)
@@ -243,8 +241,8 @@ class TestSense:
     def test_gap_past_d0_emits_nothing(self):
         rock = ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)  # gap 3.5 on this rig, exactly
         for d0, emitted in ((3.5, [1]), (math.nextafter(3.5, 0.0), [])):
-            frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, ClearancePolicy({"rock": d0}),
-                                     per_frame(QUIET))
+            frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, ClearancePolicy({"rock": d0}),
+                                     per_frame(RIG))
             assert [det.instance_id for det in frame.detections] == emitted
             assert frame.dropped == 0
 
@@ -253,10 +251,10 @@ class TestSense:
         # the camera inside the ball, on its rim and just outside it: gaps 0, 0 and 0.01
         for x in (0.2, 0.5, 0.51):
             ball = ObstacleInstance(1, "sports_ball", Vec2(x, 0.0), 0.5)
-            frame = sense_at_centers([ball], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, policy, per_frame(QUIET))
+            frame = sense_at_centers([ball], (Vec2(0.0, 0.0), 0.0), RIG, policy, per_frame(RIG))
             assert frame.detections == ()
         rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 0.5)  # the same contact under a positive d0
-        frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, QUIET, policy, per_frame(QUIET))
+        frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, policy, per_frame(RIG))
         assert [(det.instance_id, det.gap) for det in frame.detections] == [(1, 0.0)]
 
 
@@ -315,7 +313,7 @@ class TestFuse:
         rig = rig_for(100.0, 0.1)
         rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 1.0)  # range 0.2, radius 1.0
         pose = (Vec2(0.0, 0.0), 0.0)
-        frame = sense_at_centers([rock], pose, rig, QUIET, KEEP_ALL, per_frame(QUIET))
+        frame = sense_at_centers([rock], pose, rig, KEEP_ALL, per_frame(rig))
         assert frame.detections[0].gap == 0.0
         estimates, _ = fuse(frame, pose)
         assert estimates[0].gap == 0.0
@@ -330,13 +328,12 @@ class TestFuse:
         assert (est.id, est.reported_class, est.true_class, est.d0, est.gap) == (3, "robot", "fish", 1.5, 0.8)
 
     def test_empty_sample_detection_dropped_with_counter(self):
-        rig = rig_for(100.0, 0.1)
-        noise = SensorNoiseSpec(disparity_std=1.0, max_range_m=1e3)
+        rig = replace(rig_for(100.0, 0.1), disparity_std=1.0, max_range_m=1e3)
         obstacles = [ObstacleInstance(1, "rock", Vec2(1.0, 0.0), 0.1),  # true disparity 10
                      ObstacleInstance(2, "rock", Vec2(0.0, 1.0), 0.1)]
         no_positive = [-10.0, -12.0] * 4 + [-10.5]
         pose = (Vec2(0.0, 0.0), 0.0)
-        frame = sense_at_centers(obstacles, pose, rig, noise, KEEP_ALL, fixed_rows(no_positive, [0.0] * 9))
+        frame = sense_at_centers(obstacles, pose, rig, KEEP_ALL, fixed_rows(no_positive, [0.0] * 9))
         assert frame.dropped == 1
         assert [det.instance_id for det in frame.detections] == [2]
         estimates, dropped = fuse(frame, pose)
@@ -351,8 +348,8 @@ class TestSenseFuseRoundTrip:
             ObstacleInstance(2, "car", Vec2(-2.0, 3.0), 0.8),
         ]
         pose = (Vec2(0.5, -0.25), 0.35)
-        noise = SensorNoiseSpec(fov_deg=360.0, max_range_m=20.0)
-        frame = sense_at_centers(obstacles, pose, RIG, noise, KEEP_ALL, per_frame(noise))
+        rig = replace(RIG, fov_deg=360.0, max_range_m=20.0)
+        frame = sense_at_centers(obstacles, pose, rig, KEEP_ALL, per_frame(rig))
         estimates, dropped = fuse(frame, pose)
         assert dropped == 0
         by_id = {e.id: e for e in estimates}

@@ -4,13 +4,13 @@ import hashlib
 import math
 import pickle
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 import yaml
 
 from soar_sim import scenario_io
-from soar_sim.perception import SensorNoiseSpec, StereoRig
+from soar_sim.perception import StereoRig
 from soar_sim.scenario_io import (
     ScenarioError,
     ScenarioSpec,
@@ -55,7 +55,7 @@ class TestLoadDefaults:
         assert spec.time_limit == 120.0
         assert spec.seed == 0
         assert spec.disturbance.gust_std == 0.0
-        assert spec.noise.misclassify_prob == 0.0
+        assert spec.rig.misclassify_prob == 0.0
         assert spec.rig.focal_px == 400.0
         assert spec.obstacles == ()
 
@@ -252,10 +252,6 @@ def _obstacle(spec, **changes):
     return replace(spec, obstacles=(replace(spec.obstacles[0], **changes),))
 
 
-def _rig(spec, **changes):
-    return replace(spec, rig=replace(spec.rig, **changes))
-
-
 class TestValidateConstructed:
     """validate_scenario holds every value rule, so a spec built in code gets the loader's message."""
 
@@ -287,12 +283,12 @@ class TestValidateConstructed:
                      "scenario.policy.default_d0", id="default_d0_negative"),
         pytest.param(lambda s: replace(s, policy=ClearancePolicy({"rock": 1.0, "cone": -0.5})),
                      "scenario.policy.classes.cone", id="class_d0_negative"),
-        pytest.param(lambda s: _rig(s, cx=math.nan), "scenario.sensor.cx", id="cx_nan"),
-        pytest.param(lambda s: _rig(s, focal_px=0.0), "scenario.sensor.focal_px", id="focal_zero"),
-        pytest.param(lambda s: _rig(s, baseline_m=-0.1), "scenario.sensor.baseline_m", id="baseline_negative"),
-        pytest.param(lambda s: _rig(s, focal_px=1.0e-200, baseline_m=1.0e-200), "scenario.sensor.baseline_m",
+        pytest.param(lambda s: with_noise(s, cx=math.nan), "scenario.sensor.cx", id="cx_nan"),
+        pytest.param(lambda s: with_noise(s, focal_px=0.0), "scenario.sensor.focal_px", id="focal_zero"),
+        pytest.param(lambda s: with_noise(s, baseline_m=-0.1), "scenario.sensor.baseline_m", id="baseline_negative"),
+        pytest.param(lambda s: with_noise(s, focal_px=1.0e-200, baseline_m=1.0e-200), "scenario.sensor.baseline_m",
                      id="focal_baseline_product_underflows"),
-        pytest.param(lambda s: _rig(s, baseline_m=1.0e-310), "scenario.sensor.baseline_m",
+        pytest.param(lambda s: with_noise(s, baseline_m=1.0e-310), "scenario.sensor.baseline_m",
                      id="inverse_baseline_overflows"),
         pytest.param(lambda s: with_noise(s, disparity_std=-0.1), "scenario.sensor.disparity_std",
                      id="disparity_std_negative"),
@@ -325,14 +321,14 @@ class TestValidateConstructed:
 
     def test_fov_bound_is_exact(self):
         # 360 is the whole view; the next float above it is rejected, loaded or constructed
-        assert load_scenario(MINIMAL + "sensor: {fov_deg: 360.0}\n").noise.fov_deg == 360.0
+        assert load_scenario(MINIMAL + "sensor: {fov_deg: 360.0}\n").rig.fov_deg == 360.0
         above = math.nextafter(360.0, math.inf)
         message = "scenario.sensor.fov_deg: violates fov in (0, 360]"
         with pytest.raises(ScenarioError) as loaded:
             load_scenario(MINIMAL + f"sensor: {{fov_deg: {above!r}}}\n")
         assert str(loaded.value) == message
         with pytest.raises(ScenarioError) as constructed:
-            validate_scenario(replace(CONSTRUCTED, noise=SensorNoiseSpec(fov_deg=above)))
+            validate_scenario(replace(CONSTRUCTED, rig=StereoRig(fov_deg=above)))
         assert str(constructed.value) == message
 
     @pytest.mark.parametrize("speed, message", [
@@ -369,8 +365,8 @@ class TestFixtures:
         assert all(o.class_label == "fish" and o.is_moving() for o in moving)
 
     def test_head_on_confuses_rock_with_fish(self, head_on):
-        assert head_on.noise.misclassify_prob == 0.5
-        assert head_on.noise.confusion == {"rock": "fish"}
+        assert head_on.rig.misclassify_prob == 0.5
+        assert head_on.rig.confusion == {"rock": "fish"}
 
     def test_spec_pickles_to_an_equal_value(self, arch):
         # pool workers get the spec, Vec2s included, through pickle
@@ -384,6 +380,12 @@ class TestRoundTrip:
         for path in sorted(scenario_dir.glob("*.yaml")):
             spec = load_scenario(path.read_text(encoding="utf-8"))
             assert load_scenario(serialize_scenario(spec)) == spec, path.name
+
+    def test_each_section_holds_one_records_fields(self, head_on):
+        # the document's robot, disturbance and sensor sections are RobotParams, DisturbanceSpec and StereoRig
+        document = yaml.safe_load(serialize_scenario(head_on))
+        for section, record in (("robot", RobotParams), ("disturbance", DisturbanceSpec), ("sensor", StereoRig)):
+            assert list(document[section]) == [f.name for f in fields(record)], section
 
     def test_fixtures_serialize_to_pinned_bytes(self, scenario_dir):
         # the serializer derives each motion's type; these documents must not change a byte
@@ -426,9 +428,7 @@ class TestRoundTrip:
             uniform_d0=1.3,
             time_limit=90.0,
             seed=17,
-            rig=load_scenario(MINIMAL).rig,
-            noise=with_noise(load_scenario(MINIMAL), misclassify_prob=0.25,
-                             confusion={"rock": "fish"}).noise,
+            rig=StereoRig(misclassify_prob=0.25, confusion={"rock": "fish"}),
         )
         assert load_scenario(serialize_scenario(spec)) == spec
 
@@ -440,6 +440,6 @@ class TestRoundTrip:
 
     def test_with_noise_helper(self, head_on):
         quiet = with_noise(head_on, misclassify_prob=0.0)
-        assert quiet.noise.misclassify_prob == 0.0
-        assert quiet.noise.confusion == head_on.noise.confusion
+        assert quiet.rig.misclassify_prob == 0.0
+        assert quiet.rig.confusion == head_on.rig.confusion
         assert quiet.obstacles == head_on.obstacles

@@ -26,7 +26,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import yaml  # noqa: E402
 from soar_sim import scenario_io  # noqa: E402
-from soar_sim.perception import SensorNoiseSpec, StereoRig  # noqa: E402
+from soar_sim.perception import StereoRig  # noqa: E402
 from soar_sim.scenario_io import (  # noqa: E402
     ScenarioError,
     ScenarioSpec,
@@ -59,9 +59,10 @@ COORD = st.floats(-6.0, 6.0, allow_nan=False)
 POINT = st.builds(Vec2, COORD, COORD)
 STEP = st.builds(Vec2, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 
-RIGS = st.builds(StereoRig, focal_px=st.sampled_from([200.0, 400.0]), baseline_m=st.sampled_from([0.06, 0.12]))
-NOISES = st.builds(
-    SensorNoiseSpec,
+RIGS = st.builds(
+    StereoRig,
+    focal_px=st.sampled_from([200.0, 400.0]),
+    baseline_m=st.sampled_from([0.06, 0.12]),
     disparity_std=st.sampled_from([0.0, 0.3]),
     misclassify_prob=st.sampled_from([0.0, 0.3]),
     confusion=st.just({"rock": "sports_ball"}),
@@ -69,9 +70,10 @@ NOISES = st.builds(
     max_range_m=st.sampled_from([4.0, 15.0]),
 )
 # each field drawn from in-range and out-of-range values
-ANY_RIGS = st.builds(StereoRig, focal_px=st.sampled_from([0.0, 400.0]), baseline_m=st.sampled_from([-0.1, 0.12]))
-ANY_NOISES = st.builds(
-    SensorNoiseSpec,
+ANY_RIGS = st.builds(
+    StereoRig,
+    focal_px=st.sampled_from([0.0, 400.0]),
+    baseline_m=st.sampled_from([-0.1, 0.12]),
     disparity_std=st.sampled_from([-0.1, 0.0, 0.3]),
     misclassify_prob=st.sampled_from([0.3, 1.5, -0.1]),
     confusion=st.just({"rock": "sports_ball"}),
@@ -88,7 +90,7 @@ NAN_EDITS = [
     lambda s: replace(s, disturbance=replace(s.disturbance, drift_y=NAN)),
     lambda s: replace(s, policy=replace(s.policy, default_d0=NAN)),
     lambda s: replace(s, rig=replace(s.rig, cx=NAN)),
-    lambda s: replace(s, noise=replace(s.noise, max_range_m=NAN)),
+    lambda s: replace(s, rig=replace(s.rig, max_range_m=NAN)),
     lambda s: replace(s, obstacles=tuple(replace(o, radius=NAN) for o in s.obstacles)),
 ]
 
@@ -109,7 +111,7 @@ def obstacles(draw, max_count=8):
 
 
 @st.composite
-def scenarios(draw, obstacle_strategy=obstacles(), rigs=RIGS, noises=NOISES):
+def scenarios(draw, obstacle_strategy=obstacles(), rigs=RIGS):
     goal_radius = draw(st.floats(0.05, 0.8))
     return ScenarioSpec(
         name="random",
@@ -137,14 +139,13 @@ def scenarios(draw, obstacle_strategy=obstacles(), rigs=RIGS, noises=NOISES):
         time_limit=draw(st.floats(0.05, 8.0)),
         seed=draw(st.integers(0, 2**31)),
         rig=draw(rigs),
-        noise=draw(noises),
     )
 
 
 @st.composite
 def odd_scenarios(draw):
-    """Specs with rig and noise values often out of range, and sometimes a NaN."""
-    spec = draw(scenarios(obstacle_strategy=obstacles(max_count=3), rigs=ANY_RIGS, noises=ANY_NOISES))
+    """Specs with sensor values often out of range, and sometimes a NaN."""
+    spec = draw(scenarios(obstacle_strategy=obstacles(max_count=3), rigs=ANY_RIGS))
     return draw(st.sampled_from(NAN_EDITS))(spec)
 
 

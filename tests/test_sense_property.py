@@ -7,8 +7,8 @@ disparity None when no sample is positive. A reference fuse then ranges
 and places every detection that has a positive sample, with its reported
 class's d0. Filtered by the clearance rule, that must give exactly what
 sense emits, what fuse places and the dropped count, with the rng left in
-the same state when sense takes its noise through noise_draws(rng, noise,
-0), and nearest_effective_obstacle must pick what the reference selection
+the same state when sense takes its noise through noise_draws(rng, rig, 0),
+and nearest_effective_obstacle must pick what the reference selection
 picks from everything. So this checks sense's occlusion prefilter, its
 per-frame draws, its median from sorted rows and the clearance rule it owns.
 """
@@ -28,7 +28,6 @@ from hypothesis import strategies as st  # noqa: E402
 from reference import depth, estimate, qualifies, reference_fuse, reference_select, reference_sense  # noqa: E402
 from soar_sim.perception import (  # noqa: E402
     Detection,
-    SensorNoiseSpec,
     StereoRig,
     fuse,
     noise_draws,
@@ -37,7 +36,6 @@ from soar_sim.perception import (  # noqa: E402
 from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, nearest_effective_obstacle  # noqa: E402
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
-QUIET = SensorNoiseSpec(max_range_m=15.0)
 KEEP_ALL = ClearancePolicy({}, default_d0=math.inf)
 CLASSES = ("rock", "fish")
 
@@ -50,10 +48,9 @@ def detection(p):
 
 def reference(world, seed, policy):
     """The reference pipeline's (placed, dropped, rng) for one world, seed and policy."""
-    obstacles, positions, pose, noise = world
+    obstacles, positions, pose, rig = world
     rng = np.random.default_rng(seed)
-    placed, dropped = reference_fuse(reference_sense(obstacles, pose, RIG, noise, rng, positions), pose, RIG,
-                                     policy)
+    placed, dropped = reference_fuse(reference_sense(obstacles, pose, rig, rng, positions), pose, rig, policy)
     return placed, dropped, rng
 
 
@@ -71,8 +68,8 @@ FOV = st.sampled_from([360.0, math.nextafter(360.0, 0.0), 180.0, 50.0])
 
 
 @st.composite
-def noise_specs(draw):
-    return SensorNoiseSpec(
+def rigs(draw):
+    return StereoRig(
         disparity_std=draw(st.sampled_from([0.0, 0.3, 40.0])),
         misclassify_prob=draw(st.sampled_from([0.0, 0.5])),
         confusion={"rock": "fish"},
@@ -95,7 +92,7 @@ def obstacle_fields(draw):
     cam = draw(st.sampled_from([Vec2(0.0, 0.0), Vec2(0.5, -1.0), Vec2(draw(COORD), draw(COORD))]))
     heading = draw(st.sampled_from([0.0, math.pi / 2, math.pi])) if draw(st.booleans()) \
         else draw(st.floats(-math.pi, math.pi))
-    return obstacles, positions, (cam, heading), draw(noise_specs())
+    return obstacles, positions, (cam, heading), draw(rigs())
 
 
 OFFSET = st.one_of(st.sampled_from([0.0, 1e3, -1e6, 1e9, -1e9]), st.floats(-1e9, 1e9))
@@ -124,7 +121,7 @@ def near_tangent_fields(draw):
             center = Vec2(cam.x + along * reach * dx - off * dy, cam.y + along * reach * dy + off * dx)
             obstacles.append(ObstacleInstance(len(obstacles) + 1, "fish", center, radius))
     heading = draw(st.floats(-math.pi, math.pi))
-    return obstacles, [obs.center for obs in obstacles], (cam, heading), draw(noise_specs())
+    return obstacles, [obs.center for obs in obstacles], (cam, heading), draw(rigs())
 
 
 @st.composite
@@ -146,12 +143,12 @@ def cases(draw):
 
 
 FAR_ROCK = ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)
-WIDE_NOISE = SensorNoiseSpec(disparity_std=40.0)
+WIDE_NOISE = StereoRig(disparity_std=40.0)
 ORIGIN = Vec2(0.0, 0.0)
 
 
-def world_of(obstacles, cam=ORIGIN, heading=0.0, noise=QUIET):
-    return obstacles, [obs.center for obs in obstacles], (cam, heading), noise
+def world_of(obstacles, cam=ORIGIN, heading=0.0, rig=RIG):
+    return obstacles, [obs.center for obs in obstacles], (cam, heading), rig
 
 
 ROCK_AHEAD = world_of([ObstacleInstance(1, "rock", Vec2(5.0, 0.3), 0.5)])
@@ -163,7 +160,7 @@ class TestSenseMatchesPerPairReference:
     @given(case=cases())
     # an obstacle exactly at max_range is still seen
     @example(case=(world_of([ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)],
-                            noise=SensorNoiseSpec(max_range_m=4.0)), 0, KEEP_ALL))
+                            rig=StereoRig(max_range_m=4.0)), 0, KEEP_ALL))
     # a disc tangent to the ray within rounding, 1e9 off the origin: it
     # occludes only through rounding that a margin-free prefilter misses
     @example(case=(
@@ -180,7 +177,7 @@ class TestSenseMatchesPerPairReference:
         world_of(
             [ObstacleInstance(1, "rock", Vec2(1e150, 0.0), 1.0),
              ObstacleInstance(2, "fish", Vec2(0.0, 1e-300), 1e-300)],
-            noise=SensorNoiseSpec(max_range_m=1e200),
+            rig=StereoRig(max_range_m=1e200),
         ),
         0, KEEP_ALL,
     ))
@@ -199,14 +196,14 @@ class TestSenseMatchesPerPairReference:
         world_of(
             [ObstacleInstance(1, "rock", Vec2(1e85, 0.0), 1.0),
              ObstacleInstance(2, "fish", Vec2(1e79, 1e75), 1.0)],
-            noise=SensorNoiseSpec(max_range_m=1e90),
+            rig=StereoRig(max_range_m=1e90),
         ),
         0, KEEP_ALL,
     ))
     # straight behind is bearing pi, just outside a view of nextafter(360, 0) degrees
     @example(case=(
         world_of([ObstacleInstance(1, "rock", Vec2(2.0, 0.0), 0.5)], heading=math.pi,
-                 noise=SensorNoiseSpec(fov_deg=math.nextafter(360.0, 0.0))),
+                 rig=StereoRig(fov_deg=math.nextafter(360.0, 0.0))),
         0, KEEP_ALL,
     ))
     # both noise sources on: all label draws come before the disparity draws
@@ -214,18 +211,18 @@ class TestSenseMatchesPerPairReference:
         world_of(
             [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5),
              ObstacleInstance(2, "rock", Vec2(0.0, 3.0), 0.5)],
-            noise=SensorNoiseSpec(disparity_std=0.3, misclassify_prob=0.5, confusion={"rock": "fish"}),
+            rig=StereoRig(disparity_std=0.3, misclassify_prob=0.5, confusion={"rock": "fish"}),
         ),
         1, KEEP_ALL,
     ))
     # the median of the positive samples, seen 14 m away with disparity std 40
     # (true disparity 3.43): all 9 positive, 3 survive (odd), 4 survive (even)
-    @example(case=(world_of([FAR_ROCK], noise=WIDE_NOISE), 372, KEEP_ALL))
-    @example(case=(world_of([FAR_ROCK], noise=WIDE_NOISE), 17, KEEP_ALL))
-    @example(case=(world_of([FAR_ROCK], noise=WIDE_NOISE), 4, KEEP_ALL))
+    @example(case=(world_of([FAR_ROCK], rig=WIDE_NOISE), 372, KEEP_ALL))
+    @example(case=(world_of([FAR_ROCK], rig=WIDE_NOISE), 17, KEEP_ALL))
+    @example(case=(world_of([FAR_ROCK], rig=WIDE_NOISE), 4, KEEP_ALL))
     # an all-negative row: no sample survives, so the obstacle is dropped and
     # counted, before and whatever its class's d0 (here 0)
-    @example(case=(world_of([FAR_ROCK], noise=WIDE_NOISE), 62, ClearancePolicy({"rock": 0.0})))
+    @example(case=(world_of([FAR_ROCK], rig=WIDE_NOISE), 62, ClearancePolicy({"rock": 0.0})))
     # zero-length center ray: obstacle 1's squared range underflows, and
     # obstacle 2, nearer still, covers the camera
     @example(case=(
@@ -234,7 +231,7 @@ class TestSenseMatchesPerPairReference:
              ObstacleInstance(2, "fish", Vec2(0.0, 5e-324), 1e-300)],
             [Vec2(0.0, 1e-170), Vec2(0.0, 5e-324)],
             (ORIGIN, 0.0),
-            QUIET,
+            RIG,
         ),
         0, KEEP_ALL,
     ))
@@ -257,14 +254,14 @@ class TestSenseMatchesPerPairReference:
     # the reported class decides, not the true one
     @example(case=(
         world_of([ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)],
-                 noise=SensorNoiseSpec(misclassify_prob=1.0, confusion={"rock": "fish"})),
+                 rig=StereoRig(misclassify_prob=1.0, confusion={"rock": "fish"})),
         0, ClearancePolicy({"fish": 5.0, "rock": 0.0}),
     ))
     def test_same_detections_and_rng_state(self, case):
         world, seed, policy = case
-        obstacles, positions, pose, noise = world
+        obstacles, positions, pose, rig = world
         rng = np.random.default_rng(seed)
-        frame = sense(obstacles, pose, RIG, noise, policy, noise_draws(rng, noise, 0), positions=positions)
+        frame = sense(obstacles, pose, rig, policy, noise_draws(rng, rig, 0), positions=positions)
         placed, dropped, rng_ref = reference(world, seed, policy)
         kept = [p for p in placed if qualifies(p)]
         assert frame.detections == tuple(detection(p) for p in kept)

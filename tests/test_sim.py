@@ -14,7 +14,7 @@ from soar_sim.perception import (
     Detection,
     Draws,
     PerceptionFrame,
-    SensorNoiseSpec,
+    StereoRig,
     fuse,
     noise_draws,
     sense,
@@ -65,9 +65,9 @@ def test_per_tick_records_are_immutable(name):
 
 GUST_STD = 0.3
 NOISE_SOURCES = {
-    "flips": SensorNoiseSpec(misclassify_prob=0.5),
-    "rows": SensorNoiseSpec(disparity_std=0.4),
-    "both": SensorNoiseSpec(disparity_std=0.4, misclassify_prob=0.5),
+    "flips": StereoRig(misclassify_prob=0.5),
+    "rows": StereoRig(disparity_std=0.4),
+    "both": StereoRig(disparity_std=0.4, misclassify_prob=0.5),
 }
 
 
@@ -86,13 +86,13 @@ def test_gust_block_is_the_per_tick_stream(seed, source, block, ks):
     else:
         # sense's order: a frame's k label draws, then its k disparity rows; with both sources
         # on they share one stream, which stays the per-frame one whatever the block asked for
-        noise = NOISE_SOURCES[source]
-        flips, rows = noise_draws(blocked, noise, block)
-        flips_on, rows_on = noise.misclassify_prob > 0.0, noise.disparity_std > 0.0
+        rig = NOISE_SOURCES[source]
+        flips, rows = noise_draws(blocked, rig, block)
+        flips_on, rows_on = rig.misclassify_prob > 0.0, rig.disparity_std > 0.0
         taken = [(flips.take(k) if flips_on else None, rows.take(k) if rows_on else None) for k in ks]
         expected = [
             (per_tick.random(k).tolist() if flips_on else None,
-             np.sort(per_tick.normal(0.0, noise.disparity_std, (k, 9)), axis=1).tolist() if rows_on else None)
+             np.sort(per_tick.normal(0.0, rig.disparity_std, (k, 9)), axis=1).tolist() if rows_on else None)
             for k in ks
         ]
         if flips_on and rows_on:
@@ -297,7 +297,7 @@ def test_stage_hooks_called_once_per_tick(monkeypatch, parking_lot):
     monkeypatch.setattr(soar_sim.sim, "sense", counting_sense)
     monkeypatch.setattr(soar_sim.sim, "fuse", counting_fuse)
     # with noise this wide, each visible obstacle has no positive sample with odds near 2^-9
-    noisy = replace(parking_lot, time_limit=5.0, noise=replace(parking_lot.noise, disparity_std=1e3))
+    noisy = replace(parking_lot, time_limit=5.0, rig=replace(parking_lot.rig, disparity_std=1e3))
     ticks = len(run_trial(noisy, MODE_SOAR, seed=42).trajectory) - 1
     assert ticks > 0
     assert len(frames) == len(dropped) == ticks
@@ -350,9 +350,8 @@ def test_loop_records_are_whole(scenario_dir):
         # one frame from just outside the first obstacle, with the scene's own noise
         obs = spec.obstacles[0]
         pose = (Vec2(obs.center.x - obs.radius - 0.1, obs.center.y), 0.0)
-        draws = noise_draws(np.random.default_rng(spec.seed), spec.noise, 0)
-        frame = sense(spec.obstacles, pose, spec.rig, spec.noise, spec.policy, draws,
-                      [o.center for o in spec.obstacles])
+        draws = noise_draws(np.random.default_rng(spec.seed), spec.rig, 0)
+        frame = sense(spec.obstacles, pose, spec.rig, spec.policy, draws, [o.center for o in spec.obstacles])
         estimates, _ = fuse(frame, pose)
         assert_whole(frame, PerceptionFrame)
         for det in frame.detections:
