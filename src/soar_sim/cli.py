@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Sub-commands: validate | run | batch | compare | plot. Exit codes: 0
-success, 1 scenario validation failure, 2 runtime failure. Batch trials
-can run in parallel (--jobs, on at most the CPU count of workers). The
-worker that runs a trial also writes its *.traj.csv and *.result.yaml;
-only (seed, travel_time, outcome) returns to the parent, which writes
-the summaries in seed order once every trial has finished, so every file
+success, 1 scenario validation failure, 2 runtime failure. batch and
+compare run one task per seed, on up to --jobs workers (at most the CPU
+count): the seed's trial in each mode, compare's pair through run_trials.
+The worker writes each trial's *.traj.csv and *.result.yaml; only
+(seed, travel_time, outcome) rows return to the parent, which writes the
+summaries in seed order once every task has finished, so every file
 is byte-identical to a serial run. On exit 2, --out may already hold the
 artifacts of the trials that finished. Each command imports only what it
 runs: the process pool's modules load only when --jobs gives a batch more
@@ -24,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from soar_sim import report as report_mod
 from soar_sim.scenario_io import ScenarioError, ScenarioSpec, load_scenario_file
-from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, TrialResult, run_trial
+from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, TrialResult, run_trial, run_trials
 from soar_sim.world import Vec2
 
 EXIT_OK = 0
@@ -41,33 +42,34 @@ def _canonical_mode(mode: str) -> str:
     return MODE_NON_SOAR if mode in ("non-soar", "non_soar") else MODE_SOAR
 
 
-def _run_one(task: tuple[ScenarioSpec, str, int, Path]) -> report_mod.TrialRow:
-    """Run one trial and write its artifacts here, in the worker; only its row goes back."""
-    spec, mode, seed, out = task
-    result = run_trial(spec, mode, seed)
-    _emit_trial(spec, result, out)
-    return report_mod.TrialRow(result.seed, result.travel_time, result.outcome)
+def _run_one(task: tuple[ScenarioSpec, Sequence[str], int, Path]) -> list[report_mod.TrialRow]:
+    """Run one seed's trial in each mode and write their artifacts here, in the worker; only their rows go back."""
+    spec, modes, seed, out = task
+    results = run_trials(spec, modes, seed)
+    for result in results:
+        _emit_trial(spec, result, out)
+    return [report_mod.TrialRow(result.seed, result.travel_time, result.outcome) for result in results]
 
 
 def _run_batch(
     spec: ScenarioSpec, modes: Sequence[str], trials: int, base_seed: int, jobs: int, out: Path
 ) -> list[list[report_mod.TrialRow]]:
-    """Every mode on seeds base_seed.. through one pool; one seed-ordered row list per mode."""
-    tasks = [(spec, mode, base_seed + i, out) for mode in modes for i in range(trials)]
+    """Every mode on seeds base_seed.. through one pool, one task per seed; one seed-ordered row list per mode."""
+    tasks = [(spec, modes, base_seed + i, out) for i in range(trials)]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         rows = [_run_one(task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_start_method
-        # map yields in task order, which is seed order within each mode; it submits every
-        # chunk at once, so at most 64 chunks per worker keep a 10^6-trial batch's futures few
+        # map yields in task order, which is seed order; it submits every chunk at once,
+        # so at most 64 chunks per worker keep a 10^6-seed batch's futures few
         chunksize = math.ceil(len(tasks) / (64 * workers))
         if get_start_method() == "fork":  # forked workers inherit numpy imported once here; others import it anew
             import numpy  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, tasks, chunksize=chunksize))
-    return [rows[k * trials:(k + 1) * trials] for k in range(len(modes))]
+    return [list(mode_rows) for mode_rows in zip(*rows)]
 
 
 def _write(path: Path, text: str) -> None:

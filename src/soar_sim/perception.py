@@ -29,22 +29,29 @@ SAMPLES_PER_DETECTION = 9
 
 
 class Draws:
-    """take(n) gives the next n items of a random stream, as one draw(n) per take would.
+    """take(n) gives the next n items of a random stream on rng, as one draw(rng, n) per take would.
 
-    draw(m) must continue the stream, draw(a) + draw(b) == draw(a + b). A refill draws
-    max(n, block) items after the leftover ones, so with block 0 each take is one draw.
+    draw(rng, m) must continue the stream, draw(rng, a) + draw(rng, b) == draw(rng, a + b). A refill
+    draws max(n, block) items after the leftover ones, so with block 0 each take is one draw.
     """
 
-    def __init__(self, draw: Callable[[int], list], block: int) -> None:
-        self._draw, self._block, self._items, self._next = draw, block, [], 0
+    def __init__(self, rng: np.random.Generator, draw: Callable[..., list], block: int) -> None:
+        self._rng, self._draw, self._block, self._items, self._next = rng, draw, block, [], 0
 
     def take(self, n: int) -> list:
         start, end = self._next, self._next + n
         if end > len(self._items):
-            self._items = self._items[start:] + self._draw(max(n, self._block))
+            self._items = self._items[start:] + self._draw(self._rng, max(n, self._block))
             start, end = 0, n
         self._next = end
         return self._items[start:end]
+
+    def __deepcopy__(self, memo: dict) -> Draws:
+        """The rest of this stream, on a copy of rng: Draws sharing a generator share its copy within one deepcopy."""
+        from copy import deepcopy
+        twin = Draws(deepcopy(self._rng, memo), self._draw, self._block)
+        twin._items = self._items[self._next:]  # no take changes an item list in place
+        return twin
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,11 +117,11 @@ def noise_draws(rng: np.random.Generator, rig: StereoRig, block: int) -> tuple[D
     std = rig.disparity_std
     block = 0 if rig.misclassify_prob > 0.0 and std > 0.0 else block
 
-    def sorted_rows(n: int) -> list:
-        rows = rng.normal(0.0, std, (n, SAMPLES_PER_DETECTION))
+    def sorted_rows(gen: np.random.Generator, n: int) -> list:
+        rows = gen.normal(0.0, std, (n, SAMPLES_PER_DETECTION))
         rows.sort(axis=1)
         return rows.tolist()
-    return Draws(lambda n: rng.random(n).tolist(), block), Draws(sorted_rows, block)
+    return Draws(rng, lambda gen, n: gen.random(n).tolist(), block), Draws(rng, sorted_rows, block)
 
 
 def sense(

@@ -8,9 +8,10 @@ separate seeded streams, drawn in blocks that are the same streams as
 draws made tick by tick. Moving obstacles advance before the robot each
 tick. Each recorded state is one Tick: the robot's pose and speed, the
 steering decision that moved it there and its smallest gap to an avoidable
-obstacle. The loop reads the pose from the newest Tick, for sense and fuse
-alike, and termination, export and plotting all read that one list.
-numpy is imported by run_trial, which seeds those streams, so importing the
+obstacle; the loop reads the pose from the newest Tick, and termination,
+export and plotting all read that one list. run_trials runs a seed in
+several modes, sensing their common prefix once; run_trial is its
+one-mode case. numpy loads where the streams are seeded, so importing the
 package, validating a scenario or plotting a trajectory never loads it.
 """
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from math import atan2, cos, hypot, sin, sqrt
 from typing import NamedTuple, Optional, Sequence
 
-from soar_sim.perception import Draws, fuse, noise_draws, sense
+from soar_sim.perception import Detection, Draws, PerceptionFrame, fuse, noise_draws, sense
 from soar_sim.scenario_io import ScenarioSpec
 from soar_sim.steering import SteeringDecision, steering_direction
 from soar_sim.world import (
@@ -159,93 +160,123 @@ def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Option
 
 
 def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> TrialResult:
-    """Run one trial; bit-identical for identical (spec, mode, seed).
+    """Run one trial, bit-identical for identical (spec, mode, seed): the one-mode case of run_trials."""
+    return run_trials(spec, (mode,), seed)[0]
 
-    soar mode looks labels up in the scenario's per-class policy, once per
-    detection in sense, whose d0 the selection and steering read. non_soar
-    mode withholds the semantic information: every label gets the uniform
-    clearance spec.uniform_d0.
+
+def _widest(policies: Sequence[ClearancePolicy]) -> ClearancePolicy:
+    """The per-class maximum d0 of policies, over the union of their classes and their defaults.
+
+    A frame sensed under it holds every detection sense emits under each policy: the policy decides
+    only sense's last two skips, d0 <= 0 and gap > d0, after the noise draws, drops and range, and a
+    detection that passes both under some policy's d0 passes under this one, which is no smaller.
     """
-    if mode not in (MODE_SOAR, MODE_NON_SOAR):
-        raise ValueError(f"mode must be '{MODE_SOAR}' or '{MODE_NON_SOAR}', got {mode!r}")
+    classes = set().union(*(policy.entries for policy in policies))
+    return ClearancePolicy({c: max(effective_d0(p, c) for p in policies) for c in classes},
+                           max(p.default_d0 for p in policies))
+
+
+def _admit(frame: PerceptionFrame, policy: ClearancePolicy) -> PerceptionFrame:
+    """The frame sense emits under policy, from the one it emitted under _widest of policy and others."""
+    kept = []
+    for det in frame.detections:
+        d0 = effective_d0(policy, det.reported_class)
+        if not (d0 <= 0.0 or det.gap > d0):
+            kept.append(det if d0 == det.d0 else new_record(Detection, (*det[:5], d0, det.gap)))
+    return new_record(PerceptionFrame, (tuple(kept), frame.dropped))
+
+
+def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = None) -> list[TrialResult]:
+    """run_trial(spec, mode, seed) for each mode, in order, from one tick loop.
+
+    soar mode looks d0 up in the scenario's per-class policy; non_soar mode
+    gives every label spec.uniform_d0. Until the modes' admitted detections
+    first differ, sense runs once per tick under _widest of their policies and
+    each mode re-admits the frame with _admit; then each goes on alone, from
+    a copy of the loop's state and streams.
+    """
+    for mode in modes:
+        if mode not in (MODE_SOAR, MODE_NON_SOAR):
+            raise ValueError(f"mode must be '{MODE_SOAR}' or '{MODE_NON_SOAR}', got {mode!r}")
     if seed is None:
         seed = spec.seed
 
     import numpy as np
     rng_perception = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_PERCEPTION]))
     rng_gust = np.random.default_rng(np.random.SeedSequence([seed, _STREAM_DISTURBANCE]))
-
-    if mode == MODE_SOAR:
-        lookup_policy = spec.policy
-    else:
-        lookup_policy = ClearancePolicy(entries={}, default_d0=spec.uniform_d0)
+    policy_of = {MODE_SOAR: spec.policy, MODE_NON_SOAR: ClearancePolicy(entries={}, default_d0=spec.uniform_d0)}
 
     dt = spec.robot.dt
     obstacles = spec.obstacles
-    start_pos, start_heading = spec.start_pose
-
-    path_length = 0.0
     labels = [obs.class_label for obs in obstacles]
     radii = [obs.radius for obs in obstacles]
     avoidable = [effective_d0(spec.policy, label) > 0.0 for label in labels]
-    min_clearance = {label: math.inf for label in labels}
     # world snapshot: static obstacles are placed once, moving ones every tick
-    positions = [obs.position_at(0.0) for obs in obstacles]
     moving = [i for i, obs in enumerate(obstacles) if obs.is_moving()]
-
-    def update_clearance(pos: Vec2) -> float:
-        """Fold pos into min_clearance; return its smallest gap to an avoidable obstacle."""
-        px, py = pos.x, pos.y
-        nearest = math.inf
-        for label, radius, center, avoid in zip(labels, radii, positions, avoidable):
-            gap = hypot(px - center.x, py - center.y) - radius
-            gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
-            if gap < min_clearance[label]:
-                min_clearance[label] = gap
-            if avoid and gap < nearest:
-                nearest = gap
-        return nearest
-
-    trajectory = [Tick(0.0, start_pos, start_heading, 0.0, None, update_clearance(start_pos))]
-    outcome = detect_termination(trajectory, spec)
     max_ticks = math.ceil(spec.time_limit / dt) + 1
     drift_x, drift_y = spec.disturbance.drift_x, spec.disturbance.drift_y
     gust_std = spec.disturbance.gust_std
-    # without gusts the disturbance is fixed for the trial; adding 0.0 maps a -0.0 drift to 0.0
-    disturbance = Vec2(drift_x + 0.0, drift_y + 0.0)
-    gusts = Draws(lambda n: rng_gust.normal(0.0, gust_std, (n, 2)).tolist(), DRAW_BLOCK)
-    draws = noise_draws(rng_perception, spec.rig, DRAW_BLOCK)
 
-    for tick in range(1, max_ticks + 1):
-        if outcome is not None:
-            break
-        t_next = tick * dt
-        # obstacle-first ordering: sensing and collision use positions at t_next
-        for i in moving:
-            positions[i] = obstacles[i].position_at(t_next)
+    def loop(modes: Sequence[str], state: tuple, frame: Optional[PerceptionFrame]) -> list[TrialResult]:
+        """Run modes from state to their outcomes; a given frame is the next tick's, already sensed."""
+        trajectory, positions, min_clearance, path_length, disturbance, gusts, draws = state
+        policies = [policy_of[mode] for mode in modes]
+        sense_policy, paired = _widest(policies), len(policies) > 1
 
-        now = trajectory[-1]
-        pose = (now.position, now.heading)
-        frame = sense(obstacles, pose, spec.rig, lookup_policy, draws, positions=positions)
-        estimates, _ = fuse(frame, pose)
-        decision = steering_direction(now.position, spec.goal, nearest_effective_obstacle(estimates))
+        def update_clearance(pos: Vec2) -> float:
+            """Fold pos into min_clearance; return its smallest gap to an avoidable obstacle."""
+            px, py = pos.x, pos.y
+            nearest = math.inf
+            for label, radius, center, avoid in zip(labels, radii, positions, avoidable):
+                gap = hypot(px - center.x, py - center.y) - radius
+                gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
+                if gap < min_clearance[label]:
+                    min_clearance[label] = gap
+                if avoid and gap < nearest:
+                    nearest = gap
+            return nearest
 
-        if gust_std > 0.0:
-            [(gx, gy)] = gusts.take(1)
-            disturbance = new_record(Vec2, (drift_x + gx, drift_y + gy))
-
-        position, heading, speed = step(now.position, now.heading, decision.v_hat, spec.robot, spec.goal, disturbance)
-        path_length += now.position.dist(position)
-        trajectory.append(new_record(Tick, (t_next, position, heading, speed, decision, update_clearance(position))))
+        if not trajectory:  # a new trial records its start state first
+            trajectory.append(Tick(0.0, *spec.start_pose, 0.0, None, update_clearance(spec.start_pose[0])))
         outcome = detect_termination(trajectory, spec)
+        for tick in range(len(trajectory), max_ticks + 1):
+            if outcome is not None:
+                break
+            t_next = tick * dt
+            now = trajectory[-1]
+            pose = (now.position, now.heading)
+            if frame is None:
+                # obstacle-first ordering: sensing and collision use positions at t_next
+                for i in moving:
+                    positions[i] = obstacles[i].position_at(t_next)
+                frame = sense(obstacles, pose, spec.rig, sense_policy, draws, positions=positions)
+                if paired:
+                    frames = [_admit(frame, policy) for policy in policies]
+                    if frames.count(frames[0]) < len(frames):
+                        from copy import deepcopy  # one deepcopy: the two noise streams keep one generator
+                        return [result for mode, own in zip(modes, frames) for result in loop((mode,), (
+                            list(trajectory), list(positions), dict(min_clearance), path_length, disturbance,
+                            *deepcopy((gusts, draws))), own)]
+                    frame = frames[0]
+            estimates, _ = fuse(frame, pose)
+            frame = None
+            decision = steering_direction(now.position, spec.goal, nearest_effective_obstacle(estimates))
 
-    if outcome is None:
-        outcome = OUTCOME_TIMEOUT
-    return TrialResult(
-        outcome=outcome,
-        path_length=path_length,
-        min_clearance_by_class=min_clearance,
-        trajectory=tuple(trajectory),
-        mode=mode,
-        seed=seed,
-    )
+            if gust_std > 0.0:
+                [(gx, gy)] = gusts.take(1)
+                disturbance = new_record(Vec2, (drift_x + gx, drift_y + gy))
+
+            position, heading, speed = step(now.position, now.heading, decision.v_hat, spec.robot, spec.goal,
+                                            disturbance)
+            path_length += now.position.dist(position)
+            trajectory.append(new_record(Tick, (t_next, position, heading, speed, decision,
+                                                update_clearance(position))))
+            outcome = detect_termination(trajectory, spec)
+        return [TrialResult(outcome or OUTCOME_TIMEOUT, path_length, dict(min_clearance), tuple(trajectory), mode, seed)
+                for mode in modes]
+
+    gusts = Draws(rng_gust, lambda rng, n: rng.normal(0.0, gust_std, (n, 2)).tolist(), DRAW_BLOCK)
+    # without gusts the disturbance is fixed for the trial; adding 0.0 maps a -0.0 drift to 0.0
+    start = ([], [obs.position_at(0.0) for obs in obstacles], {label: math.inf for label in labels}, 0.0,
+             Vec2(drift_x + 0.0, drift_y + 0.0), gusts, noise_draws(rng_perception, spec.rig, DRAW_BLOCK))
+    return loop(modes, start, None)

@@ -269,7 +269,9 @@ def test_each_format_prints_what_it_publishes(tmp_path, capsys, command):
     assert pairs["table"] == pairs["delimited"] == pairs["structured"]
     txt, csv = pairs["table"]
     assert (printed["table"].encode(), printed["delimited"].encode()) == (txt, csv)
-    rows = [[cli._run_one((spec, mode, seed, tmp_path / "rows")) for seed in (42, 43)] for mode in modes]
+    # one task per seed carries every mode; its rows are in mode order
+    rows = [list(mode_rows) for mode_rows in zip(*(cli._run_one((spec, modes, seed, tmp_path / "rows"))
+                                                   for seed in (42, 43)))]
     if command == "batch":
         document = report.render_mode_yaml(report.summarize_mode("non_soar", rows[0]), "head_on")
     else:
@@ -295,11 +297,23 @@ class PoolRecorder:
         return [fn(task) for task in tasks]
 
 
+def made_up_rows(task):
+    """_run_one's rows for a (spec, modes, seed, out) task without running a trial: mode k's row has travel time k."""
+    _, modes, seed, _ = task
+    return [TrialRow(seed, float(k), "goal_reached") for k in range(len(modes))]
+
+
+def assert_rows_per_mode(rows, trials):
+    # one row list per mode, in seed order from base seed 7
+    assert [[(row.seed, row.travel_time) for row in mode_rows] for mode_rows in rows] == [
+        [(seed, float(k)) for seed in range(7, 7 + trials)] for k in range(2)]
+
+
 @pytest.mark.parametrize("cpus, jobs, trials, pool", [
     (2, 500, 500, 2),
     (64, 500, 500, 64),
     (64, 3, 500, 3),
-    (64, 500, 2, 4),  # both modes' tasks
+    (64, 500, 2, 2),  # one task per seed, carrying both modes
     (1, 500, 500, None),
     (None, 500, 500, None),  # an unknown CPU count is one
 ])
@@ -308,12 +322,11 @@ def test_jobs_capped_at_cpu_count(tmp_path, monkeypatch, cpus, jobs, trials, poo
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: PoolRecorder(sizes, max_workers))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-    # no trial runs: each task's row is made up from its seed
-    monkeypatch.setattr(cli, "_run_one", lambda task: TrialRow(task[2], 1.0, "goal_reached"))
+    monkeypatch.setattr(cli, "_run_one", made_up_rows)
     spec = load_scenario_file(OPEN_FIELD)
     rows = cli._run_batch(spec, ["soar", "non_soar"], trials, 7, jobs, tmp_path)
     assert sizes == ([] if pool is None else [pool])
-    assert [[row.seed for row in mode_rows] for mode_rows in rows] == [list(range(7, 7 + trials))] * 2
+    assert_rows_per_mode(rows, trials)
 
 
 def test_large_batch_submits_few_chunks(tmp_path, monkeypatch):
@@ -322,12 +335,12 @@ def test_large_batch_submits_few_chunks(tmp_path, monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         lambda max_workers: PoolRecorder(sizes, max_workers, chunksizes))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(cli, "_run_one", lambda task: TrialRow(task[2], 1.0, "goal_reached"))
+    monkeypatch.setattr(cli, "_run_one", made_up_rows)
     trials = 100_000
     rows = cli._run_batch(load_scenario_file(OPEN_FIELD), ["soar", "non_soar"], trials, 7, 2, tmp_path)
     [workers], [chunksize] = sizes, chunksizes
-    assert math.ceil(2 * trials / chunksize) <= 64 * workers
-    assert [[row.seed for row in mode_rows] for mode_rows in rows] == [list(range(7, 7 + trials))] * 2
+    assert math.ceil(trials / chunksize) <= 64 * workers  # one task per seed
+    assert_rows_per_mode(rows, trials)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

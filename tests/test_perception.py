@@ -29,7 +29,7 @@ def fixed_rows(*rows):
     """sense draws without label flips whose disparity offsets are the given rows, one per detection."""
     def draw(n):
         return np.sort(np.array(rows, dtype=float).reshape(n, -1), axis=1).tolist()
-    return Draws(None, 0), Draws(draw, 0)
+    return Draws(None, None, 0), Draws(None, lambda _, n: draw(n), 0)
 
 
 def per_frame(rig, seed=0):

@@ -31,6 +31,7 @@ from soar_sim.sim import (
     Tick,
     detect_termination,
     run_trial,
+    run_trials,
     step,
 )
 from soar_sim.steering import SteeringDecision
@@ -80,7 +81,7 @@ def test_gust_block_is_the_per_tick_stream(seed, source, block, ks):
     # one rng call per source and tick, so a numpy that fills a block differently fails here first
     blocked, per_tick = np.random.default_rng(seed), np.random.default_rng(seed)
     if source == "gusts":
-        gusts = Draws(lambda n: blocked.normal(0.0, GUST_STD, (n, 2)).tolist(), block)
+        gusts = Draws(blocked, lambda rng, n: rng.normal(0.0, GUST_STD, (n, 2)).tolist(), block)
         taken = [gusts.take(k) for k in ks]
         expected = [[per_tick.normal(0.0, GUST_STD, 2).tolist() for _ in range(k)] for k in ks]
     else:
@@ -306,6 +307,26 @@ def test_stage_hooks_called_once_per_tick(monkeypatch, parking_lot):
     assert sum(dropped) > 0
 
 
+def test_paired_trials_sense_their_common_prefix_once(monkeypatch, parking_lot):
+    # run_trials senses once per tick while the two trials match, then once per tick in each;
+    # two plain trials would sense every tick of each
+    frames = []
+    sense = soar_sim.sim.sense
+
+    def counting_sense(*args, **kwargs):
+        frames.append(sense(*args, **kwargs))
+        return frames[-1]
+
+    monkeypatch.setattr(soar_sim.sim, "sense", counting_sense)
+    soar, non_soar = run_trials(parking_lot, (MODE_SOAR, MODE_NON_SOAR), 42)
+    ticks_soar, ticks_non_soar = len(soar.trajectory) - 1, len(non_soar.trajectory) - 1
+    # the common Tick prefix after t=0; the next tick, where the admitted frames first differ, is
+    # sensed once as well, and both trials re-admit that frame
+    shared = next(i for i, (a, b) in enumerate(zip(soar.trajectory[1:], non_soar.trajectory[1:])) if a != b)
+    assert shared > 0
+    assert len(frames) == ticks_soar + ticks_non_soar - (shared + 1)
+
+
 def test_position_at_hook_resolved_per_call(monkeypatch, arch):
     # perfbench/spans.py times world.position_at by swapping the class attribute
     calls = []
@@ -380,6 +401,8 @@ def test_loop_calls_no_record_constructor_per_tick(monkeypatch, transparency):
         calls.clear()
         for mode in (MODE_SOAR, MODE_NON_SOAR):
             ticks.append(len(run_trial(spec, mode, spec.seed).trajectory))
+        # the paired call too, which at 10 s runs past its fork
+        ticks.extend(len(result.trajectory) for result in run_trials(spec, (MODE_SOAR, MODE_NON_SOAR), spec.seed))
         counts.append(dict(calls))
-    assert ticks[0] < ticks[2] and ticks[1] < ticks[3]
+    assert all(short < long for short, long in zip(ticks[:4], ticks[4:]))
     assert counts[0] == counts[1]
