@@ -65,7 +65,7 @@ def _run_batch(
         # map yields in task order, which is seed order; it submits every chunk at once,
         # so at most 64 chunks per worker keep a 10^6-seed batch's futures few
         chunksize = math.ceil(len(tasks) / (64 * workers))
-        if get_start_method() == "fork":  # forked workers inherit numpy imported once here; others import it anew
+        if get_start_method() == "fork":  # workers inherit numpy, not numpy.random, which numpy 2 loads lazily
             import numpy  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_one, tasks, chunksize=chunksize))

@@ -10,16 +10,19 @@ tick. Each recorded state is one Tick: the robot's pose and speed, the
 steering decision that moved it there and its smallest gap to an avoidable
 obstacle; the loop reads the pose from the newest Tick, and termination,
 export and plotting all read that one list. run_trials runs a seed in
-several modes, sensing their common prefix once; run_trial is its
+several modes, sensing their common prefix once, with the cyclic garbage
+collector paused, as the loop makes no reference cycles; run_trial is its
 one-mode case. numpy loads where the streams are seeded, so importing the
 package, validating a scenario or plotting a trajectory never loads it.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass
 from math import atan2, cos, hypot, sin, sqrt
+from threading import Lock
 from typing import NamedTuple, Optional, Sequence
 
 from soar_sim.perception import Detection, Draws, PerceptionFrame, fuse, noise_draws, sense
@@ -58,6 +61,10 @@ _STREAM_DISTURBANCE = 2
 # items per rng call of a trial's noise streams (gust pairs, label flips, disparity rows); a
 # block is the same stream as one draw per tick, and drawing past the trial's end is unseen
 DRAW_BLOCK = 256
+
+# held while a trial reads and clears the process-wide collector flag, or sets it back: another thread's
+# gc.enable() between a read and its disable would leave the collector off for good
+_GC_FLAG = Lock()
 
 
 class Tick(NamedTuple):
@@ -193,7 +200,9 @@ def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = N
     gives every label spec.uniform_d0. Until the modes' admitted detections
     first differ, sense runs once per tick under _widest of their policies and
     each mode re-admits the frame with _admit; then each goes on alone, from
-    a copy of the loop's state and streams.
+    a copy of the loop's state and streams. The loop makes no reference
+    cycles, so it runs with the cyclic garbage collector off, and turns the
+    collector back on only if it was on.
     """
     for mode in modes:
         if mode not in (MODE_SOAR, MODE_NON_SOAR):
@@ -279,4 +288,13 @@ def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = N
     # without gusts the disturbance is fixed for the trial; adding 0.0 maps a -0.0 drift to 0.0
     start = ([], [obs.position_at(0.0) for obs in obstacles], {label: math.inf for label in labels}, 0.0,
              Vec2(drift_x + 0.0, drift_y + 0.0), gusts, noise_draws(rng_perception, spec.rig, DRAW_BLOCK))
-    return loop(modes, start, None)
+    with _GC_FLAG:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        return loop(modes, start, None)
+    finally:
+        del loop  # loop calls itself through this cell: emptied, it leaves no cycle for the collector
+        with _GC_FLAG:
+            if enabled:
+                gc.enable()

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import gc
 import math
+import os
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -406,3 +411,103 @@ def test_loop_calls_no_record_constructor_per_tick(monkeypatch, transparency):
         counts.append(dict(calls))
     assert all(short < long for short, long in zip(ticks[:4], ticks[4:]))
     assert counts[0] == counts[1]
+
+
+def test_trials_leave_no_cyclic_garbage(parking_lot, arch):
+    # the loop calls itself through its closure cell, which run_trials empties when it ends, so
+    # reference counting frees all a trial made and the collector finds nothing: a paired trial
+    # that forks, and a trial with moving obstacles and gusts, each short and long
+    gc.collect()
+    for time_limit in (1.0, 10.0):
+        soar, non_soar = run_trials(replace(parking_lot, time_limit=time_limit), (MODE_SOAR, MODE_NON_SOAR), 42)
+        run_trial(replace(arch, time_limit=time_limit), MODE_NON_SOAR, 42)
+    assert soar.trajectory != non_soar.trajectory
+    assert gc.collect() == 0
+
+
+def test_trial_loop_runs_with_the_collector_paused(monkeypatch, open_field):
+    seen = []
+    step = soar_sim.sim.step
+
+    def recording_step(*args):
+        seen.append(gc.isenabled())
+        return step(*args)
+
+    monkeypatch.setattr(soar_sim.sim, "step", recording_step)
+    spec = replace(open_field, time_limit=1.0)
+    run_trial(spec, MODE_SOAR)
+    assert seen and not any(seen)
+    assert gc.isenabled()
+
+    # the flag is process-wide: a caller that turned the collector off finds it still off
+    gc.disable()
+    try:
+        run_trial(spec, MODE_SOAR)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_failing_trial_leaves_the_collector_as_it_was(monkeypatch, open_field, enabled):
+    def failing_step(*args):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(soar_sim.sim, "step", failing_step)
+    if not enabled:
+        gc.disable()
+    try:
+        with pytest.raises(RuntimeError, match="step failed"):
+            run_trial(open_field, MODE_SOAR)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+class SlowFlagGC:
+    """gc, but isenabled() sleeps after it reads the flag, which holds open the window in which
+    another thread's gc.enable() could fall between a trial's read and its disable."""
+
+    def __getattr__(self, name):
+        return getattr(gc, name)
+
+    def isenabled(self):
+        enabled = gc.isenabled()
+        time.sleep(1e-4)
+        return enabled
+
+
+def test_concurrent_trials_leave_the_collector_on(monkeypatch, open_field, transparency, arch):
+    # each trial reads, clears and restores the process-wide collector flag: with more threads than
+    # CPUs, asked to switch every microsecond, another thread's re-enable must never fall between one
+    # trial's read and its disable, which would leave the collector off after every trial has ended
+    jobs = [(replace(spec, time_limit=0.5), mode, 42) for spec in (open_field, transparency, arch)
+            for mode in (MODE_SOAR, MODE_NON_SOAR)]
+    serial = [run_trial(*job) for job in jobs]
+    monkeypatch.setattr(soar_sim.sim, "gc", SlowFlagGC())
+    results, errors = [], []
+
+    def work(offset):
+        try:
+            for _ in range(10):
+                for k in range(len(jobs)):
+                    i = (k + offset) % len(jobs)
+                    results.append((i, run_trial(*jobs[i])))
+        except Exception as exc:  # reported below, in the test's own thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(n,), daemon=True) for n in range((os.cpu_count() or 1) + 2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(results) == 10 * len(jobs) * len(threads)
+    assert all(result == serial[i] for i, result in results)
+    assert gc.isenabled()
