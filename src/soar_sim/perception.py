@@ -135,13 +135,14 @@ def sense(
     """Observe the obstacles, each at its entry of positions, from pose, emitting the detections steering can select.
 
     Visible means within the field of view and max range and not occluded by
-    a nearer obstacle along the center ray. Noise is taken after occlusion
-    from draws = noise_draws(rng, rig, block) for the k visible obstacles
-    in id order: flips.take(k) when misclassify_prob > 0 (element j decides
-    visible obstacle j's label), then rows.take(k), the 9 sorted offsets of
-    each, when disparity_std > 0. Nothing is taken when a noise parameter
-    is zero. Non-positive samples are discarded and the rest's median kept;
-    a visible obstacle with no positive sample is counted in frame.dropped.
+    a nearer obstacle along the center ray; one out of view still occludes.
+    Noise is taken after occlusion from draws = noise_draws(rng, rig, block)
+    for the k visible obstacles in id order, equal ids in list order:
+    flips.take(k) when misclassify_prob > 0 (element j decides visible
+    obstacle j's label), then rows.take(k), the 9 sorted offsets of each,
+    when disparity_std > 0. Nothing is taken when a noise parameter is zero.
+    Non-positive samples are discarded and the rest's median kept; a visible
+    obstacle with no positive sample is counted in frame.dropped.
 
     Then the clearance rule, whose one owner this is: d0 is looked up by the
     reported class, a class with d0 <= 0 is skipped, and so is a detection
@@ -156,11 +157,10 @@ def sense(
     full_view = half_fov >= math.pi  # |wrap_angle(...)| <= pi passes the view test
     coord_size = 2.0 * (abs(cx) + abs(cy))
 
-    # (range, gx, gy, prefilter bound, x, y, radius) of every obstacle within max range,
-    # occluders out of view included; a farther one is never nearer than a candidate
+    # (range, gx, gy, prefilter bound, x, y, radius, index) of every obstacle within max range, nearest
+    # first; one out of view is no target but still an occluder, and a farther one never occludes
     geo = []
-    candidates = []  # (obstacle, gx, gy, range, bearing) inside range and, unless full_view, fov
-    for obs, obs_pos in zip(obstacles, positions, strict=True):
+    for index, (obs, obs_pos) in enumerate(zip(obstacles, positions, strict=True)):
         ox, oy = obs_pos.x, obs_pos.y
         gx, gy = ox - cx, oy - cy
         rng_m = math.hypot(gx, gy)
@@ -169,18 +169,13 @@ def sense(
         radius = obs.radius
         reach = radius + 1e-12 * (coord_size + 2.0 * rng_m)
         bound = reach * reach * (1.0 + 1e-12)
-        geo.append((rng_m, gx, gy, bound if bound > 1e-300 else 1e-300, ox, oy, radius))
-        bearing = None
-        if not full_view:
-            bearing = wrap_angle(math.atan2(gy, gx) - heading)
-            if abs(bearing) > half_fov:
-                continue
-        candidates.append((obs, gx, gy, rng_m, bearing))
+        geo.append((rng_m, gx, gy, bound if bound > 1e-300 else 1e-300, ox, oy, radius, index))
     geo.sort()
 
-    visible = []  # (obstacle, gx, gy, range, bearing)
-    for candidate in candidates:
-        _, abx, aby, rng_m, _ = candidate
+    visible = []  # (id, index, gx, gy, range); sorted, ids tie in list order
+    for rng_m, abx, aby, _, _, _, _, index in geo:
+        if not full_view and abs(wrap_angle(math.atan2(aby, abx) - heading)) > half_fov:
+            continue
         # center ray cam_pos -> obstacle against every strictly nearer disc
         seg_len2 = abx * abx + aby * aby
         # Prefilter: skip a disc whose center is farther than reach from the
@@ -199,7 +194,7 @@ def sense(
         # finite bound * seg_len2 then puts the line distance past reach.
         # bound >= 1e-300 keeps a skip's line distance above 1e-150.
         occluded = False
-        for other_rng, gx, gy, bound, ox, oy, radius in geo:
+        for other_rng, gx, gy, bound, ox, oy, radius, _ in geo:
             if other_rng >= rng_m:
                 break
             cr = abx * gy - aby * gx
@@ -215,8 +210,8 @@ def sense(
             if occluded:
                 break
         if not occluded:
-            visible.append(candidate)
-    visible.sort(key=lambda v: v[0].id)
+            visible.append((obstacles[index].id, index, abx, aby, rng_m))
+    visible.sort()
 
     k = len(visible)
     flips = draws[0].take(k) if rig.misclassify_prob > 0.0 else None
@@ -225,7 +220,8 @@ def sense(
     focal_baseline = rig.focal_px * rig.baseline_m
     detections = []
     dropped = 0
-    for j, (obs, abx, aby, rng_m, bearing) in enumerate(visible):
+    for j, (_, index, abx, aby, rng_m) in enumerate(visible):
+        obs = obstacles[index]
         reported = obs.class_label
         if flips is not None and flips[j] < rig.misclassify_prob:
             reported = rig.confusion.get(obs.class_label, obs.class_label)
@@ -250,8 +246,7 @@ def sense(
         gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
         if gap > d0:
             continue
-        if bearing is None:
-            bearing = wrap_angle(math.atan2(aby, abx) - heading)
+        bearing = wrap_angle(math.atan2(aby, abx) - heading)
         detections.append(new_record(Detection, (obs.id, reported, obs.class_label, range_m, bearing, d0, gap)))
     return new_record(PerceptionFrame, (tuple(detections), dropped))
 

@@ -204,6 +204,8 @@ def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = N
     cycles, so it runs with the cyclic garbage collector off, and turns the
     collector back on only if it was on.
     """
+    if isinstance(modes, str) or not modes:
+        raise ValueError(f"modes must be a non-empty sequence of modes, got {modes!r}")
     for mode in modes:
         if mode not in (MODE_SOAR, MODE_NON_SOAR):
             raise ValueError(f"mode must be '{MODE_SOAR}' or '{MODE_NON_SOAR}', got {mode!r}")

@@ -38,6 +38,10 @@ TIE_FORKS = replace(TIE_AHEAD, uniform_d0=1.5)
 BOTH_NOISE = replace(HEAD_ON, rig=replace(HEAD_ON.rig, disparity_std=0.5), seed=42)
 # moving obstacles and gusts; each trial draws a gust block after its fork
 ARCH_42 = replace(ARCH, seed=42)
+# forks at tick 52, the tick of its exact +-pi reversal, so the forked non_soar trial makes that turn
+TRANSPARENCY_42 = replace(load_scenario_file(str(SCENARIO_DIR / "transparency.yaml")), seed=42)
+# forks late, at tick 364
+SINGLE_BLOCK_42 = replace(load_scenario_file(str(SCENARIO_DIR / "single_block.yaml")), seed=42)
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,6 +51,8 @@ ARCH_42 = replace(ARCH, seed=42)
 @example(spec=TIE_FORKS)
 @example(spec=BOTH_NOISE)
 @example(spec=ARCH_42)
+@example(spec=TRANSPARENCY_42)
+@example(spec=SINGLE_BLOCK_42)
 def test_paired_trials_are_the_single_trials(spec):
     paired = run_trials(spec, MODES, spec.seed)
     assert [result.mode for result in paired] == list(MODES)

@@ -251,6 +251,15 @@ class TestSenseMatchesPerPairReference:
                   ObstacleInstance(2, "rock", Vec2(0.0, -0.4), 0.1)]),
         0, ClearancePolicy({"fish": 0.0}, default_d0=1.0),
     ))
+    # listed neither in id order nor in range order, three visible obstacles take their disparity
+    # rows in id order
+    @example(case=(
+        world_of([ObstacleInstance(2, "rock", Vec2(0.0, 4.0), 0.5),
+                  ObstacleInstance(3, "rock", Vec2(2.0, 0.0), 0.5),
+                  ObstacleInstance(1, "rock", Vec2(-3.0, 0.0), 0.5)],
+                 rig=StereoRig(disparity_std=0.3)),
+        0, KEEP_ALL,
+    ))
     # the reported class decides, not the true one
     @example(case=(
         world_of([ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)],

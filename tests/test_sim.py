@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+import re
 import sys
 import threading
 import time
@@ -24,6 +25,7 @@ from soar_sim.perception import (
     noise_draws,
     sense,
 )
+from soar_sim.report import render_trajectory_csv, render_trial_summary
 from soar_sim.scenario_io import load_scenario_file
 from soar_sim.sim import (
     MODE_NON_SOAR,
@@ -208,6 +210,12 @@ class TestRunTrial:
     def test_invalid_mode_rejected(self, open_field):
         with pytest.raises(ValueError):
             run_trial(open_field, "telepathic")
+
+    # a bare string would read as a sequence of one-letter modes, and no modes leaves nothing to run
+    @pytest.mark.parametrize("modes", [(), MODE_SOAR], ids=["empty", "string"])
+    def test_malformed_modes_rejected(self, open_field, modes):
+        with pytest.raises(ValueError, match=re.escape(f"modes must be a non-empty sequence of modes, got {modes!r}")):
+            run_trials(open_field, modes)
 
     def test_soar_drives_through_ignorable_balls(self, transparency):
         result = run_trial(transparency, MODE_SOAR, seed=5)
@@ -411,6 +419,24 @@ def test_loop_calls_no_record_constructor_per_tick(monkeypatch, transparency):
         counts.append(dict(calls))
     assert all(short < long for short, long in zip(ticks[:4], ticks[4:]))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("name", ["arch", "parking_lot"])
+def test_trials_do_not_depend_on_obstacle_order(request, name):
+    # every shipped scene lists its obstacles in id order; sense hands its noise rows and label flips
+    # out in id order, so the same scene listed backwards writes the same bytes, alone and paired
+    spec = request.getfixturevalue(name)
+    ids = [obs.id for obs in spec.obstacles]
+    assert len(ids) > 2 and ids == sorted(ids)
+    backwards = replace(spec, obstacles=spec.obstacles[::-1])
+
+    def artifacts(spec, seed):
+        results = [*run_trials(spec, (MODE_SOAR, MODE_NON_SOAR), seed),
+                   *(run_trial(spec, mode, seed) for mode in (MODE_SOAR, MODE_NON_SOAR))]
+        return [(render_trajectory_csv(result), render_trial_summary(result, spec.name)) for result in results]
+
+    for seed in (42, 43):
+        assert artifacts(backwards, seed) == artifacts(spec, seed), seed
 
 
 def test_trials_leave_no_cyclic_garbage(parking_lot, arch):
