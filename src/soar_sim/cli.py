@@ -188,10 +188,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
             raise CliError(f"ERROR: {path}: {exc}", EXIT_RUNTIME) from exc
         except (OSError, ValueError) as exc:
             raise CliError(f"ERROR: {exc}", EXIT_RUNTIME) from exc
-    svg = render_svg(spec, trajectories)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg, encoding="utf-8")
+    _write(out, render_svg(spec, trajectories))
     print(f"wrote {out}")
     return EXIT_OK
 

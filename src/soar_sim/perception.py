@@ -6,10 +6,11 @@ from ground-truth distance plus seeded Gaussian pixel noise, then ranged
 back by depth_from_disparity, the closed form of the ideal rig's
 reprojection, so the geometric data path matches a real stereo pipeline.
 An oracle segmenter provides instance labels, optionally corrupted by one
-seeded misclassification draw per obstacle per frame. sense owns the
-clearance rule and the range: it classifies, ranges each detection once
-and emits only those steering may act on; fuse only places them, from the
-pose the loop sensed from, which the frame does not copy.
+seeded misclassification draw per obstacle per frame. sense classifies and
+ranges each detection once, and prefilters by the clearance rule under the
+policy it is handed; fuse owns the rule: it admits a frame's detections
+under one mode's policy and places them, from the pose the loop sensed
+from, which the frame does not copy.
 """
 
 from __future__ import annotations
@@ -81,8 +82,7 @@ class Detection(NamedTuple):
 
     range_m is that median ranged by depth_from_disparity, and
     bearing_rad the azimuth of the mask centroid ray in the camera frame.
-    d0 is the reported class's clearance, and gap range_m less the oracle
-    segmenter's instance radius, clamped at 0.
+    gap is range_m less the oracle segmenter's instance radius, clamped at 0.
     """
 
     instance_id: int
@@ -90,7 +90,6 @@ class Detection(NamedTuple):
     true_class: str
     range_m: float
     bearing_rad: float
-    d0: float
     gap: float
 
 
@@ -144,11 +143,13 @@ def sense(
     Non-positive samples are discarded and the rest's median kept; a visible
     obstacle with no positive sample is counted in frame.dropped.
 
-    Then the clearance rule, whose one owner this is: d0 is looked up by the
-    reported class, a class with d0 <= 0 is skipped, and so is a detection
-    whose clamped surface distance, ranged by depth_from_disparity,
-    exceeds d0. Only the rest get a bearing and a Detection, in id order,
-    which carries that range, d0 and gap.
+    Then fuse's clearance rule under policy, as a prefilter: d0 is looked up
+    by the reported class, a class with d0 <= 0 is skipped, and so is a
+    detection whose clamped surface distance, ranged by
+    depth_from_disparity, exceeds d0. Only the rest get a bearing and a
+    Detection, in id order, which carries that range and gap. A frame
+    sensed under a policy whose d0 is no smaller for any class holds every
+    detection fuse admits under this one.
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
@@ -247,22 +248,28 @@ def sense(
         if gap > d0:
             continue
         bearing = wrap_angle(math.atan2(aby, abx) - heading)
-        detections.append(new_record(Detection, (obs.id, reported, obs.class_label, range_m, bearing, d0, gap)))
+        detections.append(new_record(Detection, (obs.id, reported, obs.class_label, range_m, bearing, gap)))
     return new_record(PerceptionFrame, (tuple(detections), dropped))
 
 
-def fuse(frame: PerceptionFrame, pose: tuple[Vec2, float]) -> tuple[list[ObstacleEstimate], int]:
-    """Place each detection in the world frame, for steering to act on.
+def fuse(frame: PerceptionFrame, pose: tuple[Vec2, float],
+         policy: ClearancePolicy) -> tuple[list[ObstacleEstimate], int]:
+    """Admit frame's detections by the clearance rule under policy, and place them in the world frame.
 
-    pose is the one frame was sensed from. Each detection goes at the range
-    sense measured along its centroid bearing ray; the d0 and gap pass on
-    unchanged. Returns (estimates, frame.dropped).
+    The rule, whose one owner this is: d0 is looked up by the reported
+    class, a class with d0 <= 0 is skipped, and so is a detection whose gap
+    exceeds d0. pose is the one frame was sensed from; each admitted
+    detection goes at the range sense measured along its centroid bearing
+    ray, with its d0 and gap, in frame order. Returns (estimates, frame.dropped).
     """
     cam_pos, heading = pose
     estimates = []
     for det in frame.detections:
+        d0 = effective_d0(policy, det.reported_class)
+        if d0 <= 0.0 or det.gap > d0:
+            continue
         rng_m, ray = det.range_m, heading + det.bearing_rad
         position = new_record(Vec2, (cam_pos.x + rng_m * math.cos(ray), cam_pos.y + rng_m * math.sin(ray)))
-        estimates.append(new_record(ObstacleEstimate, (det.instance_id, det.reported_class, det.true_class, det.d0,
+        estimates.append(new_record(ObstacleEstimate, (det.instance_id, det.reported_class, det.true_class, d0,
                                                        position, det.gap)))
     return estimates, frame.dropped

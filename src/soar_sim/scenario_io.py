@@ -294,6 +294,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
     # before any ceil: an infinite quotient would raise there, a huge one never end
     _check(spec.time_limit / r.dt <= MAX_TICKS, "scenario.time_limit_s",
            f"time_limit_s / robot.dt <= {MAX_TICKS} ticks")
+    last_tick_time = (math.ceil(spec.time_limit / r.dt) + 1) * r.dt  # the trial loop's last t, as it computes it
     # wrap_angle steps by 2 pi, so a huge heading would stall the first tick
     _check(abs(spec.start_pose[1]) <= 2.0 * math.pi, "scenario.start.heading", "|heading| <= 2 pi")
     _check(r.slowdown_radius >= spec.goal_radius, "scenario.robot.slowdown_radius",
@@ -323,6 +324,9 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         seen_ids.add(obs.id)
         _check(obs.radius >= 0.0, f"{path}.radius", f"radius >= 0 (obstacle id {obs.id})")
         _check(obs.speed >= 0.0, f"{path}.motion.speed", "speed >= 0")
+        # position_at takes fmod(speed * t, loop length), which raises on an infinite distance
+        _check(math.isfinite(obs.speed * last_tick_time), f"{path}.motion.speed",
+               "speed * last tick time finite")
         # a speed alone serializes as a loop with no waypoints
         _check(bool(obs.waypoints) or obs.speed == 0.0, f"{path}.motion.waypoints", "waypoints non-empty")
         d0 = effective_d0(spec.policy, obs.class_label)

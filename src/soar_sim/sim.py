@@ -1,8 +1,8 @@
 """Deterministic fixed-step simulation.
 
 One trial runs the perceive -> fuse -> select -> steer -> move loop until
-a termination condition fires (sense owns the clearance rule and the range,
-fuse places, selection ranks). Trials are pure functions of
+a termination condition fires (sense ranges, fuse admits by the clearance
+rule and places, selection ranks). Trials are pure functions of
 (scenario, mode, seed): perception noise and disturbance gusts come from
 separate seeded streams, drawn in blocks that are the same streams as
 draws made tick by tick. Moving obstacles advance before the robot each
@@ -25,7 +25,7 @@ from math import atan2, cos, hypot, sin, sqrt
 from threading import Lock
 from typing import NamedTuple, Optional, Sequence
 
-from soar_sim.perception import Detection, Draws, PerceptionFrame, fuse, noise_draws, sense
+from soar_sim.perception import Draws, PerceptionFrame, fuse, noise_draws, sense
 from soar_sim.scenario_io import ScenarioSpec
 from soar_sim.steering import SteeringDecision, steering_direction
 from soar_sim.world import (
@@ -174,7 +174,7 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
 def _widest(policies: Sequence[ClearancePolicy]) -> ClearancePolicy:
     """The per-class maximum d0 of policies, over the union of their classes and their defaults.
 
-    A frame sensed under it holds every detection sense emits under each policy: the policy decides
+    A frame sensed under it holds every detection fuse admits under each policy: the policy decides
     only sense's last two skips, d0 <= 0 and gap > d0, after the noise draws, drops and range, and a
     detection that passes both under some policy's d0 passes under this one, which is no smaller.
     """
@@ -183,26 +183,16 @@ def _widest(policies: Sequence[ClearancePolicy]) -> ClearancePolicy:
                            max(p.default_d0 for p in policies))
 
 
-def _admit(frame: PerceptionFrame, policy: ClearancePolicy) -> PerceptionFrame:
-    """The frame sense emits under policy, from the one it emitted under _widest of policy and others."""
-    kept = []
-    for det in frame.detections:
-        d0 = effective_d0(policy, det.reported_class)
-        if not (d0 <= 0.0 or det.gap > d0):
-            kept.append(det if d0 == det.d0 else new_record(Detection, (*det[:5], d0, det.gap)))
-    return new_record(PerceptionFrame, (tuple(kept), frame.dropped))
-
-
 def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = None) -> list[TrialResult]:
     """run_trial(spec, mode, seed) for each mode, in order, from one tick loop.
 
     soar mode looks d0 up in the scenario's per-class policy; non_soar mode
-    gives every label spec.uniform_d0. Until the modes' admitted detections
-    first differ, sense runs once per tick under _widest of their policies and
-    each mode re-admits the frame with _admit; then each goes on alone, from
-    a copy of the loop's state and streams. The loop makes no reference
-    cycles, so it runs with the cyclic garbage collector off, and turns the
-    collector back on only if it was on.
+    gives every label spec.uniform_d0. Until the modes' fused estimates first
+    differ, sense runs once per tick under _widest of their policies and fuse
+    admits the frame under each mode's; then each goes on alone, from a copy
+    of the loop's state and streams, and fuses that frame under its own. The
+    loop makes no reference cycles, so it runs with the cyclic garbage
+    collector off, and turns the collector back on only if it was on.
     """
     if isinstance(modes, str) or not modes:
         raise ValueError(f"modes must be a non-empty sequence of modes, got {modes!r}")
@@ -261,15 +251,12 @@ def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = N
                 for i in moving:
                     positions[i] = obstacles[i].position_at(t_next)
                 frame = sense(obstacles, pose, spec.rig, sense_policy, draws, positions=positions)
-                if paired:
-                    frames = [_admit(frame, policy) for policy in policies]
-                    if frames.count(frames[0]) < len(frames):
-                        from copy import deepcopy  # one deepcopy: the two noise streams keep one generator
-                        return [result for mode, own in zip(modes, frames) for result in loop((mode,), (
-                            list(trajectory), list(positions), dict(min_clearance), path_length, disturbance,
-                            *deepcopy((gusts, draws))), own)]
-                    frame = frames[0]
-            estimates, _ = fuse(frame, pose)
+            estimates, _ = fuse(frame, pose, policies[0])
+            if paired and any(fuse(frame, pose, policy)[0] != estimates for policy in policies[1:]):
+                from copy import deepcopy  # one deepcopy: the two noise streams keep one generator
+                return [result for mode in modes for result in loop((mode,), (
+                    list(trajectory), list(positions), dict(min_clearance), path_length, disturbance,
+                    *deepcopy((gusts, draws))), frame)]
             frame = None
             decision = steering_direction(now.position, spec.goal, nearest_effective_obstacle(estimates))
 

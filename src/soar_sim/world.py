@@ -1,7 +1,7 @@
 """World-model domain types: vectors, obstacles, clearance policies, robot
 and disturbance parameters, plus the nearest-effective-obstacle ranking
-used by the steering loop. perception.sense owns the clearance rule and the
-range; the ranking only orders what sense let through.
+used by the steering loop. perception.sense owns the range and
+perception.fuse the clearance rule; the ranking only orders what fuse admitted.
 
 All values here are immutable after construction and safe to share between
 concurrently running trials: Vec2 and ObstacleEstimate, built every tick, are
@@ -128,8 +128,8 @@ def wrap_angle(a: float) -> float:
 class ObstacleEstimate(NamedTuple):
     """One obstacle as perception reports it, the record that selection and steering act on.
 
-    sense looked d0 up by the reported class and ranged the gap (the surface
-    distance, clamped at 0); fuse placed the position at the range sense
+    sense ranged the gap (the surface distance, clamped at 0); fuse looked
+    d0 up by the reported class and placed the position at the range sense
     measured. true_class is the ground truth, kept for the record.
     """
 
@@ -145,7 +145,7 @@ def nearest_effective_obstacle(estimates: Sequence[ObstacleEstimate]) -> Optiona
     """The estimate the steering law should react to, or None when there is none.
 
     The deepest intrusion d0 - gap wins; ties break by smaller gap, then by smaller
-    obstacle id, then the first of equal keys. It only ranks: sense applied the clearance rule.
+    obstacle id, then the first of equal keys. It only ranks: fuse applied the clearance rule.
     """
     best = best_key = None
     for est in estimates:

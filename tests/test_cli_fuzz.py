@@ -128,6 +128,11 @@ def edited_documents(draw):
     return doc
 
 
+# arch with its first moving obstacle at speed 1e308
+ARCH_FAST = yaml.safe_load(yaml.safe_dump(DOCUMENTS["arch"]))  # a deep copy
+next(obs for obs in ARCH_FAST["obstacles"] if "speed" in obs.get("motion", {}))["motion"]["speed"] = 1e308
+
+
 class TestRunOnJunkDocuments:
     @settings(max_examples=40, deadline=None)
     @given(doc=edited_documents())
@@ -135,6 +140,8 @@ class TestRunOnJunkDocuments:
     @example(doc={**DOCUMENTS["single_block"], "name": "a\0b"})
     # float() of a 400-digit integer raised OverflowError in the loader
     @example(doc={**DOCUMENTS["single_block"], "goal": {**DOCUMENTS["single_block"]["goal"], "x": 10**400}})
+    # a finite speed whose distance by the trial's end overflows: position_at raised ValueError in fmod
+    @example(doc=ARCH_FAST)
     def test_exit_code_and_one_line_never_a_traceback(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             scenario = Path(tmp) / "junk.yaml"

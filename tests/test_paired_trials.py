@@ -1,9 +1,9 @@
 """run_trials(spec, (soar, non_soar), seed) against run_trial per mode, bit for bit, on random scenarios.
 
 While the two modes' trials match, run_trials senses once per tick under
-the per-class maximum of their policies and re-admits the frame per mode;
-at the first tick whose admitted frames differ it forks its state and
-finishes each mode alone. Every tick's recorded floats, the acted-on
+the per-class maximum of their policies and fuses the frame under each
+mode's own; at the first tick whose fused estimates differ it forks its
+state, hands each mode that frame, and finishes each mode alone. Every tick's recorded floats, the acted-on
 obstacle, the outcome, the path length and the per-class clearances must be
 those run_trial gives (compared by repr, so -0.0 is not 0.0).
 """
@@ -31,7 +31,7 @@ MODES = (MODE_SOAR, MODE_NON_SOAR)
 
 # the start lies inside the goal radius: both trials end at t=0, still shared
 AT_GOAL = replace(OPEN_ROAD, start_pose=(Vec2(9.9, 0.0), 0.0))
-# the rock's d0 is 1.0 in soar mode and 1.5 in non_soar mode: the admitted frames differ on tick 1
+# the rock's d0 is 1.0 in soar mode and 1.5 in non_soar mode: the fused estimates differ on tick 1
 TIE_FORKS = replace(TIE_AHEAD, uniform_d0=1.5)
 # label flips and disparity rows on together draw from one generator at block 0, which the fork
 # copies once for both; no shipped scene has both

@@ -237,7 +237,7 @@ class TestSense:
         expected_range = math.hypot(moved.x, moved.y)
         assert det.range_m == pytest.approx(expected_range, rel=1e-12)
 
-    # sense owns the clearance rule: a detection it does not emit, steering never sees
+    # sense prefilters by the clearance rule under its policy: a detection it does not emit, steering never sees
     def test_gap_past_d0_emits_nothing(self):
         rock = ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)  # gap 3.5 on this rig, exactly
         for d0, emitted in ((3.5, [1]), (math.nextafter(3.5, 0.0), [])):
@@ -259,20 +259,38 @@ class TestSense:
 
 
 class TestFuse:
+    # d0 1.0 for every class but sports_ball, which is never avoided
+    POLICY = ClearancePolicy({"sports_ball": 0.0}, default_d0=1.0)
+
     def make_detection(self, range_m, bearing=0.0, gap=0.5, label="rock"):
         return Detection(
             instance_id=1, reported_class=label, true_class=label,
-            range_m=range_m, bearing_rad=bearing, d0=1.0, gap=gap,
+            range_m=range_m, bearing_rad=bearing, gap=gap,
         )
 
     def test_single_detection_straight_ahead(self):
         frame = PerceptionFrame(detections=(self.make_detection(1.0, gap=1.0),), dropped=0)
-        estimates, dropped = fuse(frame, (Vec2(0.0, 0.0), 0.0))
+        estimates, dropped = fuse(frame, (Vec2(0.0, 0.0), 0.0), self.POLICY)
         assert dropped == 0
         est = estimates[0]
         assert est.position.x == pytest.approx(1.0, rel=1e-12)
         assert est.position.y == pytest.approx(0.0, abs=1e-12)
         assert (est.d0, est.gap) == (1.0, 1.0)
+
+    # fuse owns the clearance rule: a gap equal to d0 is admitted, one past it is not
+    def test_gap_at_d0_admitted(self):
+        for gap, admitted in ((1.0, [1]), (math.nextafter(1.0, 2.0), [])):
+            frame = PerceptionFrame((self.make_detection(1.5, gap=gap),), 0)
+            estimates, _ = fuse(frame, (Vec2(0.0, 0.0), 0.0), self.POLICY)
+            assert [est.id for est in estimates] == admitted
+
+    def test_zero_d0_class_at_contact_gives_no_estimate(self):
+        ball = self.make_detection(0.5, gap=0.0, label="sports_ball")
+        estimates, _ = fuse(PerceptionFrame((ball,), 0), (Vec2(0.0, 0.0), 0.0), self.POLICY)
+        assert estimates == []
+        # the same contact under a positive d0 is admitted
+        estimates, _ = fuse(PerceptionFrame((ball,), 0), (Vec2(0.0, 0.0), 0.0), ClearancePolicy({}, 1.0))
+        assert [(est.id, est.d0, est.gap) for est in estimates] == [(1, 1.0, 0.0)]
 
     # sense now takes the median, so these cases feed it fixed noise offsets
     def test_median_rejects_outlier(self):
@@ -302,7 +320,7 @@ class TestFuse:
         bearing = -0.3
         rng_m = 2.0
         frame = PerceptionFrame(detections=(self.make_detection(rng_m, bearing=bearing, gap=1.75),), dropped=0)
-        estimates, _ = fuse(frame, (Vec2(2.0, -1.0), heading))
+        estimates, _ = fuse(frame, (Vec2(2.0, -1.0), heading), KEEP_ALL)
         est = estimates[0]
         assert est.position.x == pytest.approx(2.0 + rng_m * math.cos(heading + bearing), rel=1e-12)
         assert est.position.y == pytest.approx(-1.0 + rng_m * math.sin(heading + bearing), rel=1e-12)
@@ -315,15 +333,17 @@ class TestFuse:
         pose = (Vec2(0.0, 0.0), 0.0)
         frame = sense_at_centers([rock], pose, rig, KEEP_ALL, per_frame(rig))
         assert frame.detections[0].gap == 0.0
-        estimates, _ = fuse(frame, pose)
+        estimates, _ = fuse(frame, pose, KEEP_ALL)
         assert estimates[0].gap == 0.0
 
     def test_label_passthrough(self):
         det = Detection(
             instance_id=3, reported_class="robot", true_class="fish",
-            range_m=1.0, bearing_rad=0.0, d0=1.5, gap=0.8,
+            range_m=1.0, bearing_rad=0.0, gap=0.8,
         )
-        estimates, _ = fuse(PerceptionFrame((det,), 0), (Vec2(0.0, 0.0), 0.0))
+        # d0 is looked up by the reported class, not the true one
+        policy = ClearancePolicy({"robot": 1.5}, default_d0=0.0)
+        estimates, _ = fuse(PerceptionFrame((det,), 0), (Vec2(0.0, 0.0), 0.0), policy)
         est = estimates[0]
         assert (est.id, est.reported_class, est.true_class, est.d0, est.gap) == (3, "robot", "fish", 1.5, 0.8)
 
@@ -336,7 +356,7 @@ class TestFuse:
         frame = sense_at_centers(obstacles, pose, rig, KEEP_ALL, fixed_rows(no_positive, [0.0] * 9))
         assert frame.dropped == 1
         assert [det.instance_id for det in frame.detections] == [2]
-        estimates, dropped = fuse(frame, pose)
+        estimates, dropped = fuse(frame, pose, KEEP_ALL)
         assert dropped == 1
         assert [est.id for est in estimates] == [2]
 
@@ -350,7 +370,7 @@ class TestSenseFuseRoundTrip:
         pose = (Vec2(0.5, -0.25), 0.35)
         rig = replace(RIG, fov_deg=360.0, max_range_m=20.0)
         frame = sense_at_centers(obstacles, pose, rig, KEEP_ALL, per_frame(rig))
-        estimates, dropped = fuse(frame, pose)
+        estimates, dropped = fuse(frame, pose, KEEP_ALL)
         assert dropped == 0
         by_id = {e.id: e for e in estimates}
         for obs in obstacles:

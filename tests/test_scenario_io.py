@@ -277,6 +277,9 @@ class TestValidateConstructed:
                      "scenario.obstacles[0].motion.waypoints[0].y", id="waypoint_nan"),
         pytest.param(lambda s: _obstacle(s, speed=-0.3), "scenario.obstacles[0].motion.speed",
                      id="speed_negative"),
+        # finite, but the distance travelled by the trial's last tick overflows, which fmod rejects
+        pytest.param(lambda s: _obstacle(s, speed=1.0e308), "scenario.obstacles[0].motion.speed",
+                     id="speed_distance_overflows"),
         pytest.param(lambda s: _obstacle(s, waypoints=()), "scenario.obstacles[0].motion.waypoints",
                      id="waypoints_empty"),
         pytest.param(lambda s: replace(s, policy=ClearancePolicy({"rock": 1.0}, -1.0)),

@@ -10,7 +10,10 @@ sense emits, what fuse places and the dropped count, with the rng left in
 the same state when sense takes its noise through noise_draws(rng, rig, 0),
 and nearest_effective_obstacle must pick what the reference selection
 picks from everything. So this checks sense's occlusion prefilter, its
-per-frame draws, its median from sorted rows and the clearance rule it owns.
+per-frame draws, its median from sorted rows and the clearance rule that
+sense prefilters by and fuse applies. A second property checks the paired
+trial loop's prefix: sensed under sim._widest of two policies, a frame
+fuses under either to what that policy's own frame fuses to.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from soar_sim.perception import (  # noqa: E402
     noise_draws,
     sense,
 )
+from soar_sim.sim import _widest  # noqa: E402
 from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, nearest_effective_obstacle  # noqa: E402
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
@@ -43,7 +47,7 @@ CLASSES = ("rock", "fish")
 def detection(p):
     """The Detection sense emits for a reference record that passes the clearance rule."""
     s = p.seen
-    return Detection(s.id, s.reported_class, s.true_class, depth(s.disparity, RIG), s.bearing, p.d0, p.gap)
+    return Detection(s.id, s.reported_class, s.true_class, depth(s.disparity, RIG), s.bearing, p.gap)
 
 
 def reference(world, seed, policy):
@@ -140,6 +144,14 @@ def cases(draw):
     world = draw(st.one_of(obstacle_fields(), near_tangent_fields()))
     seed = draw(st.integers(0, 2**32 - 1))
     return world, seed, draw(st.one_of(st.just(KEEP_ALL), policies(world, seed), policies(world, seed)))
+
+
+@st.composite
+def policy_pairs(draw):
+    """(world, seed, p, q), both policies drawn from the world's own gaps and their neighbours."""
+    world = draw(st.one_of(obstacle_fields(), near_tangent_fields()))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return world, seed, draw(policies(world, seed)), draw(policies(world, seed))
 
 
 FAR_ROCK = ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)
@@ -277,8 +289,30 @@ class TestSenseMatchesPerPairReference:
         assert frame.dropped == dropped
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         # fuse places every emitted detection, and steering picks what the rule picks from everything
-        estimates, fused_dropped = fuse(frame, pose)
+        estimates, fused_dropped = fuse(frame, pose, policy)
         assert estimates == [estimate(p) for p in kept]
         assert fused_dropped == dropped
         best = reference_select(placed)
         assert nearest_effective_obstacle(estimates) == (None if best is None else estimate(best))
+
+
+class TestWidestFrameFusesAsOwn:
+    @settings(max_examples=200, deadline=None)
+    @given(case=policy_pairs())
+    # a class p ignores (d0 0) at contact, which q avoids: the wider frame holds it, and fuse must skip it
+    @example(case=(world_of([ObstacleInstance(1, "fish", Vec2(0.5, 0.0), 1.0)]), 0,
+                   ClearancePolicy({"fish": 0.0}), ClearancePolicy({"fish": 1.0})))
+    # a gap past p's d0 but within q's
+    @example(case=(ROCK_AHEAD, 0, ClearancePolicy({"rock": math.nextafter(ROCK_GAP, 0.0)}),
+                   ClearancePolicy({"rock": ROCK_GAP})))
+    def test_fuse_under_p_of_widest_frame_is_fuse_of_own_frame(self, case):
+        world, seed, p, q = case
+        obstacles, positions, pose, rig = world
+        fused, states = [], []
+        for sense_policy in (_widest([p, q]), p):
+            rng = np.random.default_rng(seed)
+            frame = sense(obstacles, pose, rig, sense_policy, noise_draws(rng, rig, 0), positions=positions)
+            fused.append(fuse(frame, pose, p))
+            states.append(rng.bit_generator.state)
+        assert fused[0] == fused[1]
+        assert states[0] == states[1]

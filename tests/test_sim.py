@@ -42,7 +42,7 @@ from soar_sim.sim import (
     step,
 )
 from soar_sim.steering import SteeringDecision
-from soar_sim.world import ObstacleEstimate, RobotParams, Vec2, nearest_effective_obstacle
+from soar_sim.world import ClearancePolicy, ObstacleEstimate, RobotParams, Vec2, nearest_effective_obstacle
 
 PARAMS = RobotParams(cruise_speed=1.0, max_turn_rate=2.0, slowdown_radius=1.0,
                      collision_radius=0.2, dt=0.05)
@@ -53,12 +53,12 @@ PER_TICK_RECORDS = {
     "Vec2": (ORIGIN, "x"),
     "Tick": (Tick(0.0, ORIGIN, 0.0, 0.0, None, math.inf), "min_clearance"),
     "SteeringDecision": (SteeringDecision(0.0, 0.0, ORIGIN, None, False), "v_hat"),
-    "Detection": (Detection(3, "rock", "rock", 1.0, 0.0, 1.0, 0.5), "range_m"),
+    "Detection": (Detection(3, "rock", "rock", 1.0, 0.0, 0.5), "range_m"),
     "PerceptionFrame": (PerceptionFrame((), 0), "detections"),
 }
 # fuse's output and the obstacle steering acts on are both world.ObstacleEstimate records; these two
 # keys name those roles, checked on the records the pipeline really hands on
-FUSED, _ = fuse(PerceptionFrame((PER_TICK_RECORDS["Detection"][0],), 0), (ORIGIN, 0.0))
+FUSED, _ = fuse(PerceptionFrame((PER_TICK_RECORDS["Detection"][0],), 0), (ORIGIN, 0.0), ClearancePolicy())
 PER_TICK_RECORDS["LabeledObstacleEstimate"] = (FUSED[0], "position")
 PER_TICK_RECORDS["ActiveObstacle"] = (nearest_effective_obstacle(FUSED), "d0")
 
@@ -333,8 +333,8 @@ def test_paired_trials_sense_their_common_prefix_once(monkeypatch, parking_lot):
     monkeypatch.setattr(soar_sim.sim, "sense", counting_sense)
     soar, non_soar = run_trials(parking_lot, (MODE_SOAR, MODE_NON_SOAR), 42)
     ticks_soar, ticks_non_soar = len(soar.trajectory) - 1, len(non_soar.trajectory) - 1
-    # the common Tick prefix after t=0; the next tick, where the admitted frames first differ, is
-    # sensed once as well, and both trials re-admit that frame
+    # the common Tick prefix after t=0; the next tick, where the fused estimates first differ, is
+    # sensed once as well, and both trials fuse that frame
     shared = next(i for i, (a, b) in enumerate(zip(soar.trajectory[1:], non_soar.trajectory[1:])) if a != b)
     assert shared > 0
     assert len(frames) == ticks_soar + ticks_non_soar - (shared + 1)
@@ -386,7 +386,7 @@ def test_loop_records_are_whole(scenario_dir):
         pose = (Vec2(obs.center.x - obs.radius - 0.1, obs.center.y), 0.0)
         draws = noise_draws(np.random.default_rng(spec.seed), spec.rig, 0)
         frame = sense(spec.obstacles, pose, spec.rig, spec.policy, draws, [o.center for o in spec.obstacles])
-        estimates, _ = fuse(frame, pose)
+        estimates, _ = fuse(frame, pose, spec.policy)
         assert_whole(frame, PerceptionFrame)
         for det in frame.detections:
             assert_whole(det, Detection)

@@ -63,7 +63,7 @@ class TestWrapAngle:
 
 
 class TestNearestEffectiveObstacle:
-    # a ranking only: the clearance rule is sense's, and its cases are in tests/test_perception.py
+    # a ranking only: the clearance rule is fuse's, and its cases are in tests/test_perception.py
     def test_zero_d0_class_never_qualifies(self):
         policy = ClearancePolicy({"sports_ball": 0.0, "car": 1.0}, default_d0=1.0)
         chosen = nearest_effective_obstacle(
