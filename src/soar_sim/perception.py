@@ -7,17 +7,17 @@ back by depth_from_disparity, the closed form of the ideal rig's
 reprojection, so the geometric data path matches a real stereo pipeline.
 An oracle segmenter provides instance labels, optionally corrupted by one
 seeded misclassification draw per obstacle per frame. sense classifies and
-ranges each detection once, and prefilters by the clearance rule under the
-policy it is handed; fuse owns the rule: it admits a frame's detections
-under one mode's policy and places them, from the pose the loop sensed
-from, which the frame does not copy.
+ranges each detection once, and cuts at one distance; fuse owns the
+clearance rule: it admits a frame's detections under one mode's policy and
+places them, from the pose the loop sensed from, which the frame does not
+copy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
@@ -101,10 +101,14 @@ class PerceptionFrame(NamedTuple):
 
 
 def depth_from_disparity(disparity: float, rig: StereoRig) -> float:
-    """Recover distance from one disparity: the ideal rig's reprojection gives Z/W = f / (d/B) at any pixel."""
+    """Recover distance from one disparity: the ideal rig's reprojection gives Z/W = f / (d/B) at any pixel.
+
+    A positive disparity whose d/B underflows to 0 is ranged at inf, past every d0.
+    """
     if disparity <= 0.0:
         raise ValueError(f"disparity must be > 0, got {disparity}")
-    return rig.focal_px / (disparity * (1.0 / rig.baseline_m))
+    w = disparity * (1.0 / rig.baseline_m)
+    return rig.focal_px / w if w != 0.0 else math.inf
 
 
 def noise_draws(rng: np.random.Generator, rig: StereoRig, block: int) -> tuple[Draws, Draws]:
@@ -127,11 +131,11 @@ def sense(
     obstacles: Sequence[ObstacleInstance],
     pose: tuple[Vec2, float],
     rig: StereoRig,
-    policy: ClearancePolicy,
+    max_gap: float,
     draws: tuple[Draws, Draws],
     positions: Sequence[Vec2],
 ) -> PerceptionFrame:
-    """Observe the obstacles, each at its entry of positions, from pose, emitting the detections steering can select.
+    """Observe the obstacles, each at its entry of positions, from pose, emitting the detections within max_gap.
 
     Visible means within the field of view and max range and not occluded by
     a nearer obstacle along the center ray; one out of view still occludes.
@@ -143,13 +147,13 @@ def sense(
     Non-positive samples are discarded and the rest's median kept; a visible
     obstacle with no positive sample is counted in frame.dropped.
 
-    Then fuse's clearance rule under policy, as a prefilter: d0 is looked up
-    by the reported class, a class with d0 <= 0 is skipped, and so is a
-    detection whose clamped surface distance, ranged by
-    depth_from_disparity, exceeds d0. Only the rest get a bearing and a
-    Detection, in id order, which carries that range and gap. A frame
-    sensed under a policy whose d0 is no smaller for any class holds every
-    detection fuse admits under this one.
+    Then the cut: a detection whose clamped surface distance, ranged by
+    depth_from_disparity, exceeds max_gap is skipped, whatever its class.
+    Only the rest get a bearing and a Detection, in id order, which carries
+    that range and gap. Nothing before the cut depends on max_gap, so a
+    frame cut at a larger max_gap holds this one's detections, in the same
+    order and with the same floats; cut at largest_d0 of some policies, it
+    holds every detection fuse admits under each.
     """
     cam_pos, heading = pose
     cx, cy = cam_pos.x, cam_pos.y
@@ -232,9 +236,6 @@ def sense(
         if not true_disparity + row[-1] > 0.0:  # no positive sample; inf + -inf included
             dropped += 1
             continue
-        d0 = effective_d0(policy, reported)
-        if d0 <= 0.0:
-            continue
         if true_disparity + row[0] > 0.0:
             disparity = true_disparity + row[SAMPLES_PER_DETECTION // 2]
         else:
@@ -245,11 +246,19 @@ def sense(
         range_m = depth_from_disparity(disparity, rig)
         gap = range_m - obs.radius
         gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
-        if gap > d0:
+        if gap > max_gap:
             continue
         bearing = wrap_angle(math.atan2(aby, abx) - heading)
         detections.append(new_record(Detection, (obs.id, reported, obs.class_label, range_m, bearing, gap)))
     return new_record(PerceptionFrame, (tuple(detections), dropped))
+
+
+def largest_d0(policies: Iterable[ClearancePolicy]) -> float:
+    """The largest default_d0 or class entry of policies: fuse admits no gap above it under any of them.
+
+    Expects no NaN d0, which validate_scenario rejects.
+    """
+    return max(d0 for policy in policies for d0 in (policy.default_d0, *policy.entries.values()))
 
 
 def fuse(frame: PerceptionFrame, pose: tuple[Vec2, float],

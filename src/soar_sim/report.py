@@ -42,15 +42,16 @@ class ComparisonReport:
 
 
 def summarize_mode(mode: str, results: Sequence[TrialRow]) -> ModeSummary:
-    """Aggregate trial rows; the mean covers goal_reached trials only, summed as a left fold, unlike 3.12+ sum()."""
+    """Aggregate trial rows in seed order; the mean covers goal_reached trials only, summed in that order as a
+    left fold, unlike 3.12+ sum(), so any order of the same rows gives the same summary."""
     rows = tuple(sorted(results, key=lambda r: r.seed))
-    times = [r.travel_time for r in results if r.outcome == OUTCOME_GOAL]
+    times = [r.travel_time for r in rows if r.outcome == OUTCOME_GOAL]
     return ModeSummary(
         mode=mode,
         rows=rows,
         mean_travel_time=reduce(operator.add, times, 0.0) / len(times) if times else None,
         success_count=len(times),
-        total=len(results),
+        total=len(rows),
     )
 
 

@@ -25,7 +25,7 @@ from math import atan2, cos, hypot, sin, sqrt
 from threading import Lock
 from typing import NamedTuple, Optional, Sequence
 
-from soar_sim.perception import Draws, PerceptionFrame, fuse, noise_draws, sense
+from soar_sim.perception import Draws, PerceptionFrame, fuse, largest_d0, noise_draws, sense
 from soar_sim.scenario_io import ScenarioSpec
 from soar_sim.steering import SteeringDecision, steering_direction
 from soar_sim.world import (
@@ -171,28 +171,17 @@ def run_trial(spec: ScenarioSpec, mode: str, seed: Optional[int] = None) -> Tria
     return run_trials(spec, (mode,), seed)[0]
 
 
-def _widest(policies: Sequence[ClearancePolicy]) -> ClearancePolicy:
-    """The per-class maximum d0 of policies, over the union of their classes and their defaults.
-
-    A frame sensed under it holds every detection fuse admits under each policy: the policy decides
-    only sense's last two skips, d0 <= 0 and gap > d0, after the noise draws, drops and range, and a
-    detection that passes both under some policy's d0 passes under this one, which is no smaller.
-    """
-    classes = set().union(*(policy.entries for policy in policies))
-    return ClearancePolicy({c: max(effective_d0(p, c) for p in policies) for c in classes},
-                           max(p.default_d0 for p in policies))
-
-
 def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = None) -> list[TrialResult]:
     """run_trial(spec, mode, seed) for each mode, in order, from one tick loop.
 
     soar mode looks d0 up in the scenario's per-class policy; non_soar mode
-    gives every label spec.uniform_d0. Until the modes' fused estimates first
-    differ, sense runs once per tick under _widest of their policies and fuse
-    admits the frame under each mode's; then each goes on alone, from a copy
-    of the loop's state and streams, and fuses that frame under its own. The
-    loop makes no reference cycles, so it runs with the cyclic garbage
-    collector off, and turns the collector back on only if it was on.
+    gives every label spec.uniform_d0. sense cuts each frame at largest_d0 of
+    the modes' policies. Until the modes' fused estimates first differ, it
+    runs once per tick and fuse admits the frame under each mode's policy;
+    then each goes on alone, from a copy of the loop's state and streams, and
+    fuses that frame under its own. The loop makes no reference cycles, so
+    it runs with the cyclic garbage collector off, and turns the collector
+    back on only if it was on.
     """
     if isinstance(modes, str) or not modes:
         raise ValueError(f"modes must be a non-empty sequence of modes, got {modes!r}")
@@ -222,7 +211,7 @@ def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = N
         """Run modes from state to their outcomes; a given frame is the next tick's, already sensed."""
         trajectory, positions, min_clearance, path_length, disturbance, gusts, draws = state
         policies = [policy_of[mode] for mode in modes]
-        sense_policy, paired = _widest(policies), len(policies) > 1
+        max_gap, paired = largest_d0(policies), len(policies) > 1
 
         def update_clearance(pos: Vec2) -> float:
             """Fold pos into min_clearance; return its smallest gap to an avoidable obstacle."""
@@ -250,7 +239,7 @@ def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = N
                 # obstacle-first ordering: sensing and collision use positions at t_next
                 for i in moving:
                     positions[i] = obstacles[i].position_at(t_next)
-                frame = sense(obstacles, pose, spec.rig, sense_policy, draws, positions=positions)
+                frame = sense(obstacles, pose, spec.rig, max_gap, draws, positions=positions)
             estimates, _ = fuse(frame, pose, policies[0])
             if paired and any(fuse(frame, pose, policy)[0] != estimates for policy in policies[1:]):
                 from copy import deepcopy  # one deepcopy: the two noise streams keep one generator

@@ -134,8 +134,12 @@ def reference_sense(obstacles, pose, rig, rng, positions) -> list[Seen]:
 
 
 def depth(disparity: float, rig) -> float:
-    """The ideal rig's range for a disparity, f / (d/B), in depth_from_disparity's floats but not through it."""
-    return rig.focal_px / (disparity * (1.0 / rig.baseline_m))
+    """The ideal rig's range for a disparity, f / (d/B), in depth_from_disparity's floats but not through it.
+
+    A d/B that underflows to 0 is ranged at inf.
+    """
+    w = disparity * (1.0 / rig.baseline_m)
+    return rig.focal_px / w if w != 0.0 else math.inf
 
 
 def reference_fuse(seen, pose, rig, policy: ClearancePolicy) -> tuple[list[Placed], int]:

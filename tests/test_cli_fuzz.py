@@ -132,6 +132,11 @@ def edited_documents(draw):
 ARCH_FAST = yaml.safe_load(yaml.safe_dump(DOCUMENTS["arch"]))  # a deep copy
 next(obs for obs in ARCH_FAST["obstacles"] if "speed" in obs.get("motion", {}))["motion"]["speed"] = 1e308
 
+# single_block with a rig whose f * B / range for a rock 1e25 away is 1e-315, and 1e-315 / B underflows to 0
+FAR_DIM = {**DOCUMENTS["single_block"], "sensor": {"focal_px": 1e-300, "baseline_m": 1e10, "max_range_m": 1e308},
+           "obstacles": [*DOCUMENTS["single_block"]["obstacles"],
+                         {"id": 7, "class": "rock", "x": 1e25, "y": 0.0, "radius": 0.5}]}
+
 
 class TestRunOnJunkDocuments:
     @settings(max_examples=40, deadline=None)
@@ -142,6 +147,8 @@ class TestRunOnJunkDocuments:
     @example(doc={**DOCUMENTS["single_block"], "goal": {**DOCUMENTS["single_block"]["goal"], "x": 10**400}})
     # a finite speed whose distance by the trial's end overflows: position_at raised ValueError in fmod
     @example(doc=ARCH_FAST)
+    # a valid rig and a far obstacle: depth_from_disparity raised ZeroDivisionError
+    @example(doc=FAR_DIM)
     def test_exit_code_and_one_line_never_a_traceback(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             scenario = Path(tmp) / "junk.yaml"

@@ -1,7 +1,7 @@
 """run_trials(spec, (soar, non_soar), seed) against run_trial per mode, bit for bit, on random scenarios.
 
-While the two modes' trials match, run_trials senses once per tick under
-the per-class maximum of their policies and fuses the frame under each
+While the two modes' trials match, run_trials senses once per tick, cut
+at the largest d0 of their policies, and fuses the frame under each
 mode's own; at the first tick whose fused estimates differ it forks its
 state, hands each mode that frame, and finishes each mode alone. Every tick's recorded floats, the acted-on
 obstacle, the outcome, the path length and the per-class clearances must be

@@ -15,13 +15,15 @@ from soar_sim.perception import (
     StereoRig,
     depth_from_disparity,
     fuse,
+    largest_d0,
     noise_draws,
     sense,
 )
 from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
-# every class has an infinite clearance, so sense emits every detection with a positive sample
+# sense cut at an infinite gap emits every detection with a positive sample, and fuse admits them all
+NO_CUT = math.inf
 KEEP_ALL = ClearancePolicy({}, default_d0=math.inf)
 
 
@@ -37,9 +39,9 @@ def per_frame(rig, seed=0):
     return noise_draws(np.random.default_rng(seed), rig, 0)
 
 
-def sense_at_centers(obstacles, pose, rig, policy, draws):
+def sense_at_centers(obstacles, pose, rig, max_gap, draws):
     """sense with every obstacle at its center."""
-    return sense(obstacles, pose, rig, policy, draws, [obs.center for obs in obstacles])
+    return sense(obstacles, pose, rig, max_gap, draws, [obs.center for obs in obstacles])
 
 
 def sensed(offsets, true_disparity=10.0):
@@ -47,7 +49,7 @@ def sensed(offsets, true_disparity=10.0):
     # focal * baseline = 10, so the range is 10 / true_disparity
     rig = replace(rig_for(100.0, 0.1), disparity_std=1.0, max_range_m=1e3)
     obstacles = [ObstacleInstance(1, "rock", Vec2(10.0 / true_disparity, 0.0), 0.0)]
-    frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, fixed_rows(list(offsets)))
+    frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, NO_CUT, fixed_rows(list(offsets)))
     return frame.detections[0]
 
 
@@ -122,7 +124,7 @@ class TestDepthFromDisparity:
 
 class TestSense:
     def test_empty_world(self):
-        frame = sense_at_centers([], (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG))
+        frame = sense_at_centers([], (Vec2(0.0, 0.0), 0.0), RIG, NO_CUT, per_frame(RIG))
         assert frame.detections == ()
 
     def test_noise_free_identity(self):
@@ -130,7 +132,7 @@ class TestSense:
             ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5),
             ObstacleInstance(2, "fish", Vec2(2.0, -1.0), 0.2),
         ]
-        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, NO_CUT, per_frame(RIG))
         assert [d.instance_id for d in frame.detections] == [1, 2]
         for det, obs in zip(frame.detections, obstacles):
             assert det.reported_class == obs.class_label
@@ -142,24 +144,24 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(4.0, 1.0), 0.5)]
         rng = np.random.default_rng(123)
         state_before = rng.bit_generator.state
-        sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, noise_draws(rng, RIG, 0))
+        sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, NO_CUT, noise_draws(rng, RIG, 0))
         assert rng.bit_generator.state == state_before
 
     def test_max_range_filter(self):
         obstacles = [ObstacleInstance(1, "rock", Vec2(20.0, 0.0), 0.5)]
-        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), RIG, NO_CUT, per_frame(RIG))
         assert frame.detections == ()
 
     def test_fov_filter(self):
         rig = replace(RIG, fov_deg=180.0, max_range_m=15.0)  # forward half-plane
         behind = [ObstacleInstance(1, "rock", Vec2(-3.0, 0.1), 0.5)]
-        frame = sense_at_centers(behind, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig))
+        frame = sense_at_centers(behind, (Vec2(0.0, 0.0), 0.0), rig, NO_CUT, per_frame(rig))
         assert frame.detections == ()
 
     def test_occlusion_drops_far_obstacle(self):
         near = ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)
         far = ObstacleInstance(2, "rock", Vec2(8.0, 0.0), 0.5)
-        frame = sense_at_centers([near, far], (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG))
+        frame = sense_at_centers([near, far], (Vec2(0.0, 0.0), 0.0), RIG, NO_CUT, per_frame(RIG))
         assert [d.instance_id for d in frame.detections] == [1]
 
     def test_occlusion_matches_brute_force_ray_test(self):
@@ -175,7 +177,7 @@ class TestSense:
                 ObstacleInstance(1, "rock", blocker_center, radius),
                 ObstacleInstance(2, "rock", target, 0.2),
             ]
-            frame = sense_at_centers(obstacles, (cam, 0.0), RIG, KEEP_ALL, per_frame(RIG))
+            frame = sense_at_centers(obstacles, (cam, 0.0), RIG, NO_CUT, per_frame(RIG))
             detected_ids = {d.instance_id for d in frame.detections}
             # brute force: sample the center ray densely
             blocked = any(
@@ -192,13 +194,13 @@ class TestSense:
         target = ObstacleInstance(2, "rock", Vec2(6.0, 0.0), 0.3)
         # blocker center well outside the 10 deg cone, disc still crossing the ray
         blocker = ObstacleInstance(1, "rock", Vec2(2.0, 0.6), 0.7)
-        frame = sense_at_centers([blocker, target], (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig))
+        frame = sense_at_centers([blocker, target], (Vec2(0.0, 0.0), 0.0), rig, NO_CUT, per_frame(rig))
         assert frame.detections == ()
 
     def test_misclassification_uses_confusion_map(self):
         rig = replace(RIG, misclassify_prob=1.0, confusion={"rock": "fish"}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, NO_CUT, per_frame(rig))
         det = frame.detections[0]
         assert det.reported_class == "fish"
         assert det.true_class == "rock"
@@ -206,7 +208,7 @@ class TestSense:
     def test_misclassification_without_mapping_keeps_class(self):
         rig = replace(RIG, misclassify_prob=1.0, confusion={}, max_range_m=15.0)
         obstacles = [ObstacleInstance(1, "rock", Vec2(3.0, 0.0), 0.5)]
-        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig))
+        frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, NO_CUT, per_frame(rig))
         assert frame.detections[0].reported_class == "rock"
 
     def test_same_seed_same_frame(self):
@@ -216,7 +218,7 @@ class TestSense:
         ]
         rig = replace(RIG, disparity_std=0.4, misclassify_prob=0.3, confusion={"rock": "fish"}, max_range_m=15.0)
         frames = [
-            sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.1), rig, KEEP_ALL, per_frame(rig, 77))
+            sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.1), rig, NO_CUT, per_frame(rig, 77))
             for _ in range(2)
         ]
         assert frames[0] == frames[1]
@@ -225,37 +227,49 @@ class TestSense:
         obstacles = [ObstacleInstance(1, "rock", Vec2(14.0, 0.0), 0.3)]
         rig = replace(RIG, disparity_std=50.0, max_range_m=15.0)
         for seed in range(20):
-            frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, KEEP_ALL, per_frame(rig, seed))
+            frame = sense_at_centers(obstacles, (Vec2(0.0, 0.0), 0.0), rig, NO_CUT, per_frame(rig, seed))
             for det in frame.detections:
                 assert 0.0 < det.range_m < math.inf  # ranged from a positive median disparity
 
     def test_moving_obstacle_uses_supplied_positions(self):
         obs = ObstacleInstance(1, "fish", Vec2(5.0, 0.0), 0.2, waypoints=(Vec2(5.0, 2.0),), speed=1.0)
         moved = obs.position_at(1.0)
-        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, KEEP_ALL, per_frame(RIG), [moved])
+        frame = sense([obs], (Vec2(0.0, 0.0), 0.0), RIG, NO_CUT, per_frame(RIG), [moved])
         det = frame.detections[0]
         expected_range = math.hypot(moved.x, moved.y)
         assert det.range_m == pytest.approx(expected_range, rel=1e-12)
 
-    # sense prefilters by the clearance rule under its policy: a detection it does not emit, steering never sees
-    def test_gap_past_d0_emits_nothing(self):
+    # sense cuts at max_gap, whatever the class: a detection it does not emit, steering never sees
+    def test_gap_past_max_gap_emits_nothing(self):
         rock = ObstacleInstance(1, "rock", Vec2(4.0, 0.0), 0.5)  # gap 3.5 on this rig, exactly
-        for d0, emitted in ((3.5, [1]), (math.nextafter(3.5, 0.0), [])):
-            frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, ClearancePolicy({"rock": d0}),
-                                     per_frame(RIG))
+        for max_gap, emitted in ((3.5, [1]), (math.nextafter(3.5, 0.0), [])):
+            frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, max_gap, per_frame(RIG))
             assert [det.instance_id for det in frame.detections] == emitted
             assert frame.dropped == 0
 
-    def test_zero_d0_class_at_contact_emits_nothing(self):
+    def test_zero_d0_class_within_max_gap_is_emitted_and_fuse_skips_it(self):
         policy = ClearancePolicy({"sports_ball": 0.0}, default_d0=1.0)
+        pose = (Vec2(0.0, 0.0), 0.0)
         # the camera inside the ball, on its rim and just outside it: gaps 0, 0 and 0.01
-        for x in (0.2, 0.5, 0.51):
+        for x, gap in ((0.2, 0.0), (0.5, 0.0), (0.51, 0.51 - 0.5)):
             ball = ObstacleInstance(1, "sports_ball", Vec2(x, 0.0), 0.5)
-            frame = sense_at_centers([ball], (Vec2(0.0, 0.0), 0.0), RIG, policy, per_frame(RIG))
-            assert frame.detections == ()
+            frame = sense_at_centers([ball], pose, RIG, largest_d0([policy]), per_frame(RIG))
+            assert [(det.instance_id, det.gap) for det in frame.detections] == [(1, pytest.approx(gap, abs=1e-12))]
+            assert fuse(frame, pose, policy) == ([], 0)
         rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 0.5)  # the same contact under a positive d0
-        frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), RIG, policy, per_frame(RIG))
+        frame = sense_at_centers([rock], pose, RIG, largest_d0([policy]), per_frame(RIG))
         assert [(det.instance_id, det.gap) for det in frame.detections] == [(1, 0.0)]
+        assert [(est.id, est.d0) for est in fuse(frame, pose, policy)[0]] == [(1, 1.0)]
+
+    def test_disparity_whose_ratio_to_the_baseline_underflows_is_past_every_gap(self):
+        # true disparity 1e-290 / 1e25 = 1e-315, and 1e-315 * (1 / 1e10) underflows to 0
+        rig = StereoRig(focal_px=1e-300, baseline_m=1e10, max_range_m=1e308)
+        rock = ObstacleInstance(1, "rock", Vec2(1e25, 0.0), 0.5)
+        assert depth_from_disparity(1e-315, rig) == math.inf
+        frame = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), rig, 1e300, per_frame(rig))
+        assert frame == PerceptionFrame((), 0)
+        [det] = sense_at_centers([rock], (Vec2(0.0, 0.0), 0.0), rig, NO_CUT, per_frame(rig)).detections
+        assert (det.range_m, det.gap) == (math.inf, math.inf)
 
 
 class TestFuse:
@@ -283,6 +297,12 @@ class TestFuse:
             frame = PerceptionFrame((self.make_detection(1.5, gap=gap),), 0)
             estimates, _ = fuse(frame, (Vec2(0.0, 0.0), 0.0), self.POLICY)
             assert [est.id for est in estimates] == admitted
+
+    def test_largest_d0_is_the_largest_default_or_class_entry(self):
+        assert largest_d0([self.POLICY]) == 1.0
+        assert largest_d0([ClearancePolicy({"rock": 2.0, "fish": 0.0}, 1.0)]) == 2.0
+        assert largest_d0([ClearancePolicy({"rock": 2.0}, 1.0), ClearancePolicy({}, 3.0)]) == 3.0
+        assert largest_d0([ClearancePolicy({}, 0.0), ClearancePolicy({"fish": 0.5}, 0.25)]) == 0.5
 
     def test_zero_d0_class_at_contact_gives_no_estimate(self):
         ball = self.make_detection(0.5, gap=0.0, label="sports_ball")
@@ -331,7 +351,7 @@ class TestFuse:
         rig = rig_for(100.0, 0.1)
         rock = ObstacleInstance(1, "rock", Vec2(0.2, 0.0), 1.0)  # range 0.2, radius 1.0
         pose = (Vec2(0.0, 0.0), 0.0)
-        frame = sense_at_centers([rock], pose, rig, KEEP_ALL, per_frame(rig))
+        frame = sense_at_centers([rock], pose, rig, NO_CUT, per_frame(rig))
         assert frame.detections[0].gap == 0.0
         estimates, _ = fuse(frame, pose, KEEP_ALL)
         assert estimates[0].gap == 0.0
@@ -353,7 +373,7 @@ class TestFuse:
                      ObstacleInstance(2, "rock", Vec2(0.0, 1.0), 0.1)]
         no_positive = [-10.0, -12.0] * 4 + [-10.5]
         pose = (Vec2(0.0, 0.0), 0.0)
-        frame = sense_at_centers(obstacles, pose, rig, KEEP_ALL, fixed_rows(no_positive, [0.0] * 9))
+        frame = sense_at_centers(obstacles, pose, rig, NO_CUT, fixed_rows(no_positive, [0.0] * 9))
         assert frame.dropped == 1
         assert [det.instance_id for det in frame.detections] == [2]
         estimates, dropped = fuse(frame, pose, KEEP_ALL)
@@ -369,7 +389,7 @@ class TestSenseFuseRoundTrip:
         ]
         pose = (Vec2(0.5, -0.25), 0.35)
         rig = replace(RIG, fov_deg=360.0, max_range_m=20.0)
-        frame = sense_at_centers(obstacles, pose, rig, KEEP_ALL, per_frame(rig))
+        frame = sense_at_centers(obstacles, pose, rig, NO_CUT, per_frame(rig))
         estimates, dropped = fuse(frame, pose, KEEP_ALL)
         assert dropped == 0
         by_id = {e.id: e for e in estimates}

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import re
 
 import pytest
@@ -36,6 +37,13 @@ class TestSummaries:
         summary = summarize_mode(MODE_SOAR, [TrialRow(5, 1.0, "goal_reached"),
                                              TrialRow(2, 2.0, "goal_reached")])
         assert [r.seed for r in summary.rows] == [2, 5]
+
+    def test_any_order_of_the_rows_gives_the_same_summary(self):
+        # summed in the given order, 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 round to different means
+        rows = [TrialRow(seed, time, "goal_reached") for seed, time in ((1, 0.1), (2, 0.2), (3, 0.3))]
+        summaries = {summarize_mode(MODE_SOAR, order) for order in itertools.permutations(rows)}
+        assert len(summaries) == 1
+        assert summaries.pop().mean_travel_time == (0.1 + 0.2 + 0.3) / 3
 
     def test_delta_requires_success_in_both_modes(self):
         soar = [TrialRow(1, 10.0, "goal_reached")]

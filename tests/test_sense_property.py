@@ -5,15 +5,16 @@ per detection in sense's documented order, takes statistics.median of each
 detection's positive samples and keeps every visible obstacle, with
 disparity None when no sample is positive. A reference fuse then ranges
 and places every detection that has a positive sample, with its reported
-class's d0. Filtered by the clearance rule, that must give exactly what
-sense emits, what fuse places and the dropped count, with the rng left in
-the same state when sense takes its noise through noise_draws(rng, rig, 0),
-and nearest_effective_obstacle must pick what the reference selection
-picks from everything. So this checks sense's occlusion prefilter, its
-per-frame draws, its median from sorted rows and the clearance rule that
-sense prefilters by and fuse applies. A second property checks the paired
-trial loop's prefix: sensed under sim._widest of two policies, a frame
-fuses under either to what that policy's own frame fuses to.
+class's d0. Cut at the policy's largest_d0, that must give exactly what
+sense emits, and filtered by the clearance rule, what fuse places, with
+the dropped count, and with the rng left in the same state when sense
+takes its noise through noise_draws(rng, rig, 0); nearest_effective_obstacle
+must pick what the reference selection picks from everything. So this
+checks sense's occlusion prefilter, its per-frame draws, its median from
+sorted rows and its cut, and the clearance rule fuse applies. A second
+property checks the paired trial loop's prefix: cut at largest_d0 of two
+policies, a frame fuses under either to what that policy's own frame
+fuses to.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from soar_sim.perception import (  # noqa: E402
     Detection,
     StereoRig,
     fuse,
+    largest_d0,
     noise_draws,
     sense,
 )
-from soar_sim.sim import _widest  # noqa: E402
 from soar_sim.world import ClearancePolicy, ObstacleInstance, Vec2, nearest_effective_obstacle  # noqa: E402
 
 RIG = StereoRig(focal_px=400.0, baseline_m=0.12, cx=320.0, cy=240.0, width=640, height=480)
@@ -45,7 +46,7 @@ CLASSES = ("rock", "fish")
 
 
 def detection(p):
-    """The Detection sense emits for a reference record that passes the clearance rule."""
+    """The Detection sense emits for a reference record within its cut."""
     s = p.seen
     return Detection(s.id, s.reported_class, s.true_class, depth(s.disparity, RIG), s.bearing, p.gap)
 
@@ -257,7 +258,7 @@ class TestSenseMatchesPerPairReference:
     ))
     # a gap exactly equal to d0 still qualifies, with zero intrusion
     @example(case=(ROCK_AHEAD, 0, ClearancePolicy({"rock": ROCK_GAP}, default_d0=0.0)))
-    # a d0 = 0 class is never emitted, not even at contact; the nearer rock beside it is
+    # a d0 = 0 class at contact is emitted within the cut, but never placed; the nearer rock beside it is
     @example(case=(
         world_of([ObstacleInstance(1, "fish", Vec2(0.5, 0.0), 1.0),
                   ObstacleInstance(2, "rock", Vec2(0.0, -0.4), 0.1)]),
@@ -282,13 +283,14 @@ class TestSenseMatchesPerPairReference:
         world, seed, policy = case
         obstacles, positions, pose, rig = world
         rng = np.random.default_rng(seed)
-        frame = sense(obstacles, pose, rig, policy, noise_draws(rng, rig, 0), positions=positions)
+        max_gap = largest_d0([policy])
+        frame = sense(obstacles, pose, rig, max_gap, noise_draws(rng, rig, 0), positions=positions)
         placed, dropped, rng_ref = reference(world, seed, policy)
         kept = [p for p in placed if qualifies(p)]
-        assert frame.detections == tuple(detection(p) for p in kept)
+        assert frame.detections == tuple(detection(p) for p in placed if p.gap <= max_gap)
         assert frame.dropped == dropped
         assert rng.bit_generator.state == rng_ref.bit_generator.state
-        # fuse places every emitted detection, and steering picks what the rule picks from everything
+        # fuse places every detection the rule admits, and steering picks what the rule picks from everything
         estimates, fused_dropped = fuse(frame, pose, policy)
         assert estimates == [estimate(p) for p in kept]
         assert fused_dropped == dropped
@@ -299,7 +301,7 @@ class TestSenseMatchesPerPairReference:
 class TestWidestFrameFusesAsOwn:
     @settings(max_examples=200, deadline=None)
     @given(case=policy_pairs())
-    # a class p ignores (d0 0) at contact, which q avoids: the wider frame holds it, and fuse must skip it
+    # a class p ignores (d0 0) at contact, which q avoids: both frames hold it, and fuse must skip it
     @example(case=(world_of([ObstacleInstance(1, "fish", Vec2(0.5, 0.0), 1.0)]), 0,
                    ClearancePolicy({"fish": 0.0}), ClearancePolicy({"fish": 1.0})))
     # a gap past p's d0 but within q's
@@ -309,9 +311,9 @@ class TestWidestFrameFusesAsOwn:
         world, seed, p, q = case
         obstacles, positions, pose, rig = world
         fused, states = [], []
-        for sense_policy in (_widest([p, q]), p):
+        for max_gap in (largest_d0([p, q]), largest_d0([p])):
             rng = np.random.default_rng(seed)
-            frame = sense(obstacles, pose, rig, sense_policy, noise_draws(rng, rig, 0), positions=positions)
+            frame = sense(obstacles, pose, rig, max_gap, noise_draws(rng, rig, 0), positions=positions)
             fused.append(fuse(frame, pose, p))
             states.append(rng.bit_generator.state)
         assert fused[0] == fused[1]

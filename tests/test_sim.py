@@ -22,6 +22,7 @@ from soar_sim.perception import (
     PerceptionFrame,
     StereoRig,
     fuse,
+    largest_d0,
     noise_draws,
     sense,
 )
@@ -42,7 +43,8 @@ from soar_sim.sim import (
     step,
 )
 from soar_sim.steering import SteeringDecision
-from soar_sim.world import ClearancePolicy, ObstacleEstimate, RobotParams, Vec2, nearest_effective_obstacle
+from soar_sim.world import (ClearancePolicy, ObstacleEstimate, RobotParams, Vec2, effective_d0,
+                            nearest_effective_obstacle)
 
 PARAMS = RobotParams(cruise_speed=1.0, max_turn_rate=2.0, slowdown_radius=1.0,
                      collision_radius=0.2, dt=0.05)
@@ -385,7 +387,8 @@ def test_loop_records_are_whole(scenario_dir):
         obs = spec.obstacles[0]
         pose = (Vec2(obs.center.x - obs.radius - 0.1, obs.center.y), 0.0)
         draws = noise_draws(np.random.default_rng(spec.seed), spec.rig, 0)
-        frame = sense(spec.obstacles, pose, spec.rig, spec.policy, draws, [o.center for o in spec.obstacles])
+        frame = sense(spec.obstacles, pose, spec.rig, largest_d0([spec.policy]), draws,
+                      [o.center for o in spec.obstacles])
         estimates, _ = fuse(frame, pose, spec.policy)
         assert_whole(frame, PerceptionFrame)
         for det in frame.detections:
@@ -393,7 +396,10 @@ def test_loop_records_are_whole(scenario_dir):
         for est in estimates:
             assert_whole(est, ObstacleEstimate)
             assert_whole(est.position, Vec2)
-        assert len(estimates) == len(frame.detections)
+        # the frame is cut at the largest d0; fuse admits what the policy avoids within its class's d0
+        admitted = [det.instance_id for det in frame.detections
+                    if 0.0 < effective_d0(spec.policy, det.reported_class) >= det.gap]
+        assert [est.id for est in estimates] == admitted
         fused += len(estimates)
     assert fused > 0
 
