@@ -21,7 +21,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from math import atan2, cos, hypot, sin, sqrt
+from math import atan2, cos, dist, sin, sqrt
 from threading import Lock
 from typing import NamedTuple, Optional, Sequence
 
@@ -149,7 +149,7 @@ def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Option
         raise ValueError("trajectory must be non-empty")
     now = trajectory[-1]
     t, pos = now.time, now.position
-    goal_dist = pos.dist(spec.goal)
+    goal_dist = dist(pos, spec.goal)
     if goal_dist <= spec.goal_radius:
         return OUTCOME_GOAL
     if now.min_clearance <= spec.robot.collision_radius:
@@ -158,9 +158,9 @@ def detect_termination(trajectory: Sequence[Tick], spec: ScenarioSpec) -> Option
         return OUTCOME_TIMEOUT
     if t >= STUCK_WINDOW_S:
         back = round(STUCK_WINDOW_S / spec.robot.dt)
-        if back < len(trajectory) and pos.dist(trajectory[-1 - back].position) < STUCK_EPSILON_M:
+        if back < len(trajectory) and dist(pos, trajectory[-1 - back].position) < STUCK_EPSILON_M:
             return OUTCOME_STUCK
-    initial_dist = trajectory[0].position.dist(spec.goal)
+    initial_dist = dist(trajectory[0].position, spec.goal)
     if goal_dist > WRONG_DIR_FACTOR * initial_dist:
         return OUTCOME_WRONG_DIRECTION
     return None
@@ -215,10 +215,9 @@ def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = N
 
         def update_clearance(pos: Vec2) -> float:
             """Fold pos into min_clearance; return its smallest gap to an avoidable obstacle."""
-            px, py = pos.x, pos.y
             nearest = math.inf
             for label, radius, center, avoid in zip(labels, radii, positions, avoidable):
-                gap = hypot(px - center.x, py - center.y) - radius
+                gap = dist(pos, center) - radius
                 gap = gap if gap > 0.0 else 0.0  # max(0.0, gap), NaN and -0.0 included
                 if gap < min_clearance[label]:
                     min_clearance[label] = gap
@@ -255,7 +254,7 @@ def run_trials(spec: ScenarioSpec, modes: Sequence[str], seed: Optional[int] = N
 
             position, heading, speed = step(now.position, now.heading, decision.v_hat, spec.robot, spec.goal,
                                             disturbance)
-            path_length += now.position.dist(position)
+            path_length += dist(now.position, position)
             trajectory.append(new_record(Tick, (t_next, position, heading, speed, decision,
                                                 update_clearance(position))))
             outcome = detect_termination(trajectory, spec)

@@ -71,16 +71,21 @@ class RefTrial(NamedTuple):
     ticks: list
 
 
+def _dist(a: Vec2, b: Vec2) -> float:
+    """The distance between two points as hypot of their differences, not through Vec2.dist."""
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
 def segment_hits_disc(a: Vec2, b: Vec2, center: Vec2, radius: float) -> bool:
     """Whether segment a-b passes within radius of center (per-pair oracle)."""
     abx, aby = b.x - a.x, b.y - a.y
     seg_len2 = abx * abx + aby * aby
     if seg_len2 == 0.0:
-        return a.dist(center) <= radius
+        return _dist(a, center) <= radius
     t = ((center.x - a.x) * abx + (center.y - a.y) * aby) / seg_len2
     t = min(1.0, max(0.0, t))
     closest = Vec2(a.x + abx * t, a.y + aby * t)
-    return closest.dist(center) <= radius
+    return _dist(closest, center) <= radius
 
 
 def reference_sense(obstacles, pose, rig, rng, positions) -> list[Seen]:
@@ -95,7 +100,7 @@ def reference_sense(obstacles, pose, rig, rng, positions) -> list[Seen]:
     geo, candidates = [], []
     for i in ordered:
         obs, obs_pos = obstacles[i], positions[i]
-        rng_m = cam_pos.dist(obs_pos)
+        rng_m = _dist(cam_pos, obs_pos)
         if rng_m <= 0.0:
             continue
         geo.append((obs, obs_pos, rng_m))
@@ -192,7 +197,7 @@ def estimate(p: Placed) -> ObstacleEstimate:
 def reference_outcome(spec, ticks) -> Optional[str]:
     """The termination conditions at the newest of the recorded ticks, tick n at time n * dt."""
     now = ticks[-1]
-    goal_dist = now.position.dist(spec.goal)
+    goal_dist = _dist(now.position, spec.goal)
     if goal_dist <= spec.goal_radius:
         return OUTCOME_GOAL
     if now.min_clearance <= spec.robot.collision_radius:
@@ -201,9 +206,9 @@ def reference_outcome(spec, ticks) -> Optional[str]:
         return OUTCOME_TIMEOUT
     if now.time >= STUCK_WINDOW_S:
         window_start = ticks[round((now.time - STUCK_WINDOW_S) / spec.robot.dt)]
-        if now.position.dist(window_start.position) < STUCK_EPSILON_M:
+        if _dist(now.position, window_start.position) < STUCK_EPSILON_M:
             return OUTCOME_STUCK
-    if goal_dist > WRONG_DIR_FACTOR * ticks[0].position.dist(spec.goal):
+    if goal_dist > WRONG_DIR_FACTOR * _dist(ticks[0].position, spec.goal):
         return OUTCOME_WRONG_DIRECTION
     return None
 
@@ -218,7 +223,7 @@ def reference_trial(spec, mode: str, seed: int) -> RefTrial:
     gaps_per_tick = []
 
     def record(t: float, pos: Vec2, heading: float, speed: float, decision, positions) -> RefTick:
-        gaps = [max(0.0, math.hypot(pos.x - c.x, pos.y - c.y) - o.radius) for o, c in zip(obstacles, positions)]
+        gaps = [max(0.0, _dist(pos, c) - o.radius) for o, c in zip(obstacles, positions)]
         gaps_per_tick.append(gaps)
         nearest = min((g for g, avoid in zip(gaps, avoidable) if avoid), default=math.inf)
         return RefTick(t, pos, heading, speed, decision, nearest)
@@ -248,7 +253,7 @@ def reference_trial(spec, mode: str, seed: int) -> RefTrial:
 
     path_length = 0.0
     for a, b in zip(ticks, ticks[1:]):  # left to right, as run_trial adds; 3.12's sum() compensates
-        path_length += a.position.dist(b.position)
+        path_length += _dist(a.position, b.position)
     by_class = {}
     for gaps in gaps_per_tick:
         for o, g in zip(obstacles, gaps):

@@ -295,6 +295,17 @@ class TestRunTrial:
         assert at_rock.travel_time == 0.0
 
 
+# these scenes set no disparity noise, no label confusion and no gusts, so a trial draws nothing from its
+# seed: compare --trials N on them repeats one pair N times; head_on confuses labels, so its seed matters
+@pytest.mark.parametrize("scene, seed_matters", [("single_block", False), ("transparency", False),
+                                                 ("open_field", False), ("head_on", True)])
+def test_noise_free_scenes_ignore_the_seed(request, scene, seed_matters):
+    spec = request.getfixturevalue(scene)
+    seed_42, seed_43 = (run_trials(spec, (MODE_SOAR, MODE_NON_SOAR), seed) for seed in (42, 43))
+    same = [(a.outcome, a.trajectory) == (b.outcome, b.trajectory) for a, b in zip(seed_42, seed_43)]
+    assert same == ([False, False] if seed_matters else [True, True])
+
+
 def test_stage_hooks_called_once_per_tick(monkeypatch, parking_lot):
     # perfbench/spans.py times sim.sense and sim.fuse by swapping these module
     # attributes; it counts sense(...).detections and fuse(...)[1] as dropped
