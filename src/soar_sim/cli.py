@@ -159,7 +159,7 @@ def _read_trajectory(path: str) -> list[Vec2]:
                 point = Vec2(float(row["x"]), float(row["y"]))
             except (TypeError, ValueError):
                 point = None
-            if point is None or not point.is_finite():
+            if point is None or not (math.isfinite(point.x) and math.isfinite(point.y)):
                 raise ValueError(f"{path}: line {reader.line_num}: x and y must be finite numbers")
             points.append(point)
     if not points:
@@ -188,8 +188,12 @@ def cmd_plot(args: argparse.Namespace) -> int:
             raise CliError(f"ERROR: {path}: {exc}", EXIT_RUNTIME) from exc
         except (OSError, ValueError) as exc:
             raise CliError(f"ERROR: {exc}", EXIT_RUNTIME) from exc
+    try:
+        svg = render_svg(spec, trajectories)
+    except ValueError as exc:
+        raise CliError(f"ERROR: {exc}", EXIT_RUNTIME) from exc
     out = Path(args.out)
-    _write(out, render_svg(spec, trajectories))
+    _write(out, svg)
     print(f"wrote {out}")
     return EXIT_OK
 

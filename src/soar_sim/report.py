@@ -8,24 +8,22 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import Counter
 from functools import reduce
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import yaml
 
 from soar_sim.sim import MODE_NON_SOAR, MODE_SOAR, OUTCOME_GOAL, TrialResult
 
 
-@dataclass(frozen=True, slots=True)
-class TrialRow:
+class TrialRow(NamedTuple):
     seed: int
     travel_time: float
     outcome: str
 
 
-@dataclass(frozen=True, slots=True)
-class ModeSummary:
+class ModeSummary(NamedTuple):
     mode: str
     rows: tuple[TrialRow, ...]
     mean_travel_time: Optional[float]
@@ -33,8 +31,7 @@ class ModeSummary:
     total: int
 
 
-@dataclass(frozen=True, slots=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     scenario_name: str
     soar: ModeSummary
     non_soar: ModeSummary
@@ -60,8 +57,13 @@ def build_comparison(
     soar_results: Sequence[TrialRow],
     non_soar_results: Sequence[TrialRow],
 ) -> ComparisonReport:
+    """Pair the two modes' rows by seed; a seed that has more rows in one mode than in the other is a ValueError."""
     soar = summarize_mode(MODE_SOAR, soar_results)
     non_soar = summarize_mode(MODE_NON_SOAR, non_soar_results)
+    soar_seeds, non_soar_seeds = Counter(r.seed for r in soar.rows), Counter(r.seed for r in non_soar.rows)
+    if soar_seeds != non_soar_seeds:
+        seed = min((soar_seeds - non_soar_seeds) + (non_soar_seeds - soar_seeds))
+        raise ValueError(f"seed {seed} is unpaired: {soar_seeds[seed]} soar row(s), {non_soar_seeds[seed]} non_soar")
     delta = None
     if soar.mean_travel_time is not None and non_soar.mean_travel_time is not None and soar.mean_travel_time != 0.0:
         delta = 100.0 * (non_soar.mean_travel_time - soar.mean_travel_time) / soar.mean_travel_time

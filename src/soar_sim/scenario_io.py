@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import reprlib
 from dataclasses import asdict, dataclass, field, fields, replace
+from math import dist
 from typing import Any, Iterable, Iterator
 
 import yaml
@@ -243,17 +244,17 @@ def load_scenario_file(path: str) -> ScenarioSpec:
 def _polyline_distance(point: Vec2, pts: tuple[Vec2, ...]) -> float:
     """Exact distance from a point to a polyline (single point allowed)."""
     if len(pts) == 1:
-        return point.dist(pts[0])
+        return dist(point, pts[0])
     best = math.inf
     for a, b in zip(pts, pts[1:]):
         abx, aby = b.x - a.x, b.y - a.y
         seg2 = abx * abx + aby * aby
         if seg2 == 0.0:
-            best = min(best, point.dist(a))
+            best = min(best, dist(point, a))
             continue
         t = ((point.x - a.x) * abx + (point.y - a.y) * aby) / seg2
         t = min(1.0, max(0.0, t))
-        best = min(best, point.dist(Vec2(a.x + abx * t, a.y + aby * t)))
+        best = min(best, dist(point, (a.x + abx * t, a.y + aby * t)))
     return best
 
 
@@ -333,7 +334,7 @@ def validate_scenario(spec: ScenarioSpec) -> None:
         if d0 > 0.0:
             _check(_polyline_distance(spec.goal, obs.path_points()) > obs.radius + d0, path,
                    f"goal outside (radius + d0) region (obstacle id {obs.id}, class {obs.class_label})")
-            _check(spec.start_pose[0].dist(obs.center) - obs.radius > spec.robot.collision_radius, path,
+            _check(dist(spec.start_pose[0], obs.center) - obs.radius > spec.robot.collision_radius, path,
                    f"start position collision-free (obstacle id {obs.id})")
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass
 from math import atan2, cos, dist, sin, sqrt
 from threading import Lock
 from typing import NamedTuple, Optional, Sequence
@@ -83,8 +82,7 @@ class Tick(NamedTuple):
     min_clearance: float
 
 
-@dataclass(frozen=True, slots=True)
-class TrialResult:
+class TrialResult(NamedTuple):
     outcome: str
     path_length: float
     min_clearance_by_class: dict[str, float]

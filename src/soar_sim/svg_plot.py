@@ -8,6 +8,7 @@ and labels are escaped, so any scenario name or class gives well-formed XML.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Sequence
 
@@ -50,7 +51,10 @@ def render_svg(
     spec: ScenarioSpec,
     trajectories: Sequence[tuple[str, Sequence[Vec2]]],
 ) -> str:
-    """Render the world plus (label, points) trajectories to an SVG string."""
+    """Render the world plus (label, points) trajectories to an SVG string.
+
+    An extent whose coordinate differences overflow the float range is a ValueError, not a nan drawing.
+    """
     if not trajectories:
         raise ValueError("at least one trajectory required")
     for label, points in trajectories:
@@ -71,6 +75,8 @@ def render_svg(
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
     span = max(x1 - x0, y1 - y0, 1e-6)
+    if not math.isfinite(span):  # finite coordinates whose difference overflows
+        raise ValueError(f"the drawing's extent overflows: x {x0!r} to {x1!r}, y {y0!r} to {y1!r}")
     scale = SIZE_PX / span
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale

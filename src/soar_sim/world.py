@@ -3,11 +3,13 @@ and disturbance parameters, plus the nearest-effective-obstacle ranking
 used by the steering loop. perception.sense owns the range and
 perception.fuse the clearance rule; the ranking only orders what fuse admitted.
 
-All values here are immutable after construction and safe to share between
-concurrently running trials. The loop reads the obstacle, policy and parameter types every
-tick: they are frozen slotted dataclasses, whose slot reads CPython 3.11 specializes. It builds
-Vec2 and ObstacleEstimate every tick: they are NamedTuples, built through new_record, not their
-constructors, and ~12 ns slower per field read, so the loop takes distances with math.dist.
+All values here are immutable after construction and safe to share between concurrently
+running trials. A scenario section (the obstacle, policy and parameter types, perception.StereoRig,
+scenario_io.ScenarioSpec) is a frozen slotted dataclass: the loop reads it every tick, CPython 3.11
+specializes slot reads, and scenario_io reads it by fields() and writes it by asdict(). Every other
+record is a NamedTuple: those built every tick (Vec2, ObstacleEstimate, through new_record) and the
+per-trial results (sim.TrialResult, report's TrialRow, ModeSummary, ComparisonReport). A NamedTuple
+field read is ~12 ns slower, so the loop takes distances with math.dist.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import reduce
+from math import dist
 from typing import NamedTuple, Optional, Sequence
 
 
@@ -25,12 +28,6 @@ class Vec2(NamedTuple):
 
     def __add__(self, other: Vec2) -> Vec2:  # vector sum, not tuple concatenation
         return Vec2(self.x + other.x, self.y + other.y)
-
-    def dist(self, other: Vec2) -> float:
-        return math.dist(self, other)
-
-    def is_finite(self) -> bool:
-        return math.isfinite(self.x) and math.isfinite(self.y)
 
 
 # new_record(Vec2, (x, y)) builds Vec2(x, y) without the Python frame of a NamedTuple's own __new__,
@@ -57,7 +54,7 @@ class ObstacleInstance:
 
     def __post_init__(self) -> None:
         pts = self.path_points()
-        seg_lengths = tuple(pts[i].dist(pts[i + 1]) for i in range(len(pts) - 1))
+        seg_lengths = tuple(dist(pts[i], pts[i + 1]) for i in range(len(pts) - 1))
         total = reduce(operator.add, seg_lengths, 0.0)  # a left fold, not 3.12+ sum(); 0 for a one-point path
         loop = None if self.speed <= 0.0 or total <= 0.0 else (pts, seg_lengths, total)
         object.__setattr__(self, "_loop", loop)

@@ -399,6 +399,17 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR: {bad}: ") and err.count("\n") == 1
 
+    def test_overflowing_extent_is_error_without_output(self, tmp_path, capsys):
+        # each coordinate is finite, but their difference is not: the drawing would scale to nan
+        traj = tmp_path / "wide.traj.csv"
+        traj.write_text("time_s,x,y\n0,1.7e308,2\n0,-1.7e308,2\n")
+        out = tmp_path / "plot.svg"
+        rc = main(["plot", "--scenario", str(SCENARIOS / "head_on.yaml"), "--out", str(out), str(traj)])
+        assert rc == EXIT_RUNTIME
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR: ") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_soar_and_non_soar_overlay_legend(self, tmp_path):
         traj = self.make_traj(tmp_path)
         rc = main(["run", "--scenario", TRANSPARENCY, "--mode", "non-soar",
@@ -495,4 +506,4 @@ def test_readme_library_surface_matches_signatures():
             assert params == actual, name
             checked.append(name)
     assert {"ObstacleInstance", "nearest_effective_obstacle", "steering_direction", "SteeringDecision", "sense",
-            "fuse", "step"} <= set(checked)
+            "fuse", "step", "TrialResult", "TrialRow", "build_comparison"} <= set(checked)

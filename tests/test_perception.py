@@ -181,7 +181,7 @@ class TestSense:
             detected_ids = {d.instance_id for d in frame.detections}
             # brute force: sample the center ray densely
             blocked = any(
-                Vec2(target.x * t, target.y * t).dist(blocker_center) <= radius
+                math.dist(Vec2(target.x * t, target.y * t), blocker_center) <= radius
                 for t in np.linspace(0.0, 1.0, 2001)
             )
             if blocked:
@@ -397,5 +397,5 @@ class TestSenseFuseRoundTrip:
             est = by_id[obs.id]
             assert est.position.x == pytest.approx(obs.center.x, abs=1e-9)
             assert est.position.y == pytest.approx(obs.center.y, abs=1e-9)
-            truth = pose[0].dist(obs.center) - obs.radius
+            truth = math.dist(pose[0], obs.center) - obs.radius
             assert est.gap == pytest.approx(truth, abs=1e-9)

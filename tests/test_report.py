@@ -59,6 +59,15 @@ class TestSummaries:
         assert report.relative_time_delta is None
         assert render_comparison_table(report).endswith("relative_time_delta: n/a (soar mean travel time is 0)\n")
 
+    @pytest.mark.parametrize("soar_seeds, non_soar_seeds, unpaired",
+                             [([1, 2], [2, 3], 1), ([1, 2, 3], [1, 3], 2), ([4], [4, 4], 4), ([5], [], 5)])
+    def test_unpaired_seed_is_rejected(self, soar_seeds, non_soar_seeds, unpaired):
+        # rows paired by position would put one seed's run on another seed's row of the paired table
+        soar = [TrialRow(seed, 10.0, "goal_reached") for seed in soar_seeds]
+        non_soar = [TrialRow(seed, 12.0, "stuck") for seed in non_soar_seeds]
+        with pytest.raises(ValueError, match=rf"^seed {unpaired} is unpaired"):
+            build_comparison("x", soar, non_soar)
+
     def test_delta_value(self):
         soar = [TrialRow(1, 10.0, "goal_reached")]
         non_soar = [TrialRow(1, 11.4, "goal_reached")]

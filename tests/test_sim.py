@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+import pickle
 import re
 import sys
 import threading
@@ -26,7 +27,7 @@ from soar_sim.perception import (
     noise_draws,
     sense,
 )
-from soar_sim.report import render_trajectory_csv, render_trial_summary
+from soar_sim.report import TrialRow, build_comparison, render_trajectory_csv, render_trial_summary, summarize_mode
 from soar_sim.scenario_io import load_scenario_file
 from soar_sim.sim import (
     MODE_NON_SOAR,
@@ -37,6 +38,7 @@ from soar_sim.sim import (
     OUTCOME_TIMEOUT,
     OUTCOME_WRONG_DIRECTION,
     Tick,
+    TrialResult,
     detect_termination,
     run_trial,
     run_trials,
@@ -65,12 +67,32 @@ PER_TICK_RECORDS["LabeledObstacleEstimate"] = (FUSED[0], "position")
 PER_TICK_RECORDS["ActiveObstacle"] = (nearest_effective_obstacle(FUSED), "d0")
 
 
-@pytest.mark.parametrize("name", sorted(PER_TICK_RECORDS))
+# the per-trial results are immutable records too, checked by the same test
+ROW = TrialRow(0, 0.0, OUTCOME_GOAL)
+RESULT_RECORDS = {
+    "TrialResult": (TrialResult(OUTCOME_GOAL, 0.0, {}, (PER_TICK_RECORDS["Tick"][0],), MODE_SOAR, 0), "trajectory"),
+    "TrialRow": (ROW, "outcome"),
+    "ModeSummary": (summarize_mode(MODE_SOAR, [ROW]), "rows"),
+    "ComparisonReport": (build_comparison("x", [ROW], [ROW]), "soar"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PER_TICK_RECORDS) + sorted(RESULT_RECORDS))
 def test_per_tick_records_are_immutable(name):
-    record, field_name = PER_TICK_RECORDS[name]
+    record, field_name = {**PER_TICK_RECORDS, **RESULT_RECORDS}[name]
     with pytest.raises(AttributeError):
         setattr(record, field_name, None)
     assert getattr(record, field_name) is not None
+
+
+def test_results_survive_the_process_pool_boundary(head_on):
+    # pool workers pickle their TrialRows back to the parent; a caller that pools run_trial pickles TrialResults
+    result = run_trial(head_on, MODE_SOAR, 42)
+    for record in (TrialRow(result.seed, result.travel_time, result.outcome), result):
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is type(record)
+        assert copy == record and repr(copy) == repr(record)
+    assert pickle.loads(pickle.dumps(result)).travel_time == result.travel_time
 
 
 GUST_STD = 0.3
@@ -164,10 +186,10 @@ class TestDetectTermination:
     def test_wrong_direction_from_walkaway_trajectory(self, open_field):
         # constructed trajectory that walks away from the goal until 1.5x
         start = Vec2(0.0, 0.0)
-        initial = start.dist(open_field.goal)
+        initial = math.dist(start, open_field.goal)
         positions = [start]
         pos = start
-        while pos.dist(open_field.goal) <= 1.5 * initial:
+        while math.dist(pos, open_field.goal) <= 1.5 * initial:
             pos = pos + Vec2(-0.5, 0.0)
             positions.append(pos)
         ticks = ticks_at(positions, open_field.robot.dt)
@@ -191,7 +213,7 @@ class TestRunTrial:
     def test_obstacle_free_time(self, open_field):
         result = run_trial(open_field, MODE_SOAR, seed=3)
         assert result.outcome == OUTCOME_GOAL
-        straight = open_field.start_pose[0].dist(open_field.goal)
+        straight = math.dist(open_field.start_pose[0], open_field.goal)
         lower = straight / open_field.robot.cruise_speed
         assert lower <= result.travel_time <= lower * 1.15
         assert result.path_length >= straight - open_field.goal_radius

@@ -143,7 +143,7 @@ class TestSteeringDirection:
         for _ in range(300):
             robot = Vec2(float(rng.normal()), float(rng.normal()))
             goal = Vec2(float(rng.normal() * 5), float(rng.normal() * 5))
-            if robot.dist(goal) == 0.0:
+            if math.dist(robot, goal) == 0.0:
                 continue
             d0 = float(rng.uniform(0.2, 3.0))
             direction = rng.uniform(0, 2 * math.pi)

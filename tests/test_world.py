@@ -31,14 +31,6 @@ class TestVec2:
         assert total == Vec2(0.5, 0.0)
         assert math.copysign(1.0, total.y) == 1.0  # -0.0 + 0.0 is 0.0, as the disturbance sum relies on
 
-    def test_norm_and_dist(self):
-        assert Vec2(0.0, 0.0).dist(Vec2(3.0, 4.0)) == 5.0
-
-    def test_finiteness(self):
-        assert Vec2(1.0, 2.0).is_finite()
-        assert not Vec2(math.inf, 0.0).is_finite()
-        assert not Vec2(0.0, math.nan).is_finite()
-
 
 class TestEffectiveD0:
     def test_ignorable_ball(self):
